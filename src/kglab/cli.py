@@ -16,7 +16,6 @@ import datetime
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -96,19 +95,9 @@ def _envelope(config: ExperimentConfig, result) -> dict:
         "schema": 1,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "threads": _threads(),
         "config": config.public_dict(),
         "result": result,
     }
-
-
-def _threads() -> int:
-    # Serial implementation; the env var caps (and here, records) parallelism.
-    raw = os.environ.get("KGLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit_json(config: ExperimentConfig, result) -> str:
@@ -379,7 +368,7 @@ def run(config: ExperimentConfig) -> tuple:
         result, rows = runner(config)
     except ValidationError as exc:
         return 2, f"invalid config: {exc}\n"
-    except KglabError as exc:
+    except (KglabError, OverflowError) as exc:
         return 1, f"computation error: {exc}\n"
     if config.fmt == "csv":
         if rows is None:

@@ -6,8 +6,11 @@ dyadic rational, so for any 64-bit fixed-point representable alpha the
 fractional part of m^k * alpha equals ((m^k mod 2^64) * A mod 2^64) / 2^64
 exactly, where A = alpha * 2^64.  Wrapping uint64 multiplication gives
 this for whole windows at vector speed; frequencies outside that range
-fall back to exact integer arithmetic per term.  The only inexactness
-left is evaluating e(.) and accumulating the sum.
+fall back to exact integer arithmetic per term.  One kernel does this
+reduction for every phase sum here (plain, scanned and per decomposition
+block); the only inexactness left is evaluating e(.) and numpy's pairwise
+summation of the terms.  The complete sums S(q, a) share the same exact
+modular arithmetic, one table per modulus.
 
 Moments of |f|^(2t) are integers (solution counts) and are computed two
 independent ways: averaging |f|^(2t) over one more than twice its top
@@ -20,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import CapExceeded, ConsistencyError, ValidationError
-from .intervals import ShortInterval, sieve_upto, von_mangoldt
+from .intervals import ShortInterval, pow_mod, sieve_upto, units, von_mangoldt
 from .weights import WeightFunction
 
 _TWO64 = 1 << 64
@@ -33,6 +35,7 @@ _SCALE64 = 2.0**-64
 DEFAULT_MOMENT_SAMPLE_CAP = 1 << 26
 DEFAULT_ENUM_STATE_CAP = 100_000_000
 COMPLETE_SUM_CAP = 1_000_000
+_DIRECT_Q_LIMIT = 512      # exact-index table up to here, DFT above
 
 
 def weyl_exponent(k: int) -> int:
@@ -52,64 +55,33 @@ def minor_arc_rho(k: int) -> float:
 # phase machinery
 
 
-def _alpha_fixed64(alpha: float):
-    """Exact 64-bit fixed-point numerator of alpha mod 1, or None.
-
-    Every float with magnitude >= 2^-11 or equal to 0 has an exact
-    representation A / 2^64; tinier exponents do not fit and take the
-    slow exact path.
-    """
-    frac = Fraction(alpha)
-    num = frac.numerator % frac.denominator
-    den = frac.denominator  # a power of two for float input
-    if den > _TWO64:
-        return None
-    return num * (_TWO64 // den)
-
-
-def _pow_mod_2_64(base: np.ndarray, k: int) -> np.ndarray:
-    """base^k mod 2^64, exact, via wrapping uint64 arithmetic."""
-    out = np.ones_like(base)
-    b = base.copy()
-    e = k
-    with np.errstate(over="ignore"):
-        while True:
-            if e & 1:
-                out = out * b
-            e >>= 1
-            if not e:
-                break
-            b = b * b
-    return out
-
-
 def window_powers_mod64(lo: int, hi: int, k: int) -> np.ndarray:
-    ms = np.arange(lo, hi + 1, dtype=np.uint64)
-    return _pow_mod_2_64(ms, k)
+    return pow_mod(np.arange(lo, hi + 1, dtype=np.uint64), k, _TWO64)
 
 
-def _phases_fixed(powers_mod: np.ndarray, fixed: int) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        prod = powers_mod * np.uint64(fixed)
-    return prod.astype(np.float64) * _SCALE64
+def _phase_sum(values, lo: int, hi: int, k: int, num: int, den: int,
+               powers_mod: np.ndarray = None) -> complex:
+    """sum over m in [lo, hi] of values[m - lo] e(m^k num / den), den a
+    power of two; values=None means unit weights.
 
-
-def _phases_exact(lo: int, hi: int, k: int, alpha: float) -> np.ndarray:
-    frac = Fraction(alpha)
-    num = frac.numerator % frac.denominator
-    den = frac.denominator
-    out = np.empty(hi - lo + 1)
-    for i, m in enumerate(range(lo, hi + 1)):
-        out[i] = ((pow(m, k, den) * num) % den) / den
-    return out
-
-
-def _window_phases(lo: int, hi: int, k: int, alpha: float) -> np.ndarray:
-    """Fractional parts of m^k * alpha for m in [lo, hi], exactly reduced."""
-    fixed = _alpha_fixed64(alpha)
-    if fixed is not None:
-        return _phases_fixed(window_powers_mod64(lo, hi, k), fixed)
-    return _phases_exact(lo, hi, k, alpha)
+    Each phase is reduced mod 1 exactly before e(.) is taken: by wrapping
+    uint64 arithmetic on m^k mod 2^64 (``powers_mod``, computed here if not
+    given) when den <= 2^64, else per term in Python integers.  The terms
+    are added by numpy's pairwise summation.
+    """
+    if den <= _TWO64:
+        if powers_mod is None:
+            powers_mod = window_powers_mod64(lo, hi, k)
+        with np.errstate(over="ignore"):
+            prod = powers_mod * np.uint64(num % den * (_TWO64 // den))
+        phases = prod.astype(np.float64) * _SCALE64
+    else:
+        phases = np.array([pow(m, k, den) * num % den / den for m in range(lo, hi + 1)])
+    ang = 2.0 * np.pi * phases
+    re, im = np.cos(ang), np.sin(ang)
+    if values is not None:
+        re, im = values * re, values * im
+    return complex(np.sum(re), np.sum(im))
 
 
 def _check_power_range(hi: int, k: int):
@@ -118,38 +90,40 @@ def _check_power_range(hi: int, k: int):
 
 
 def weighted_exp_sum(alpha: float, weight: WeightFunction, interval: ShortInterval) -> complex:
-    """sum over the window of w(m) e(m^k alpha), with compensated summation.
+    """sum over the window of w(m) e(m^k alpha).
 
     Phases are reduced mod 1 in exact integer arithmetic before e(.) is
     taken; adding an integer to alpha therefore cannot change the result.
     """
     _check_power_range(interval.hi, interval.k)
-    phases = _window_phases(interval.lo, interval.hi, interval.k, alpha)
-    ang = 2.0 * np.pi * phases
-    w = weight.values
-    re = math.fsum((w * np.cos(ang)).tolist())
-    im = math.fsum((w * np.sin(ang)).tolist())
-    return complex(re, im)
-
-
-def _exp_sum_fast(values: np.ndarray, powers_mod: np.ndarray, alpha: float,
-                  lo: int, hi: int, k: int) -> complex:
-    """Vectorized inner loop for scans; pairwise numpy summation."""
-    fixed = _alpha_fixed64(alpha)
-    if fixed is not None:
-        phases = _phases_fixed(powers_mod, fixed)
-    else:
-        phases = _phases_exact(lo, hi, k, alpha)
-    ang = 2.0 * np.pi * phases
-    return complex(np.sum(values * np.cos(ang)), np.sum(values * np.sin(ang)))
+    return _phase_sum(weight.values, interval.lo, interval.hi, interval.k,
+                      *alpha.as_integer_ratio())
 
 
 # ---------------------------------------------------------------------------
 # complete rational sums
 
 
+def complete_exp_sums(q: int, k: int) -> tuple:
+    """(units mod q, S(q, a) for every residue a mod q), where S(q, a) is
+    the sum over units h mod q of e(a h^k / q).
+
+    The units are enumerated once.  Small moduli sum the exact-index table
+    (phases are integers mod q throughout); larger moduli evaluate all a at
+    once through the DFT of the k-th power residue counts.
+    """
+    hs = units(q)
+    powers = pow_mod(hs, k, q)
+    # Without this branch the sweep ran ~20% slower (glibc allocator, later FFTs).
+    if q <= _DIRECT_Q_LIMIT:
+        roots = np.exp(2j * np.pi * np.arange(q) / q)
+        return hs, roots[np.arange(q)[:, None] * powers[None, :] % q].sum(axis=1)
+    counts = np.bincount(powers, minlength=q).astype(np.float64)
+    return hs, np.conj(np.fft.fft(counts))
+
+
 def complete_exp_sum(q: int, a: int, k: int, cap: int = COMPLETE_SUM_CAP) -> complex:
-    """sum over units h mod q of e(a h^k / q), phases as exact integers.
+    """S(q, a): the sum over units h mod q of e(a h^k / q).
 
     gcd(a, q) = 1 is expected but not enforced; the sum is well defined
     either way.
@@ -160,32 +134,7 @@ def complete_exp_sum(q: int, a: int, k: int, cap: int = COMPLETE_SUM_CAP) -> com
         raise ValidationError(f"need 1 <= a <= q, got a={a}")
     if q > cap:
         raise CapExceeded(f"q={q} exceeds the complete-sum cap {cap}")
-    if q == 1:
-        return complex(1.0, 0.0)
-    hs = np.arange(1, q + 1, dtype=np.int64)
-    units = hs[np.gcd(hs, q) == 1]
-    powers = _pow_mod_int(units, k, q)
-    idx = (a * powers) % q
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
-    vals = roots[idx]
-    return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
-
-
-def _pow_mod_int(base: np.ndarray, k: int, q: int) -> np.ndarray:
-    """base^k mod q for int64 arrays; q^2 must fit in int64."""
-    if q > 3_000_000_000:
-        raise CapExceeded(f"modulus {q} too large for the vector powmod")
-    out = np.ones_like(base)
-    b = np.mod(base, q)
-    e = k
-    while True:
-        if e & 1:
-            out = (out * b) % q
-        e >>= 1
-        if not e:
-            break
-        b = (b * b) % q
-    return out
+    return complex(complete_exp_sums(q, k)[1][a % q])
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +160,9 @@ def moment_nyquist(interval: ShortInterval, t: int,
         raise CapExceeded(
             f"{n_samples} sample points exceed the cap {sample_cap}"
         )
+    # np.zeros leaves untouched pages unmapped; a full bincount would not.
     counts = np.zeros(n_samples)
-    for m in range(lo, hi + 1):
-        counts[pow(m, k, n_samples)] += 1.0
+    np.add.at(counts, pow_mod(lo % n_samples + np.arange(hi - lo + 1), k, n_samples), 1.0)
     spectrum = np.fft.fft(counts)
     mean = float(np.mean(np.abs(spectrum) ** (2 * t)))
     value = round(mean)
@@ -453,13 +402,12 @@ def evaluate_component(component: BilinearComponent, alpha: float,
                        interval: ShortInterval) -> complex:
     """Signed value of one component at the given frequency.
 
-    Nested exact fixed-point reduction: for each outer b the inner sum
-    runs over v with b*v in the window, at the exactly reduced frequency
-    b^k * alpha.
+    For each outer b the inner sum runs over v with b*v in the window, at
+    the exact frequency b^k * alpha.
     """
     lo, hi, k = interval.lo, interval.hi, interval.k
     _check_power_range(hi, k)
-    fixed = _alpha_fixed64(alpha)
+    num, den = alpha.as_integer_ratio()
     total = 0.0 + 0.0j
     for i, b in enumerate(range(component.u_lo, component.u_hi + 1)):
         coeff = component.xi[i]
@@ -472,31 +420,13 @@ def evaluate_component(component: BilinearComponent, alpha: float,
             v_hi = min(v_hi, component.v_hi)
         if v_hi < v_lo:
             continue
-        vs = np.arange(v_lo, v_hi + 1, dtype=np.uint64)
-        if fixed is not None:
-            inner_fixed = (pow(b, k, _TWO64) * fixed) % _TWO64
-            phases = _phases_fixed(_pow_mod_2_64(vs, k), inner_fixed)
-        else:
-            frac = Fraction(alpha) * b**k
-            num = frac.numerator % frac.denominator
-            den = frac.denominator
-            phases = np.array(
-                [((pow(v, k, den) * num) % den) / den for v in range(v_lo, v_hi + 1)]
-            )
         if component.kind == "type-II":
             inner_w = component.eta[v_lo - component.v_lo : v_hi - component.v_lo + 1]
         elif component.inner_log:
             inner_w = np.log(np.arange(v_lo, v_hi + 1, dtype=np.float64))
         else:
             inner_w = None
-        ang = 2.0 * np.pi * phases
-        if inner_w is None:
-            re = np.sum(np.cos(ang))
-            im = np.sum(np.sin(ang))
-        else:
-            re = np.sum(inner_w * np.cos(ang))
-            im = np.sum(inner_w * np.sin(ang))
-        total += coeff * complex(re, im)
+        total += coeff * _phase_sum(inner_w, v_lo, v_hi, k, num * b**k, den)
     return component.sign * total
 
 
@@ -588,10 +518,8 @@ def weyl_scan(interval: ShortInterval, dissection, samples: int,
     minor_seen = False
     for alpha in alphas:
         arc = classify(float(alpha), dissection)
-        value = abs(
-            _exp_sum_fast(weight.values, powers_mod, float(alpha),
-                          interval.lo, interval.hi, k)
-        )
+        value = abs(_phase_sum(weight.values, interval.lo, interval.hi, k,
+                               *float(alpha).as_integer_ratio(), powers_mod))
         if value > trivial:
             raise ConsistencyError(
                 f"|f| = {value} exceeds the trivial bound {trivial}"

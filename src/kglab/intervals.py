@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 from .errors import CapExceeded, PrecisionError, ValidationError
 
@@ -118,13 +119,20 @@ def _exact_kth_root(num: int, den: int, k: int):
 
 
 def _iroot_exact(m: int, k: int):
+    """The integer r with r^k = m, or None; integer arithmetic at every size."""
     if m == 0:
         return 0
-    r = round(m ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == m:
-            return cand
-    return None
+    if k == 2:
+        r = math.isqrt(m)
+    else:
+        # Newton's iteration from above settles on floor(m^(1/k)).
+        r = 1 << -(-m.bit_length() // k)
+        while True:
+            nxt = ((k - 1) * r + m // r ** (k - 1)) // k
+            if nxt >= r:
+                break
+            r = nxt
+    return r if r**k == m else None
 
 
 def _floor_boundary(n: int, k: int, s: int, theta: float, upper: bool) -> int:
@@ -239,6 +247,33 @@ def primes_in_interval(
     return PrimeTable(
         interval=interval, primes=tuple(primes), small_primes=tuple(small)
     )
+
+
+def pow_mod(base: np.ndarray, k: int, q: int) -> np.ndarray:
+    """Elementwise base^k mod q by square-and-multiply.
+
+    q = 2^64 runs in wrapping uint64 arithmetic; any other modulus runs in
+    int64, where q^2 must fit.
+    """
+    wrap = q == 1 << 64
+    if not wrap and q > 3_000_000_000:
+        raise CapExceeded(f"modulus {q} too large for the vector powmod")
+    b = base.astype(np.uint64) if wrap else np.mod(base, q)
+    out = np.ones_like(b)
+    with np.errstate(over="ignore"):
+        while True:
+            if k & 1:
+                out = out * b if wrap else out * b % q
+            k >>= 1
+            if not k:
+                return out
+            b = b * b if wrap else b * b % q
+
+
+def units(q: int) -> np.ndarray:
+    """The residues 1 <= h <= q coprime to q, ascending."""
+    hs = np.arange(1, q + 1, dtype=np.int64)
+    return hs[np.gcd(hs, q) == 1]
 
 
 def factorize(m: int) -> list:

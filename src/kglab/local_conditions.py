@@ -8,13 +8,12 @@ extra factor of 2 when p = 2 divides k.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .intervals import sieve_upto
+from .intervals import pow_mod, sieve_upto, units
 
 K_MAX = 64  # keeps the local modulus comfortably inside integer range
 
@@ -71,14 +70,7 @@ def unit_power_counts(q: int, k: int) -> np.ndarray:
     """Counts, per residue r mod q, of units h with h^k = r (mod q)."""
     if q < 1:
         raise ValidationError(f"need q >= 1, got {q}")
-    counts = np.zeros(q, dtype=np.int64)
-    if q == 1:
-        counts[0] = 1
-        return counts
-    for h in range(1, q + 1):
-        if math.gcd(h, q) == 1:
-            counts[pow(h, k, q)] += 1
-    return counts
+    return np.bincount(pow_mod(units(q), k, q), minlength=q)
 
 
 def unit_solution_counts(q: int, k: int, s: int) -> np.ndarray:

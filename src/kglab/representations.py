@@ -12,7 +12,6 @@ combination consumes.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,6 @@ class CountReport:
     count: float
     method: str
     prime_count: int
-    elapsed: float
 
     @property
     def is_integer(self) -> bool:
@@ -60,7 +58,6 @@ def count_exact(n: int, k: int, s: int, theta: float,
     p_i prime and in the window."""
     if method not in ("meet-in-middle", "exhaustive"):
         raise ValidationError(f"unknown counting method {method!r}")
-    started = time.perf_counter()
     interval = _interval_for_count(n, k, s, theta)
     table = primes_in_interval(interval)
     primes = list(table.primes)
@@ -74,7 +71,7 @@ def count_exact(n: int, k: int, s: int, theta: float,
         value = _count_mitm(n, k, s, primes)
     return CountReport(
         n=n, k=k, s=s, theta=theta, count=float(value), method=method,
-        prime_count=len(primes), elapsed=time.perf_counter() - started,
+        prime_count=len(primes),
     )
 
 

@@ -22,7 +22,7 @@ from .errors import (
     MinorArcError,
     ValidationError,
 )
-from .exp_sums import complete_exp_sum
+from .exp_sums import complete_exp_sum, complete_exp_sums
 from .intervals import ShortInterval, build_interval, euler_phi, sieve_upto
 from .local_conditions import local_profile, unit_solution_counts
 
@@ -36,7 +36,6 @@ DEFAULT_GRID_CELLS = 1 << 14
 KAPPA_MINUS = 0.99
 KAPPA_PLUS = 1.01
 
-_DIRECT_Q_LIMIT = 512      # exact-index double loop below, FFT above
 _TERM_CACHE = {}           # (k, s, q) -> (units, (S/phi)^s)
 
 
@@ -44,55 +43,13 @@ def clear_singular_caches():
     _TERM_CACHE.clear()
 
 
-def _units(q: int) -> np.ndarray:
-    hs = np.arange(1, q + 1, dtype=np.int64)
-    return hs[np.gcd(hs, q) == 1]
-
-
-def _pow_mod_vec(base: np.ndarray, k: int, q: int) -> np.ndarray:
-    out = np.ones_like(base)
-    b = np.mod(base, q)
-    e = k
-    while True:
-        if e & 1:
-            out = (out * b) % q
-        e >>= 1
-        if not e:
-            break
-        b = (b * b) % q
-    return out
-
-
-def _unit_sum_values(q: int, k: int) -> tuple:
-    """(units, S(q, a) for a running over the units), two evaluation paths.
-
-    Small moduli use the exact-index double loop (phases are integers
-    mod q throughout); larger moduli evaluate all a at once through the
-    discrete Fourier transform of the k-th power residue counts.
-    """
-    units = _units(q)
-    if q == 1:
-        return units, np.array([1.0 + 0.0j])
-    powers = _pow_mod_vec(units, k, q)
-    if q <= _DIRECT_Q_LIMIT:
-        roots = np.exp(2j * np.pi * np.arange(q) / q)
-        idx = np.mod(units[:, None] * powers[None, :], q)
-        s_vals = roots[idx].sum(axis=1)
-    else:
-        counts = np.bincount(powers, minlength=q).astype(np.float64)
-        s_all = np.conj(np.fft.fft(counts))
-        s_vals = s_all[units]
-    return units, s_vals
-
-
 def _term_arrays(q: int, k: int, s: int) -> tuple:
     key = (k, s, q)
     hit = _TERM_CACHE.get(key)
     if hit is not None:
         return hit
-    units, s_vals = _unit_sum_values(q, k)
-    phi = len(units)
-    wpow = (s_vals / phi) ** s
+    units, sums = complete_exp_sums(q, k)
+    wpow = (sums[units % q] / len(units)) ** s
     _TERM_CACHE[key] = (units, wpow)
     return units, wpow
 

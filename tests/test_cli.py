@@ -147,6 +147,16 @@ class TestContracts:
         assert main(["singular-series", "--n", "29", "--k", "2", "--s", "5",
                      "--qmax", "200000"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--n", str(10**400), "--k", "2", "--s", "5", "--theta", "1.0"],
+        ["moments", "--lo", str(10**400), "--hi", str(10**400), "--t", "1"],
+    ])
+    def test_huge_integers_exit_1_without_traceback(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: ")
+        assert err.count("\n") == 1
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -202,13 +212,6 @@ class TestContracts:
         assert rows[0]["R"] == 0.0
         assert rows[0]["prediction"] > 1.0
         assert rows[0]["anomaly"] is True
-
-    def test_threads_env_var_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("KGLAB_THREADS", "4")
-        _, text = run_cli(
-            ["moments", "--lo", "2", "--hi", "3", "--k", "2", "--t", "1"], tmp_path
-        )
-        assert json.loads(text)["threads"] == 4
 
     def test_row_failure_recorded_and_run_continues(self, tmp_path, monkeypatch):
         import kglab.cli as cli_mod

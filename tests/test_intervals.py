@@ -51,6 +51,17 @@ class TestBuildInterval:
         assert interval.lo == 1
         assert interval.hi == math.floor(2 * x)
 
+    def test_exact_roots_beyond_double_precision(self):
+        from kglab.intervals import _iroot_exact
+
+        r = 2**80 + 12345
+        assert _iroot_exact(r**2, 2) == r
+        assert _iroot_exact(r**2 + 1, 2) is None
+        assert _iroot_exact(r**3, 3) == r
+        assert _iroot_exact(r**7 - 1, 7) is None
+        interval = build_interval(5 * r**2, 2, 5, 1.0)
+        assert (interval.lo, interval.hi) == (1, 2 * r)
+
     @pytest.mark.parametrize(
         "n,k,s,theta",
         [

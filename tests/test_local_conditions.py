@@ -107,6 +107,16 @@ class TestAdmissibility:
                 brute[sum(h**k for h in tup) % q] += 1
             assert np.array_equal(unit_solution_counts(q, k, s), brute)
 
+    def test_unit_power_counts_match_loop(self):
+        # The vectorized counts against the per-unit loop they replaced.
+        for q in range(1, 201):
+            for k in (2, 3, 4):
+                loop = np.zeros(q, dtype=np.int64)
+                for h in range(1, q + 1):
+                    if math.gcd(h, q) == 1:
+                        loop[pow(h, k, q)] += 1
+                assert np.array_equal(unit_power_counts(q, k), loop)
+
     def test_unit_power_counts_sum_to_phi(self):
         for q in (2, 9, 24, 30, 101):
             counts = unit_power_counts(q, 2)

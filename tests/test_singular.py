@@ -66,16 +66,19 @@ class TestSeriesTerm:
                 assert abs(joint - prod) <= 1e-8 * max(1.0, abs(joint), abs(prod))
 
     def test_fft_and_direct_paths_agree(self):
-        # The implementation switches evaluation strategy above q = 512.
-        from kglab.singular import _unit_sum_values
+        # complete_exp_sums switches from the exact-index table to the DFT
+        # above q = 512; both sides must match an inline exact-index sum.
+        from kglab.exp_sums import complete_exp_sums
 
         for q in (509, 510, 513, 600):
-            units, s_direct = _unit_sum_values(q, 2)
-            counts = np.bincount(
-                np.array([pow(int(h), 2, q) for h in units]), minlength=q
-            ).astype(float)
-            s_fft = np.conj(np.fft.fft(counts))[units]
-            assert np.allclose(s_direct, s_fft, atol=1e-8)
+            for k in (2, 3):
+                units, sums = complete_exp_sums(q, k)
+                hs = [h for h in range(1, q + 1) if math.gcd(h, q) == 1]
+                assert units.tolist() == hs
+                powers = np.array([pow(h, k, q) for h in hs])
+                phases = np.outer(np.arange(q), powers) % q / q
+                exact = np.exp(2j * np.pi * phases).sum(axis=1)
+                assert np.allclose(sums, exact, rtol=0.0, atol=1e-9)
 
 
 class TestDivisorSumIdentity:
