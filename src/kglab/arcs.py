@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, ConsistencyError, ValidationError
-from .intervals import ShortInterval, euler_phi
+from .intervals import ShortInterval, euler_phi, units
 
 ARC_COUNT_CAP = 10_000_000
 _DISJOINT_ASSERT_CAP = 200_000  # adjacent-pair check is skipped above this
@@ -58,15 +58,16 @@ class ArcDissection:
         if Q <= 0:
             raise ValidationError(f"need Q > 0, got Q={Q}")
         q_cap = int(math.floor(P))
-        count = sum(euler_phi(q) for q in range(1, q_cap + 1))
-        if count > ARC_COUNT_CAP:
-            raise CapExceeded(f"dissection would hold {count} arcs (cap {ARC_COUNT_CAP})")
-        arcs = []
+        # Stop counting at the cap: a huge P must not cost one totient per q.
+        count = 0
         for q in range(1, q_cap + 1):
-            hw = 1.0 / (q * Q)
-            for a in range(1, q + 1):
-                if math.gcd(a, q) == 1:
-                    arcs.append(FareyArc(q=q, a=a, center=a / q, half_width=hw))
+            count += euler_phi(q)
+            if count > ARC_COUNT_CAP:
+                raise CapExceeded(
+                    f"dissection would hold over {count} arcs (cap {ARC_COUNT_CAP})"
+                )
+        arcs = [FareyArc(q=q, a=a, center=a / q, half_width=1.0 / (q * Q))
+                for q in range(1, q_cap + 1) for a in units(q).tolist()]
         arcs.sort(key=lambda arc: (arc.center, arc.q))
         return cls(P=P, Q=Q, delta=delta, arcs=tuple(arcs))
 

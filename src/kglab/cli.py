@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -72,20 +72,22 @@ class ExperimentConfig:
         # The output path is delivery, not experiment identity; reports
         # must be byte-identical wherever they are written.
         return {
-            k: v for k, v in asdict(self).items() if v is not None and k != "out"
+            k: v for k, v in vars(self).items() if v is not None and k != "out"
         }
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.15g}")
+def _plain(obj):
+    """JSON-ready copy of a report: dataclasses become dicts of their
+    fields, tuples become lists, floats keep 15 significant digits."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
         return float(f"{float(obj):.15g}")
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
     return obj
 
@@ -101,7 +103,7 @@ def _envelope(config: ExperimentConfig, result) -> dict:
 
 
 def _emit_json(config: ExperimentConfig, result) -> str:
-    return json.dumps(_round_floats(_envelope(config, result)), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_plain(_envelope(config, result)), sort_keys=True, indent=2) + "\n"
 
 
 def _fmt_cell(v) -> str:
@@ -115,7 +117,7 @@ def _fmt_cell(v) -> str:
 def _emit_csv(config: ExperimentConfig, rows) -> str:
     buf = io.StringIO()
     buf.write(f"# version: {__version__}\n")
-    buf.write("# config: " + json.dumps(_round_floats(config.public_dict()), sort_keys=True) + "\n")
+    buf.write("# config: " + json.dumps(_plain(config.public_dict()), sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
         writer.writerow([_fmt_cell(v) for v in row])
@@ -143,31 +145,15 @@ def _delta_from_config(config: ExperimentConfig) -> float:
 
 
 def _series_payload(est) -> dict:
-    return {
-        "n": est.n,
-        "k": est.k,
-        "s": est.s,
-        "qmax": est.qmax,
-        "value": est.value,
-        "value_direct": est.value_direct,
-        "p_local": [{"p": p, "sigma": sigma} for p, sigma in est.p_local],
-        "method": est.method,
-        "flag": est.flag,
-        "obstructed": est.obstructed,
-    }
+    result = _plain(est)
+    result["p_local"] = [{"p": p, "sigma": sigma} for p, sigma in result["p_local"]]
+    result["obstructed"] = est.obstructed
+    return result
 
 
 def _run_count(config: ExperimentConfig):
-    report = count_exact(config.n, config.k, config.s, config.theta)
-    result = {
-        "n": report.n,
-        "k": report.k,
-        "s": report.s,
-        "theta": report.theta,
-        "R": report.count,
-        "method": report.method,
-        "prime_count": report.prime_count,
-    }
+    result = _plain(count_exact(config.n, config.k, config.s, config.theta))
+    result["R"] = result.pop("count")
     return result, None
 
 
@@ -176,26 +162,11 @@ def _run_predict(config: ExperimentConfig):
         config.n, config.k, config.s, config.theta,
         qmax=config.qmax, integral_method=config.integral_method,
     )
-    result = {
-        "n": rep.n,
-        "k": rep.k,
-        "s": rep.s,
-        "theta": rep.theta,
-        "qmax": rep.qmax,
-        "series": _series_payload(rep.series),
-        "integral": {
-            "value": rep.integral.value,
-            "method": rep.integral.method,
-            "alt_value": rep.integral.alt_value,
-            "flagged": rep.integral.flagged,
-            "grid_cells": rep.integral.grid_cells,
-        },
-        "log_x": rep.log_x,
-        "prediction": rep.prediction,
-        "normalized_constant": rep.normalized_constant,
-        "admissible": rep.admissible,
-        "obstructed": rep.obstructed,
-    }
+    result = _plain(rep)
+    result["series"] = _series_payload(rep.series)
+    for key in ("n", "k", "s"):
+        del result["integral"][key]
+    result["obstructed"] = rep.obstructed
     return result, None
 
 
@@ -218,10 +189,9 @@ def _run_compare(config: ExperimentConfig):
     if config.range_spec is None:
         raise ValidationError("compare needs --range start:stop:step")
     start, stop, step = _parse_range(config.range_spec)
-    ns = range(start, stop, step)
-    rows = [("n", "R", "prediction", "ratio", "admissible", "anomaly", "error")]
-    result_rows = []
-    for n in ns:
+    header = ("n", "R", "prediction", "ratio", "admissible", "anomaly", "error")
+    rows = []
+    for n in range(start, stop, step):
         adm = is_admissible(n, config.k, config.s)
         if not adm and not config.include_inadmissible:
             continue
@@ -233,68 +203,39 @@ def _run_compare(config: ExperimentConfig):
             )
             ratio = rep.count / pred.prediction if pred.prediction > 0 else math.inf
             anomaly = rep.count == 0 and pred.prediction > config.anomaly_threshold
-            result_rows.append(
-                (n, rep.count, pred.prediction,
-                 ratio if math.isfinite(ratio) else "", adm, anomaly, "")
-            )
+            rows.append((n, rep.count, pred.prediction,
+                         ratio if math.isfinite(ratio) else "", adm, anomaly, ""))
         except KglabError as exc:
-            result_rows.append((n, "", "", "", adm, "", str(exc)))
-    rows.extend(result_rows)
-    json_result = [
-        {
-            "n": r[0], "R": r[1], "prediction": r[2], "ratio": r[3],
-            "admissible": r[4], "anomaly": r[5], "error": r[6],
-        }
-        for r in result_rows
-    ]
-    return json_result, rows
+            rows.append((n, "", "", "", adm, "", str(exc)))
+    return [dict(zip(header, row)) for row in rows], [header, *rows]
 
 
 def _run_dissect(config: ExperimentConfig):
     interval = _window_from_config(config)
     dissection = build_dissection(interval, _delta_from_config(config), slim=config.slim)
-    arcs = [
-        {"q": arc.q, "a": arc.a, "center": arc.center, "half_width": arc.half_width}
-        for arc in dissection.arcs
-    ]
     rows = [("q", "a", "center", "half_width")]
-    rows.extend((a["q"], a["a"], a["center"], a["half_width"]) for a in arcs)
-    return {"P": dissection.P, "Q": dissection.Q, "delta": dissection.delta,
-            "arcs": arcs}, rows
+    rows.extend((arc.q, arc.a, arc.center, arc.half_width) for arc in dissection.arcs)
+    return _plain(dissection), rows
 
 
-def _weight_from_config(config: ExperimentConfig, interval: ShortInterval):
-    if config.weight == "unit":
-        return unit_weight(interval)
-    if config.weight == "prime-indicator":
-        return prime_indicator(interval)
-    if config.weight == "von-mangoldt":
-        return von_mangoldt_weight(interval)
-    raise ValidationError(f"unknown weight {config.weight!r}")
+_WEIGHTS = {
+    "unit": unit_weight,
+    "prime-indicator": prime_indicator,
+    "von-mangoldt": von_mangoldt_weight,
+}
 
 
 def _run_weyl_scan(config: ExperimentConfig):
     interval = _window_from_config(config)
     dissection = build_dissection(interval, _delta_from_config(config), slim=config.slim)
-    weight = _weight_from_config(config, interval)
+    if config.weight not in _WEIGHTS:
+        raise ValidationError(f"unknown weight {config.weight!r}")
+    weight = _WEIGHTS[config.weight](interval)
     report = weyl_scan(interval, dissection, config.samples, weight, seed=config.seed)
-    rows = list(report.to_csv_rows())
-    result = {
-        "k": report.k,
-        "samples": report.samples,
-        "seed": report.seed,
-        "rho": report.rho,
-        "sup_minor": report.sup_minor,
-        "argmax_minor": report.argmax_minor,
-        "ratio_sup": report.ratio_sup,
-        "minor_inhabited": report.minor_inhabited,
-        "rows": [
-            {"alpha": r.alpha, "class": r.kind, "q": r.q, "a": r.a,
-             "abs_f": r.abs_f, "ratio": r.ratio}
-            for r in report.rows
-        ],
-    }
-    return result, rows
+    result = _plain(report)
+    for row in result["rows"]:
+        row["class"] = row.pop("kind")
+    return result, list(report.to_csv_rows())
 
 
 def _run_moments(config: ExperimentConfig):
@@ -385,24 +326,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    # Defaults live in ExperimentConfig alone; options left unset parse to
+    # None and config_from_args drops them.
     def add_common(p, *, window=False, arcs=False, rand=False, series=False):
-        p.add_argument("--k", type=int, default=2)
-        p.add_argument("--s", type=int, default=5)
-        p.add_argument("--theta", type=float, default=0.85)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
+        p.add_argument("--k", type=int)
+        p.add_argument("--s", type=int)
+        p.add_argument("--theta", type=float)
+        p.add_argument("--out", type=str)
+        p.add_argument("--format", dest="fmt", choices=("json", "csv"))
         if window:
-            p.add_argument("--n", type=int, default=None)
-            p.add_argument("--lo", type=int, default=None)
-            p.add_argument("--hi", type=int, default=None)
+            p.add_argument("--n", type=int)
+            p.add_argument("--lo", type=int)
+            p.add_argument("--hi", type=int)
         if arcs:
-            p.add_argument("--delta", type=float, default=None)
+            p.add_argument("--delta", type=float)
             p.add_argument("--slim", action="store_true")
         if rand:
-            p.add_argument("--samples", type=int, default=10000)
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--samples", type=int)
+            p.add_argument("--seed", type=int)
         if series:
-            p.add_argument("--qmax", type=int, default=10000)
+            p.add_argument("--qmax", type=int)
 
     p = sub.add_parser("count", help="exact representation count")
     add_common(p, window=True)
@@ -410,28 +353,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="main-term prediction")
     add_common(p, window=True, series=True)
     p.add_argument("--integral-method", dest="integral_method",
-                   choices=("both", "fourier-quadrature", "density-convolution"),
-                   default="both")
+                   choices=("both", "fourier-quadrature", "density-convolution"))
 
     p = sub.add_parser("compare", help="count vs predict over a range of n")
     add_common(p, series=True)
     p.add_argument("--range", dest="range_spec", required=True,
                    help="start:stop:step")
     p.add_argument("--include-inadmissible", action="store_true")
-    p.add_argument("--anomaly-threshold", dest="anomaly_threshold",
-                   type=float, default=1.0)
+    p.add_argument("--anomaly-threshold", dest="anomaly_threshold", type=float)
 
     p = sub.add_parser("dissect", help="dump the arc family")
     add_common(p, window=True, arcs=True)
 
     p = sub.add_parser("weyl-scan", help="measure |f| over random frequencies")
     add_common(p, window=True, arcs=True, rand=True)
-    p.add_argument("--weight", choices=("unit", "prime-indicator", "von-mangoldt"),
-                   default="prime-indicator")
+    p.add_argument("--weight", choices=tuple(_WEIGHTS))
 
     p = sub.add_parser("moments", help="exact even moments of |f(., 1)|")
     add_common(p, window=True)
-    p.add_argument("--t", type=int, default=2)
+    p.add_argument("--t", type=int)
 
     p = sub.add_parser("singular-series", help="truncated arithmetic factor")
     add_common(p, series=True)
@@ -442,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vaughan-check", help="decomposition identity residual")
     add_common(p, window=True, rand=True)
-    p.add_argument("--x-cut", dest="x_cut", type=float, default=None)
-    p.add_argument("--alphas", type=int, default=100)
+    p.add_argument("--x-cut", dest="x_cut", type=float)
+    p.add_argument("--alphas", type=int)
 
     return parser
 

@@ -468,7 +468,8 @@ class ScanReport:
     """Measurement report of |f| over sampled frequencies.
 
     ``sup_minor`` / ``argmax_minor`` describe the largest |f| seen on
-    minor-arc samples; ``ratio_sup`` normalizes it by y^(1 - rho).  The
+    minor-arc samples; ``ratio_sup`` normalizes it by y^(1 - rho).
+    ``peak`` is the major-arc peak |f(0)| = |sum of the weights|.  The
     scan measures and records; it never asserts bounds.
     """
 
@@ -481,6 +482,7 @@ class ScanReport:
     argmax_minor: float
     ratio_sup: float
     minor_inhabited: bool
+    peak: float
 
     def to_csv_rows(self):
         yield ("alpha", "class", "q", "a", "abs_f", "ratio")
@@ -543,4 +545,5 @@ def weyl_scan(interval: ShortInterval, dissection, samples: int,
         argmax_minor=argmax_minor,
         ratio_sup=sup_minor / norm,
         minor_inhabited=minor_seen,
+        peak=abs(float(np.sum(weight.values))),
     )

@@ -56,7 +56,8 @@ def is_admissible(n: int, k: int, s: int) -> bool:
     """True iff n is congruent to s modulo the local modulus for k."""
     if not isinstance(n, int) or n < 1:
         raise ValidationError(f"need integer n >= 1, got {n!r}")
-    return n % local_profile(k).modulus == s % local_profile(k).modulus
+    mod = local_profile(k).modulus
+    return n % mod == s % mod
 
 
 def admissible_in_range(start: int, stop: int, k: int, s: int) -> list:

@@ -219,16 +219,23 @@ def vector_sieve_lower(n: int, k: int, s: int, theta: float,
 
     The pair must dominate the prime indicator on the window; by the
     pointwise sieve inequality the result is a lower bound for the exact
-    prime count whenever the weights do dominate.
+    prime count whenever the weights do dominate.  The count is linear in
+    its first slot, so one weighted count with first-slot weight
+    5 * lam_minus - 4 * lam_plus gives the combination.
     """
     interval = _interval_for_count(n, k, s, theta)
     if not check_domination(lam_minus, lam_plus, interval):
         raise DominationError(
             "weight pair does not dominate the prime indicator on this window"
         )
-    lower = count_weighted(n, k, s, theta, lam_minus, lam_plus)
-    upper = count_weighted(n, k, s, theta, lam_plus, lam_plus)
-    return 5.0 * lower - 4.0 * upper
+    window = lam_minus.interval
+    if (window.lo, window.hi) != (lam_plus.interval.lo, lam_plus.interval.hi):
+        raise ValidationError("the sieve weights were built on different windows")
+    combined = WeightFunction(
+        "sieve-combination", window, 5.0 * lam_minus.values - 4.0 * lam_plus.values,
+        5.0 * lam_minus.bound + 4.0 * lam_plus.bound,
+    )
+    return count_weighted(n, k, s, theta, combined, lam_plus)
 
 
 def toy_weights(interval: ShortInterval, z: float):

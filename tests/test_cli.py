@@ -1,9 +1,23 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from kglab import count_exact, singular_series
-from kglab.cli import main
+from kglab import (
+    build_dissection,
+    build_interval,
+    count_exact,
+    default_delta,
+    prime_indicator,
+    singular_series,
+    von_mangoldt_weight,
+    weighted_exp_sum,
+    weyl_scan,
+)
+from kglab.cli import _RUNNERS, build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -150,6 +164,7 @@ class TestContracts:
     @pytest.mark.parametrize("argv", [
         ["count", "--n", str(10**400), "--k", "2", "--s", "5", "--theta", "1.0"],
         ["moments", "--lo", str(10**400), "--hi", str(10**400), "--t", "1"],
+        ["dissect", "--n", str(10**700), "--k", "2", "--s", "5", "--theta", "0.85"],
     ])
     def test_huge_integers_exit_1_without_traceback(self, argv, capsys):
         assert main(argv) == 1
@@ -236,3 +251,92 @@ class TestContracts:
         assert len(rows) == 3
         assert rows[1]["error"].startswith("synthetic")
         assert rows[0]["error"] == "" and rows[2]["error"] == ""
+
+
+SERIES_KEYS = {"n", "k", "s", "qmax", "value", "value_direct", "p_local",
+               "method", "flag", "obstructed"}
+
+
+class TestPayloadKeys:
+    """The exact key set of each JSON `result`; renaming or dropping a
+    report field must show up here."""
+
+    def result(self, argv, tmp_path):
+        status, text = run_cli(argv + ["--format", "json"], tmp_path)
+        assert status == 0
+        return json.loads(text)["result"]
+
+    def test_count(self, tmp_path):
+        result = self.result(
+            ["count", "--n", "845", "--k", "2", "--s", "5", "--theta", "0.85"],
+            tmp_path)
+        assert set(result) == {"n", "k", "s", "theta", "R", "method", "prime_count"}
+
+    def test_predict(self, tmp_path):
+        result = self.result(
+            ["predict", "--n", "845", "--k", "2", "--s", "5", "--theta", "0.85",
+             "--qmax", "200"], tmp_path)
+        assert set(result) == {"n", "k", "s", "theta", "qmax", "series", "integral",
+                               "log_x", "prediction", "normalized_constant",
+                               "admissible", "obstructed"}
+        assert set(result["series"]) == SERIES_KEYS
+        assert set(result["integral"]) == {"value", "method", "alt_value",
+                                           "flagged", "grid_cells"}
+        assert result["series"]["p_local"]
+        for entry in result["series"]["p_local"]:
+            assert set(entry) == {"p", "sigma"}
+
+    def test_singular_series(self, tmp_path):
+        result = self.result(
+            ["singular-series", "--n", "29", "--k", "2", "--s", "5", "--qmax", "200"],
+            tmp_path)
+        assert set(result) == SERIES_KEYS
+
+    def test_dissect(self, tmp_path):
+        result = self.result(
+            ["dissect", "--n", "845", "--k", "2", "--s", "5", "--theta", "0.85",
+             "--delta", "0.3"], tmp_path)
+        assert set(result) == {"P", "Q", "delta", "arcs"}
+        assert result["arcs"]
+        for arc in result["arcs"]:
+            assert set(arc) == {"q", "a", "center", "half_width"}
+
+    def test_weyl_scan(self, tmp_path):
+        result = self.result(
+            ["weyl-scan", "--n", "845", "--k", "2", "--s", "5", "--theta", "0.85",
+             "--delta", "0.3", "--samples", "1000", "--seed", "5"], tmp_path)
+        assert set(result) == {"k", "samples", "seed", "rho", "sup_minor",
+                               "argmax_minor", "ratio_sup", "minor_inhabited",
+                               "peak", "rows"}
+        assert len(result["rows"]) == 1000
+        for row in result["rows"]:
+            assert set(row) == {"alpha", "class", "q", "a", "abs_f", "ratio"}
+
+    def test_compare(self, tmp_path):
+        result = self.result(
+            ["compare", "--range", "845:1000:24", "--k", "2", "--s", "5",
+             "--theta", "0.85", "--qmax", "100"], tmp_path)
+        assert result
+        for row in result:
+            assert set(row) == {"n", "R", "prediction", "ratio", "admissible",
+                                "anomaly", "error"}
+
+
+@pytest.mark.parametrize("weight_fn", [prime_indicator, von_mangoldt_weight])
+def test_weyl_scan_peak_is_phase_sum_at_zero(weight_fn):
+    interval = build_interval(500_000_000, 2, 5, 0.85)
+    dissection = build_dissection(interval, default_delta(2, 0.85))
+    weight = weight_fn(interval)
+    report = weyl_scan(interval, dissection, 1000, weight, seed=7)
+    assert report.peak == abs(weighted_exp_sum(0.0, weight, interval))
+    assert report.peak >= report.sup_minor
+
+
+def test_readme_quick_start_parses():
+    text = README.read_text()
+    block = text.split("## Quick start", 1)[1].split("```")[1]
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("kglab ")]
+    parser = build_parser()
+    seen = {parser.parse_args(argv[1:]).subcommand for argv in commands}
+    assert seen == set(_RUNNERS)

@@ -216,6 +216,53 @@ class TestVectorSieve:
                 845, 2, 5, 0.85, unit_weight(interval), prime_indicator(interval)
             )
 
+    def test_weights_on_different_windows_rejected(self):
+        interval = build_interval(845, 2, 5, 0.85)
+        other = build_interval(2005, 2, 5, 0.85)
+        assert other.size != interval.size
+        with pytest.raises(ValidationError):
+            vector_sieve_lower(845, 2, 5, 0.85, zero_weight(other),
+                               prime_indicator(interval))
+
+    @staticmethod
+    def _two_counts(n, k, s, theta, lower, upper):
+        # The combination as two weighted counts, kept as the oracle.
+        if not check_domination(lower, upper, _interval_for_count(n, k, s, theta)):
+            raise DominationError("oracle: pair does not dominate")
+        return (5.0 * count_weighted(n, k, s, theta, lower, upper)
+                - 4.0 * count_weighted(n, k, s, theta, upper, upper))
+
+    def test_single_count_matches_two_count_formula(self):
+        outcomes = set()
+        for n in (845, 5165, 40085):
+            for theta in (0.85, 0.95, 1.0):
+                interval = _interval_for_count(n, 2, 5, theta)
+                for z in (2.0, 3.0):
+                    lower, upper = toy_weights(interval, z)
+                    try:
+                        expected = self._two_counts(n, 2, 5, theta, lower, upper)
+                    except DominationError:
+                        with pytest.raises(DominationError):
+                            vector_sieve_lower(n, 2, 5, theta, lower, upper)
+                        outcomes.add("dominated")
+                        continue
+                    assert vector_sieve_lower(n, 2, 5, theta, lower, upper) == expected
+                    outcomes.add("value")
+        assert outcomes == {"value", "dominated"}
+
+    def test_single_count_matches_two_counts_for_real_weights(self):
+        n, k, s, theta = 5165, 2, 5, 0.95
+        interval = _interval_for_count(n, k, s, theta)
+        ind = prime_indicator(interval).values
+        rng = np.random.default_rng(3)
+        lower = table_weight(interval, dict(zip(
+            interval, ind - (1.0 - ind) * rng.uniform(0.0, 2.0, interval.size))))
+        upper = table_weight(interval, dict(zip(
+            interval, ind + (1.0 - ind) * rng.uniform(0.0, 1.0, interval.size))))
+        expected = self._two_counts(n, k, s, theta, lower, upper)
+        value = vector_sieve_lower(n, k, s, theta, lower, upper)
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-9)
+
 
 def test_grid_vector_sieve_lower_bound(case_grid):
     checked = 0
