@@ -98,5 +98,6 @@ from .representations import (
     vector_sieve_pointwise_check,
     vector_sieve_pointwise_scan,
 )
+from .batch import SweepRow, sweep
 
 __version__ = "0.1.0"

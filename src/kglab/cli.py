@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .arcs import build_dissection, default_delta
+from .batch import sweep
 from .errors import KglabError, ValidationError
 from .exp_sums import (
     coefficient_diagnostic,
@@ -190,23 +191,21 @@ def _run_compare(config: ExperimentConfig):
         raise ValidationError("compare needs --range start:stop:step")
     start, stop, step = _parse_range(config.range_spec)
     header = ("n", "R", "prediction", "ratio", "admissible", "anomaly", "error")
-    rows = []
+    targets = []
     for n in range(start, stop, step):
         adm = is_admissible(n, config.k, config.s)
-        if not adm and not config.include_inadmissible:
+        if adm or config.include_inadmissible:
+            targets.append((n, adm))
+    results = sweep([n for n, _ in targets], config.k, config.s, config.theta, config.qmax)
+    rows = []
+    for (n, adm), row in zip(targets, results):
+        if row.prediction is None:
+            rows.append((n, "", "", "", adm, "", row.error))
             continue
-        try:
-            rep = count_exact(n, config.k, config.s, config.theta)
-            pred = predict_main_term(
-                n, config.k, config.s, config.theta,
-                qmax=config.qmax, integral_method="density-convolution",
-            )
-            ratio = rep.count / pred.prediction if pred.prediction > 0 else math.inf
-            anomaly = rep.count == 0 and pred.prediction > config.anomaly_threshold
-            rows.append((n, rep.count, pred.prediction,
-                         ratio if math.isfinite(ratio) else "", adm, anomaly, ""))
-        except KglabError as exc:
-            rows.append((n, "", "", "", adm, "", str(exc)))
+        ratio = row.count / row.prediction if row.prediction > 0 else math.inf
+        anomaly = row.count == 0 and row.prediction > config.anomaly_threshold
+        rows.append((n, row.count, row.prediction,
+                     ratio if math.isfinite(ratio) else "", adm, anomaly, ""))
     return [dict(zip(header, row)) for row in rows], [header, *rows]
 
 
@@ -309,8 +308,9 @@ def run(config: ExperimentConfig) -> tuple:
         result, rows = runner(config)
     except ValidationError as exc:
         return 2, f"invalid config: {exc}\n"
-    except (KglabError, OverflowError) as exc:
-        return 1, f"computation error: {exc}\n"
+    except (KglabError, OverflowError, FloatingPointError, MemoryError) as exc:
+        # A bare MemoryError has no message; its name stands in.
+        return 1, f"computation error: {str(exc) or type(exc).__name__}\n"
     if config.fmt == "csv":
         if rows is None:
             return 2, f"subcommand {config.subcommand} has no CSV form\n"

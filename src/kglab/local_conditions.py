@@ -8,6 +8,7 @@ extra factor of 2 when p = 2 divides k.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,9 @@ class LocalProfile:
     modulus: int
 
 
+# typed: 2.0 must still fail validation after local_profile(2) is cached;
+# only valid k are stored, so at most K_MAX - 1 entries.
+@functools.lru_cache(maxsize=K_MAX, typed=True)
 def local_profile(k: int) -> LocalProfile:
     """Enumerate the primes p <= k + 1 with (p - 1) | k and assemble the modulus."""
     if not isinstance(k, int) or k < 2 or k > K_MAX:

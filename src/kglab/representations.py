@@ -27,6 +27,7 @@ from .weights import WeightFunction, prime_indicator
 
 PRIME_COUNT_CAP = 50_000
 TABLE_CAP = 100_000_000
+PROBE_BLOCK = 1 << 18      # entries of one (targets, half-sums) probe block
 
 
 @dataclass(frozen=True)
@@ -58,21 +59,24 @@ def count_exact(n: int, k: int, s: int, theta: float,
     p_i prime and in the window."""
     if method not in ("meet-in-middle", "exhaustive"):
         raise ValidationError(f"unknown counting method {method!r}")
-    interval = _interval_for_count(n, k, s, theta)
-    table = primes_in_interval(interval)
-    primes = list(table.primes)
-    if len(primes) > PRIME_COUNT_CAP:
-        raise CapExceeded(
-            f"{len(primes)} primes exceed the counting cap {PRIME_COUNT_CAP}"
-        )
+    primes = _window_primes(_interval_for_count(n, k, s, theta))
     if method == "exhaustive":
         value = _count_recursive(n, k, s, primes)
     else:
-        value = _count_mitm(n, k, s, primes)
+        value = int(_count_mitm([n], k, s, primes)[0])
     return CountReport(
         n=n, k=k, s=s, theta=theta, count=float(value), method=method,
         prime_count=len(primes),
     )
+
+
+def _window_primes(interval: ShortInterval) -> list:
+    primes = list(primes_in_interval(interval).primes)
+    if len(primes) > PRIME_COUNT_CAP:
+        raise CapExceeded(
+            f"{len(primes)} primes exceed the counting cap {PRIME_COUNT_CAP}"
+        )
+    return primes
 
 
 def _count_recursive(n: int, k: int, s: int, primes: list) -> int:
@@ -108,27 +112,40 @@ def _fold_sums(powers: np.ndarray, fold: int) -> np.ndarray:
     return sums
 
 
-def _count_mitm(n: int, k: int, s: int, primes: list) -> int:
+def _count_mitm(ns, k: int, s: int, primes: list) -> np.ndarray:
+    """Counts for every target in ``ns`` whose window holds ``primes``.
+
+    The (s//2)-fold power sums sit in a sorted table, built once; each
+    prime power plus each (s - s//2 - 1)-fold sum is probed against it for
+    a block of targets at a time.
+    """
+    counts = np.zeros(len(ns), dtype=np.int64)
     if not primes:
-        return 1 if (s == 0 and n == 0) else 0
-    if s * primes[-1] ** k >= 2**62:
+        return counts
+    lo_sum, hi_sum = s * primes[0] ** k, s * primes[-1] ** k
+    if hi_sum >= 2**62:
         raise CapExceeded("power sums exceed the int64 fast path")
-    powers = np.array([p**k for p in primes], dtype=np.int64)
     hash_fold = s // 2
     probe_fold = s - hash_fold
     _check_table_cap(len(primes), probe_fold)
-    if hash_fold == 0:
-        return int(np.count_nonzero(_fold_sums(powers, probe_fold) == n))
-    hashed = np.sort(_fold_sums(powers, hash_fold))
-    uniq, counts = _unique_counts(hashed)
-    total = 0
-    base = _fold_sums(powers, probe_fold - 1)
-    for p_pow in powers:
-        targets = n - base - p_pow
-        idx = np.searchsorted(uniq, targets)
-        valid = (idx < len(uniq)) & (uniq[np.minimum(idx, len(uniq) - 1)] == targets)
-        total += int(counts[idx[valid]].sum())
-    return total
+    powers = np.array([p**k for p in primes], dtype=np.int64)
+    # A target outside [s p_min^k, s p_max^k] has no representation; moved
+    # just outside that range it still has none, and fits in int64.
+    targets = np.array([min(max(n, lo_sum - 1), hi_sum + 1) for n in ns], dtype=np.int64)
+    uniq, mult = _unique_counts(np.sort(_fold_sums(powers, hash_fold)))
+    last = len(uniq) - 1
+    # The base sums, distinct and descending, so each row of probes ascends
+    # (numpy's searchsorted is fastest on ascending keys); repeats of a
+    # base sum weight its matches.
+    base, base_mult = (a[::-1] for a in _unique_counts(np.sort(_fold_sums(powers, probe_fold - 1))))
+    step = max(1, PROBE_BLOCK // len(base))
+    for start in range(0, len(targets), step):
+        rest = targets[start:start + step, None] - base[None, :]
+        for p_pow in powers:
+            want = rest - p_pow
+            idx = np.minimum(np.searchsorted(uniq, want), last)
+            counts[start:start + step] += np.where(uniq[idx] == want, mult[idx], 0) @ base_mult
+    return counts
 
 
 def _unique_counts(sorted_vals: np.ndarray):

@@ -35,6 +35,7 @@ IMAG_RESIDUE_TOL = 1e-10
 DEFAULT_GRID_CELLS = 1 << 14
 KAPPA_MINUS = 0.99
 KAPPA_PLUS = 1.01
+DIRECT_BLOCK = 1 << 16     # entries of one (rows, qmax) block of the direct sum
 
 _TERM_CACHE = {}           # (k, s, q) -> (units, (S/phi)^s)
 
@@ -109,6 +110,28 @@ def singular_series(n: int, k: int, s: int, qmax: int = DEFAULT_QMAX) -> Singula
 
     Requires s >= 3 and a truncation at least the local modulus for k.
     """
+    _check_series_args(k, s, qmax)
+    groups = _prime_powers(qmax)
+    terms = np.array([[singular_series_term(q, n, k, s)
+                       for _, powers in groups for q in powers]])
+    product, sigmas = _multiplicative_assembly(terms, groups)
+    value = float(product[0])
+    flag = "ok"
+    if abs(value) <= OBSTRUCTION_FLOOR:
+        flag = "obstructed"
+    elif value < SMALL_SERIES_FLOOR:
+        flag = "small"
+    return SingularSeriesEstimate(
+        n=n, k=k, s=s, qmax=qmax,
+        value=value,
+        value_direct=float(_direct_assembly(terms, groups, qmax)[0]),
+        p_local=tuple((p, float(sigma)) for (p, _), sigma in zip(groups, sigmas[0])),
+        method="multiplicative",
+        flag=flag,
+    )
+
+
+def _check_series_args(k: int, s: int, qmax: int):
     if s < 3:
         raise ValidationError(f"need s >= 3, got s={s}")
     if qmax > QMAX_CAP:
@@ -118,66 +141,106 @@ def singular_series(n: int, k: int, s: int, qmax: int = DEFAULT_QMAX) -> Singula
         raise ValidationError(
             f"qmax={qmax} below the local modulus {modulus} for k={k}"
         )
-    primes = sieve_upto(qmax)
-    term_at = {1: 1.0}
-    p_local = []
-    product = 1.0
-    for p in primes:
-        sigma = 1.0
-        pj = p
-        while pj <= qmax:
-            a_val = singular_series_term(pj, n, k, s)
-            term_at[pj] = a_val
-            sigma += a_val
-            pj *= p
-        p_local.append((p, sigma))
-        product *= sigma
-
-    direct = _direct_assembly(n, k, s, qmax, term_at)
-    flag = "ok"
-    if abs(product) <= OBSTRUCTION_FLOOR:
-        flag = "obstructed"
-    elif product < SMALL_SERIES_FLOOR:
-        flag = "small"
-    return SingularSeriesEstimate(
-        n=n, k=k, s=s, qmax=qmax,
-        value=product,
-        value_direct=direct,
-        p_local=tuple(p_local),
-        method="multiplicative",
-        flag=flag,
-    )
 
 
-def _direct_assembly(n: int, k: int, s: int, qmax: int, term_at: dict) -> float:
-    # Sum of the per-modulus weights over all q <= qmax; composite weights
-    # come from the prime-power table by multiplicativity, which is itself
-    # verified directly in the test suite on small coprime pairs.
-    spf = _smallest_prime_factors(qmax)
-    values = np.zeros(qmax + 1)
-    values[1] = 1.0
-    total = 1.0
-    for q in range(2, qmax + 1):
-        p = spf[q]
-        pj = p
-        rest = q // p
-        while rest % p == 0:
-            rest //= p
-            pj *= p
-        if rest == 1:
-            values[q] = term_at.get(pj, 0.0)
-        else:
-            values[q] = values[rest] * term_at.get(pj, 0.0)
-        total += values[q]
-    return float(total)
+def _prime_powers(qmax: int) -> list:
+    """[(p, [p, p^2, ...]), ...] for the primes p <= qmax, in order: the
+    columns of a term matrix, one per prime power."""
+    groups = []
+    for p in sieve_upto(qmax):
+        powers = [p]
+        while powers[-1] * p <= qmax:
+            powers.append(powers[-1] * p)
+        groups.append((p, powers))
+    return groups
 
 
-def _smallest_prime_factors(limit: int) -> np.ndarray:
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
-    return spf
+def _series_values(ns, k: int, s: int, qmax: int) -> tuple:
+    """Multiplicative series value of every target, and for each target
+    the ConsistencyError of its first term with an imaginary residue (or
+    None).  Arguments are checked by the caller.
+
+    The term at q depends on n only through n mod q, so each prime power
+    gets one length-q FFT of (S/phi)^s placed on the units, read at every
+    target's residue and then dropped.
+    """
+    groups = _prime_powers(qmax)
+    try:
+        targets = np.array(ns, dtype=np.int64)
+    except OverflowError:
+        targets = np.array(ns, dtype=object)
+    terms = np.empty((len(targets), sum(len(powers) for _, powers in groups)))
+    errors = [None] * len(targets)
+    col = 0
+    for _, powers in groups:
+        for q in powers:
+            units, wpow = _term_arrays(q, k, s)
+            placed = np.zeros(q, dtype=complex)
+            placed[units % q] = wpow
+            values = np.fft.fft(placed)[(targets % q).astype(np.int64)]
+            for i in np.flatnonzero(np.abs(values.imag) >= IMAG_RESIDUE_TOL):
+                if errors[i] is None:
+                    errors[i] = ConsistencyError(
+                        f"series term at q={q} has imaginary residue {float(values.imag[i])}"
+                    )
+            terms[:, col] = values.real
+            col += 1
+    return _multiplicative_assembly(terms, groups)[0], errors
+
+
+def _multiplicative_assembly(terms: np.ndarray, groups: list) -> tuple:
+    """Per row of the term matrix: the product over p of the local factor
+    1 + A(p) + A(p^2) + ..., and the (rows, primes) matrix of those factors."""
+    product = np.ones(len(terms))
+    sigmas = np.empty((len(terms), len(groups)))
+    col = 0
+    for i, (_, powers) in enumerate(groups):
+        sigma = np.ones(len(terms))
+        for _ in powers:
+            sigma = sigma + terms[:, col]
+            col += 1
+        sigmas[:, i] = sigma
+        product = product * sigma
+    return product, sigmas
+
+
+def _direct_assembly(terms: np.ndarray, groups: list, qmax: int) -> np.ndarray:
+    """Per row of the term matrix: the sum of the weights of all q <= qmax.
+
+    A composite weight is the product of its prime-power weights
+    (multiplicativity, verified directly in the test suite on small
+    coprime pairs).  ``parts[j, q]`` is the column of the j-th prime-power
+    part of q, smallest prime first, or the column of ones past the last
+    part; the product runs from the largest prime down and the sum over q
+    in order, both one row block at a time.
+    """
+    ones_col = terms.shape[1]
+    width, prod = 0, 1
+    for p, _ in groups:
+        prod *= p
+        if prod > qmax:
+            break
+        width += 1
+    parts = np.full((max(width, 1), qmax + 1), ones_col)
+    filled = np.zeros(qmax + 1, dtype=np.int64)
+    col = 0
+    for p, powers in groups:
+        for pj in powers:
+            qs = np.arange(pj, qmax + 1, pj)
+            qs = qs[qs % (pj * p) != 0]
+            parts[filled[qs], qs] = col
+            filled[qs] += 1
+            col += 1
+    extended = np.hstack([terms, np.ones((len(terms), 1))])
+    totals = np.empty(len(terms))
+    step = max(1, DIRECT_BLOCK // (qmax + 1))
+    for start in range(0, len(terms), step):
+        rows = extended[start:start + step]
+        values = rows[:, parts[-1]]
+        for j in range(len(parts) - 2, -1, -1):
+            values = values * rows[:, parts[j]]
+        totals[start:start + step] = np.cumsum(values[:, 1:], axis=1)[:, -1]
+    return totals
 
 
 def local_count_identity_check(q: int, n: int, k: int, s: int) -> bool:
@@ -296,6 +359,19 @@ def _support(n: int, interval: ShortInterval, s: int) -> bool:
     return s * lo_t <= n <= s * hi_t
 
 
+def _fft_length(size: int) -> int:
+    """Smallest 2^a 3^b 5^c >= size; numpy's FFT is fast on such lengths."""
+    best = 1 << (size - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-size // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _integral_by_convolution(n: int, interval: ShortInterval, s: int,
                              grid_cells: int) -> float:
     x, y, k = interval.x, interval.y, interval.k
@@ -304,9 +380,10 @@ def _integral_by_convolution(n: int, interval: ShortInterval, s: int,
     h = (hi_t - lo_t) / grid_cells
     t_mid = lo_t + (np.arange(grid_cells) + 0.5) * h
     density = (1.0 / k) * t_mid ** (1.0 / k - 1.0)
-    pad = 1 << int(math.ceil(math.log2(s * grid_cells + 1)))
+    size = s * (grid_cells - 1) + 1  # the linear convolution: no wrap-around
+    pad = _fft_length(size)
     spectrum = np.fft.rfft(density, pad)
-    conv = np.fft.irfft(spectrum**s, pad)[: s * (grid_cells - 1) + 1]
+    conv = np.fft.irfft(spectrum**s, pad)[:size]
     conv = conv * h ** (s - 1)
     # index m holds the value at s*lo_t + (m + s/2) * h
     pos = (n - s * lo_t) / h - s / 2.0

@@ -23,11 +23,11 @@ from kglab import (
     evaluate_components,
     moment_enumeration,
     moment_nyquist,
-    predict_main_term,
     singular_integral,
     singular_series,
     singular_series_term,
     local_count_identity_check,
+    sweep,
     toy_weights,
     unit_weight,
     vaughan_decompose,
@@ -199,15 +199,11 @@ def test_criterion_8_end_to_end_sanity():
     assert all(n % 24 == 5 for n in rows)
     positive = 0
     ratios = []
-    for n in rows:
-        report = count_exact(n, 2, 5, 0.9)
-        prediction = predict_main_term(
-            n, 2, 5, 0.9, qmax=1000, integral_method="density-convolution"
-        ).prediction
-        if report.count > 0:
+    for row in sweep(rows, 2, 5, 0.9, qmax=1000):
+        if row.count > 0:
             positive += 1
-        if prediction > 0:
-            ratios.append(report.count / prediction)
+        if row.prediction > 0:
+            ratios.append(row.count / row.prediction)
     share = positive / len(rows)
     median = statistics.median(ratios)
     elapsed = time.perf_counter() - started

@@ -1,5 +1,7 @@
 import json
+import math
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,9 @@ from kglab import (
     weighted_exp_sum,
     weyl_scan,
 )
+from kglab.arcs import ARC_COUNT_CAP
 from kglab.cli import _RUNNERS, build_parser, main
+from kglab.intervals import euler_phi
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -172,6 +176,44 @@ class TestContracts:
         assert err.startswith("computation error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("error", [
+        FloatingPointError("overflow encountered in multiply"),
+        MemoryError("Unable to allocate 8.00 EiB for an array"),
+        MemoryError(),
+    ])
+    def test_numeric_and_memory_errors_exit_1(self, error, monkeypatch, capsys):
+        def failing(config):
+            raise error
+
+        monkeypatch.setitem(_RUNNERS, "count", failing)
+        assert main(["count", "--n", "845", "--k", "2", "--s", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_arc_family_above_the_cap_exits_1_quickly(self, capsys):
+        # About 280 bytes per arc at a 280 MB budget.
+        assert ARC_COUNT_CAP <= 1_000_000
+        # The first denominator threshold whose family holds more arcs than
+        # the cap, reached through dissect's --delta.
+        q_cap, arcs = 0, 0
+        while arcs <= ARC_COUNT_CAP:
+            q_cap += 1
+            arcs += euler_phi(q_cap)
+        n = 5 * 10**12
+        y = build_interval(n, 2, 5, 0.85).y
+        delta = math.log(q_cap + 0.5) / math.log(y)
+        assert math.floor(y**delta) == q_cap
+        started = time.perf_counter()
+        status = main(["dissect", "--n", str(n), "--k", "2", "--s", "5",
+                       "--theta", "0.85", "--delta", repr(delta)])
+        assert time.perf_counter() - started < 10.0
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: ") and "cap" in err
+        assert err.count("\n") == 1
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -229,9 +271,9 @@ class TestContracts:
         assert rows[0]["anomaly"] is True
 
     def test_row_failure_recorded_and_run_continues(self, tmp_path, monkeypatch):
-        import kglab.cli as cli_mod
+        import kglab.batch as batch_mod
 
-        real = cli_mod.count_exact
+        real = batch_mod.build_interval
 
         def flaky(n, k, s, theta):
             if n == 100037:
@@ -240,7 +282,7 @@ class TestContracts:
                 raise CapExceeded("synthetic failure")
             return real(n, k, s, theta)
 
-        monkeypatch.setattr(cli_mod, "count_exact", flaky)
+        monkeypatch.setattr(batch_mod, "build_interval", flaky)
         status, text = run_cli(
             ["compare", "--range", "100013:100062:24", "--k", "2", "--s", "5",
              "--theta", "0.9", "--qmax", "100", "--format", "json"],
