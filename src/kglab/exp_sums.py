@@ -8,15 +8,17 @@ exactly, where A = alpha * 2^64.  Wrapping uint64 multiplication gives
 this for whole windows at vector speed; frequencies outside that range
 fall back to exact integer arithmetic per term.  One kernel does this
 reduction for every phase sum here (plain, scanned and per decomposition
-block); the only inexactness left is evaluating e(.) and numpy's pairwise
-summation of the terms.  The complete sums S(q, a) share the same exact
+block), for a block of frequencies at a time: one row of wrapped products
+per frequency, each row added by numpy's pairwise summation, and about
+_BLOCK_TERMS terms per block.  The only inexactness left is evaluating
+e(.) and that summation.  The complete sums S(q, a) share the same exact
 modular arithmetic, one table per modulus.
 
 Moments of |f|^(2t) are integers (solution counts) and are computed two
-independent ways: averaging |f|^(2t) over one more than twice its top
-frequency in equispaced points (the sampled mean of a trigonometric
-polynomial below the aliasing threshold is its exact mean), and direct
-enumeration of power-sum collisions.
+independent ways: averaging |f|^(2t) over any N >= 2 t spread + 1
+equispaced points, padded to a 5-smooth N for the real FFT (the sampled
+mean of a trigonometric polynomial below the aliasing threshold is its
+exact mean), and direct enumeration of power-sum collisions.
 """
 
 from __future__ import annotations
@@ -27,12 +29,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, ConsistencyError, ValidationError
-from .intervals import ShortInterval, pow_mod, sieve_upto, units, von_mangoldt
+from .intervals import (
+    ShortInterval,
+    _fft_length,
+    pow_mod,
+    sieve_upto,
+    units,
+    von_mangoldt,
+)
 from .weights import WeightFunction
 
 _TWO64 = 1 << 64
 _SCALE64 = 2.0**-64
 DEFAULT_MOMENT_SAMPLE_CAP = 1 << 26
+# Frequencies x terms per kernel block: 512 KB per float64 temporary, which
+# stays in cache; 2^19-term blocks ran the 5,023-term scan ~15% slower.
+_BLOCK_TERMS = 1 << 16
 DEFAULT_ENUM_STATE_CAP = 100_000_000
 COMPLETE_SUM_CAP = 1_000_000
 _DIRECT_Q_LIMIT = 512      # exact-index table up to here, DFT above
@@ -59,29 +71,81 @@ def window_powers_mod64(lo: int, hi: int, k: int) -> np.ndarray:
     return pow_mod(np.arange(lo, hi + 1, dtype=np.uint64), k, _TWO64)
 
 
-def _phase_sum(values, lo: int, hi: int, k: int, num: int, den: int,
-               powers_mod: np.ndarray = None) -> complex:
-    """sum over m in [lo, hi] of values[m - lo] e(m^k num / den), den a
-    power of two; values=None means unit weights.
+def _frequencies(alphas) -> tuple:
+    """Exact form of a float or a 1-D array of frequencies: the uint64 fixed
+    points num * (2^64 / den) mod 2^64 of those with dyadic denominator
+    den <= 2^64 (0 elsewhere), and {row: (num, den)} for the others."""
+    alphas = np.atleast_1d(alphas)
+    fixed = np.zeros(len(alphas), dtype=np.uint64)
+    exact = {}
+    for j, alpha in enumerate(alphas):
+        num, den = float(alpha).as_integer_ratio()
+        if den <= _TWO64:
+            fixed[j] = num % den * (_TWO64 // den)
+        else:
+            exact[j] = (num, den)
+    return fixed, exact
+
+
+def _phase_sums(values, lo: int, hi: int, k: int, freqs: tuple,
+                powers_mod: np.ndarray = None, mult: int = 1) -> np.ndarray:
+    """Row j: sum over m in [lo, hi] of values[m - lo] e(m^k mult alpha_j),
+    for the frequencies ``freqs = _frequencies(alphas)``; values=None means
+    unit weights.
 
     Each phase is reduced mod 1 exactly before e(.) is taken: by wrapping
-    uint64 arithmetic on m^k mod 2^64 (``powers_mod``, computed here if not
-    given) when den <= 2^64, else per term in Python integers.  The terms
-    are added by numpy's pairwise summation.
+    uint64 products of the fixed point, mult and m^k mod 2^64
+    (``powers_mod``, computed here if not given), or per term in Python
+    integers for the rows listed in ``freqs[1]``.  e(.) is taken only at
+    terms of nonzero weight; each row is added by numpy's pairwise
+    summation over the whole window, zeros in place of the skipped terms.
+    A block holds as many frequencies as fit in _BLOCK_TERMS window terms,
+    and at least one.
     """
-    if den <= _TWO64:
-        if powers_mod is None:
-            powers_mod = window_powers_mod64(lo, hi, k)
-        with np.errstate(over="ignore"):
-            prod = powers_mod * np.uint64(num % den * (_TWO64 // den))
-        phases = prod.astype(np.float64) * _SCALE64
-    else:
-        phases = np.array([pow(m, k, den) * num % den / den for m in range(lo, hi + 1)])
-    ang = 2.0 * np.pi * phases
-    re, im = np.cos(ang), np.sin(ang)
+    fixed, exact = freqs
+    if powers_mod is None:
+        powers_mod = window_powers_mod64(lo, hi, k)
+    size = hi - lo + 1
+    terms = np.arange(size) if values is None else np.flatnonzero(values)
+    powers_mod = powers_mod[terms]
     if values is not None:
-        re, im = values * re, values * im
-    return complex(np.sum(re), np.sum(im))
+        values = values[terms]
+    step = max(1, _BLOCK_TERMS // size)
+    out = np.empty(len(fixed), dtype=np.complex128)
+    for start in range(0, len(fixed), step):
+        stop = start + step
+        with np.errstate(over="ignore"):
+            prod = (fixed[start:stop] * np.uint64(mult % _TWO64))[:, None] * powers_mod
+        ang = prod.astype(np.float64)
+        ang *= _SCALE64
+        for j, (num, den) in exact.items():
+            if start <= j < stop:
+                ang[j - start] = [pow(lo + i, k, den) * (num * mult) % den / den
+                                  for i in terms.tolist()]
+        ang *= 2.0 * np.pi
+        re = np.cos(ang)
+        im = np.sin(ang, out=ang)
+        if values is not None:
+            re *= values
+            im *= values
+        out.real[start:stop] = _row_sums(re, terms, size)
+        out.imag[start:stop] = _row_sums(im, terms, size)
+    return out
+
+
+def _row_sums(rows: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+    """Pairwise sum of each row, with zeros put back at the terms left out
+    so that the summation tree is the full window's."""
+    if len(terms) < size:
+        full = np.zeros((len(rows), size))
+        full[:, terms] = rows
+        rows = full
+    return np.sum(rows, axis=1)
+
+
+def _as_given(alphas, sums: np.ndarray):
+    """A complex for a scalar frequency, else the array of sums."""
+    return complex(sums[0]) if np.ndim(alphas) == 0 else sums
 
 
 def _check_power_range(hi: int, k: int):
@@ -89,15 +153,17 @@ def _check_power_range(hi: int, k: int):
         raise CapExceeded(f"hi^k = {hi}^{k} exceeds the 128-bit phase range")
 
 
-def weighted_exp_sum(alpha: float, weight: WeightFunction, interval: ShortInterval) -> complex:
-    """sum over the window of w(m) e(m^k alpha).
+def weighted_exp_sum(alpha, weight: WeightFunction, interval: ShortInterval):
+    """sum over the window of w(m) e(m^k alpha), for a float alpha or for
+    each entry of a 1-D array of them.
 
     Phases are reduced mod 1 in exact integer arithmetic before e(.) is
     taken; adding an integer to alpha therefore cannot change the result.
     """
     _check_power_range(interval.hi, interval.k)
-    return _phase_sum(weight.values, interval.lo, interval.hi, interval.k,
-                      *alpha.as_integer_ratio())
+    sums = _phase_sums(weight.values, interval.lo, interval.hi, interval.k,
+                       _frequencies(alpha))
+    return _as_given(alpha, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +212,10 @@ def moment_nyquist(interval: ShortInterval, t: int,
     """Exact integral of |f(alpha, 1)|^(2t) over the unit interval.
 
     |f|^(2t) is a trigonometric polynomial with frequencies bounded by
-    t * (hi^k - lo^k), so its average over N = 2 t (hi^k - lo^k) + 1
-    equispaced points equals the integral exactly.  The result is the
-    number of solutions of a t-versus-t power-sum collision and is
+    t * (hi^k - lo^k), so its average over any N >= 2 t (hi^k - lo^k) + 1
+    equispaced points equals the integral exactly; N is that bound padded
+    to the next 5-smooth length, where the real FFT is fast.  The result
+    is the number of solutions of a t-versus-t power-sum collision and is
     returned as an integer.
     """
     if t < 1:
@@ -160,11 +227,16 @@ def moment_nyquist(interval: ShortInterval, t: int,
         raise CapExceeded(
             f"{n_samples} sample points exceed the cap {sample_cap}"
         )
+    size = _fft_length(n_samples)
     # np.zeros leaves untouched pages unmapped; a full bincount would not.
-    counts = np.zeros(n_samples)
-    np.add.at(counts, pow_mod(lo % n_samples + np.arange(hi - lo + 1), k, n_samples), 1.0)
-    spectrum = np.fft.fft(counts)
-    mean = float(np.mean(np.abs(spectrum) ** (2 * t)))
+    counts = np.zeros(size)
+    np.add.at(counts, pow_mod(lo % size + np.arange(hi - lo + 1), k, size), 1.0)
+    power = np.abs(np.fft.rfft(counts)) ** (2 * t)
+    # Hermitian fold: bins 1 .. ceil(N/2) - 1 also stand for their mirrors.
+    total = power[0] + 2.0 * np.sum(power[1 : (size + 1) // 2])
+    if size % 2 == 0:
+        total += power[size // 2]
+    mean = float(total / size)
     value = round(mean)
     residual = abs(mean - value)
     if residual > 1e-6:
@@ -398,40 +470,53 @@ def _moebius_table(limit: int) -> np.ndarray:
     return mu
 
 
-def evaluate_component(component: BilinearComponent, alpha: float,
-                       interval: ShortInterval) -> complex:
-    """Signed value of one component at the given frequency.
+def evaluate_component(component: BilinearComponent, alphas,
+                       interval: ShortInterval):
+    """Signed value of one component at a float frequency, or at each
+    entry of a 1-D array of them."""
+    return evaluate_components([component], alphas, interval)
+
+
+def evaluate_components(components, alphas, interval: ShortInterval):
+    """Sum of the signed component values at a float frequency, or at each
+    entry of a 1-D array of them.
 
     For each outer b the inner sum runs over v with b*v in the window, at
-    the exact frequency b^k * alpha.
+    the exact frequency b^k * alpha, for all frequencies in one kernel
+    call.  The inner terms slice one table of v^k mod 2^64 over the v any
+    block reads.
     """
     lo, hi, k = interval.lo, interval.hi, interval.k
     _check_power_range(hi, k)
-    num, den = alpha.as_integer_ratio()
-    total = 0.0 + 0.0j
-    for i, b in enumerate(range(component.u_lo, component.u_hi + 1)):
-        coeff = component.xi[i]
-        if coeff == 0.0:
-            continue
-        v_lo = (lo + b - 1) // b
-        v_hi = hi // b
-        if component.kind == "type-II":
-            v_lo = max(v_lo, component.v_lo)
-            v_hi = min(v_hi, component.v_hi)
-        if v_hi < v_lo:
-            continue
-        if component.kind == "type-II":
-            inner_w = component.eta[v_lo - component.v_lo : v_hi - component.v_lo + 1]
-        elif component.inner_log:
-            inner_w = np.log(np.arange(v_lo, v_hi + 1, dtype=np.float64))
-        else:
-            inner_w = None
-        total += coeff * _phase_sum(inner_w, v_lo, v_hi, k, num * b**k, den)
-    return component.sign * total
-
-
-def evaluate_components(components, alpha: float, interval: ShortInterval) -> complex:
-    return sum(evaluate_component(c, alpha, interval) for c in components)
+    freqs = _frequencies(alphas)
+    total = np.zeros(len(freqs[0]), dtype=np.complex128)
+    if not components:
+        return _as_given(alphas, total)
+    v_min = -(-lo // max(c.u_hi for c in components))
+    powers_mod = window_powers_mod64(v_min, hi, k)
+    for component in components:
+        part = np.zeros_like(total)
+        for i, b in enumerate(range(component.u_lo, component.u_hi + 1)):
+            coeff = component.xi[i]
+            if coeff == 0.0:
+                continue
+            v_lo = (lo + b - 1) // b
+            v_hi = hi // b
+            if component.kind == "type-II":
+                v_lo = max(v_lo, component.v_lo)
+                v_hi = min(v_hi, component.v_hi)
+            if v_hi < v_lo:
+                continue
+            if component.kind == "type-II":
+                inner_w = component.eta[v_lo - component.v_lo : v_hi - component.v_lo + 1]
+            elif component.inner_log:
+                inner_w = np.log(np.arange(v_lo, v_hi + 1, dtype=np.float64))
+            else:
+                inner_w = None
+            part += coeff * _phase_sums(inner_w, v_lo, v_hi, k, freqs,
+                                        powers_mod[v_lo - v_min : v_hi - v_min + 1], b**k)
+        total += component.sign * part
+    return _as_given(alphas, total)
 
 
 def coefficient_diagnostic(components) -> float:
@@ -511,17 +596,17 @@ def weyl_scan(interval: ShortInterval, dissection, samples: int,
     rng = np.random.default_rng(seed)
     q_inv = 1.0 / dissection.Q
     alphas = rng.uniform(q_inv, 1.0 + q_inv, size=samples)
-    powers_mod = window_powers_mod64(interval.lo, interval.hi, k)
+    sums = _phase_sums(weight.values, interval.lo, interval.hi, k, _frequencies(alphas))
     trivial = weight.bound * interval.size + 1e-9 * max(1.0, weight.bound * interval.size)
 
     rows = []
     sup_minor = 0.0
     argmax_minor = 0.0
     minor_seen = False
-    for alpha in alphas:
+    # Python's complex abs (libm hypot); numpy's vector abs rounds differently.
+    for alpha, f in zip(alphas, sums.tolist()):
         arc = classify(float(alpha), dissection)
-        value = abs(_phase_sum(weight.values, interval.lo, interval.hi, k,
-                               *float(alpha).as_integer_ratio(), powers_mod))
+        value = abs(f)
         if value > trivial:
             raise ConsistencyError(
                 f"|f| = {value} exceeds the trivial bound {trivial}"

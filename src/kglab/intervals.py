@@ -135,31 +135,39 @@ def _iroot_exact(m: int, k: int):
     return r if r**k == m else None
 
 
-def _floor_boundary(n: int, k: int, s: int, theta: float, upper: bool) -> int:
-    """Floor of x +/- y, escalating precision near integer ties.
+def _window_boundaries(n: int, k: int, s: int, theta: float) -> tuple:
+    """(floor(x - y), floor(x + y), x, y), escalating precision near ties.
 
-    For theta = 1 the tie at the upper endpoint (is 2x an integer M?) is
+    Each rung of the precision ladder evaluates x and y once and settles
+    every floor still open; x and y are taken from the first rung.  For
+    theta = 1 the tie at the upper endpoint (is 2x an integer M?) is
     decided exactly by comparing M^k * s against 2^k * n; other ties are
     resolved by raising the working precision, which suffices for every
     realizable input at desk scale.
     """
-    sign = 1 if upper else -1
+    floors = {}
     for dps in _DPS_LADDER:
         with mp.workdps(dps):
             xv = mp.root(mp.mpf(n) / s, k)
             yv = xv if theta == 1.0 else xv ** mp.mpf(theta)
-            v = xv + yv if upper else xv - yv
-            f = mp.floor(v)
+            if dps == _DPS_LADDER[0]:
+                x, y = float(xv), float(yv)
             eps = mp.mpf(10) ** (-(dps - 12))
-            if v - f > eps and (f + 1) - v > eps:
-                return int(f)
-            # Exact tie candidate.
-            cand = int(mp.nint(v))
-            if theta == 1.0 and upper:
-                # 2x >= M  <=>  2^k * n >= M^k * s, settled in integers.
-                return cand if (2**k) * n >= cand**k * s else cand - 1
-            if not upper and theta == 1.0:
-                return 0  # x - y = 0 exactly
+            for upper in (False, True):
+                if upper in floors:
+                    continue
+                v = xv + yv if upper else xv - yv
+                f = mp.floor(v)
+                if v - f > eps and (f + 1) - v > eps:
+                    floors[upper] = int(f)
+                elif theta == 1.0 and upper:
+                    # Exact tie candidate M: 2x >= M  <=>  2^k * n >= M^k * s.
+                    cand = int(mp.nint(v))
+                    floors[upper] = cand if (2**k) * n >= cand**k * s else cand - 1
+                elif theta == 1.0:
+                    floors[upper] = 0  # x - y = 0 exactly
+        if len(floors) == 2:
+            return floors[False], floors[True], x, y
     raise PrecisionError(
         f"cannot resolve window boundary for n={n}, k={k}, s={s}, theta={theta}"
     )
@@ -195,13 +203,8 @@ def _raw_interval(n: int, k: int, s: int, theta: float, min_s: int = 1) -> Short
         x = float(root)
         y = x
     else:
-        lo = _floor_boundary(n, k, s, theta, upper=False) + 1
-        hi = _floor_boundary(n, k, s, theta, upper=True)
-        with mp.workdps(50):
-            xv = mp.root(mp.mpf(n) / s, k)
-            yv = xv if theta == 1.0 else xv ** mp.mpf(theta)
-            x = float(xv)
-            y = float(yv)
+        below, hi, x, y = _window_boundaries(n, k, s, theta)
+        lo = below + 1
     if hi < lo:
         raise ValidationError(f"empty window for n={n}, k={k}, s={s}, theta={theta}")
     return ShortInterval(x=x, y=y, k=k, lo=lo, hi=hi)
@@ -268,6 +271,19 @@ def pow_mod(base: np.ndarray, k: int, q: int) -> np.ndarray:
             if not k:
                 return out
             b = b * b if wrap else b * b % q
+
+
+def _fft_length(size: int) -> int:
+    """Smallest 2^a 3^b 5^c >= size; numpy's FFT is fast on such lengths."""
+    best = 1 << (size - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-size // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def units(q: int) -> np.ndarray:

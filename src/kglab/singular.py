@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .exp_sums import complete_exp_sum, complete_exp_sums
-from .intervals import ShortInterval, build_interval, euler_phi, sieve_upto
+from .intervals import ShortInterval, _fft_length, build_interval, euler_phi, sieve_upto
 from .local_conditions import local_profile, unit_solution_counts
 
 A_TERM_CAP = 100_000
@@ -357,19 +357,6 @@ def _support(n: int, interval: ShortInterval, s: int) -> bool:
     lo_t = (interval.x - interval.y) ** interval.k
     hi_t = (interval.x + interval.y) ** interval.k
     return s * lo_t <= n <= s * hi_t
-
-
-def _fft_length(size: int) -> int:
-    """Smallest 2^a 3^b 5^c >= size; numpy's FFT is fast on such lengths."""
-    best = 1 << (size - 1).bit_length()
-    odd5 = 1
-    while odd5 < best:
-        odd = odd5
-        while odd < best:
-            best = min(best, odd << (-(-size // odd) - 1).bit_length())
-            odd *= 3
-        odd5 *= 5
-    return best
 
 
 def _integral_by_convolution(n: int, interval: ShortInterval, s: int,

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import shlex
 import time
 from pathlib import Path
@@ -213,6 +214,47 @@ class TestContracts:
         err = capsys.readouterr().err
         assert err.startswith("computation error: ") and "cap" in err
         assert err.count("\n") == 1
+
+    def test_out_to_missing_directory_exits_1(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        status = main(["moments", "--lo", "11", "--hi", "20", "--k", "2", "--t", "2",
+                       "--out", str(target)])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: ") and str(target) in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_leaves_existing_out_unchanged(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "report.json"
+        target.write_text("previous\n")
+        assert main(["singular-series", "--n", "29", "--k", "2", "--s", "5",
+                     "--qmax", "200000", "--out", str(target)]) == 1
+        assert main(["count", "--n", "19", "--k", "2", "--s", "5", "--out", str(target)]) == 2
+
+        def failing_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("kglab.cli.os.replace", failing_replace)
+        assert main(["moments", "--lo", "11", "--hi", "20", "--k", "2", "--t", "2",
+                     "--out", str(target)]) == 1
+        assert capsys.readouterr().err.endswith("No space left on device\n")
+        assert target.read_text() == "previous\n"
+        assert list(tmp_path.iterdir()) == [target]  # no temporary file left
+
+    def test_out_writes_the_stdout_bytes(self, tmp_path, capsys):
+        argv = ["dissect", "--n", "845", "--k", "2", "--s", "5", "--theta", "0.85",
+                "--delta", "0.3", "--format", "csv"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        target = tmp_path / "arcs.csv"
+        target.write_text("an older, longer report\n" * 100)
+        assert main(argv + ["--out", str(target)]) == 0
+        assert target.read_bytes() == stdout.encode()
+        mask = os.umask(0)
+        os.umask(mask)
+        assert target.stat().st_mode & 0o777 == 0o666 & ~mask
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

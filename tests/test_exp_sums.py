@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kglab import (
     ArcDissection,
+    ConsistencyError,
     ShortInterval,
     ValidationError,
     build_dissection,
@@ -15,6 +16,7 @@ from kglab import (
     coefficient_diagnostic,
     complete_exp_sum,
     default_bilinear_cut,
+    evaluate_component,
     evaluate_components,
     minor_arc_rho,
     moment_enumeration,
@@ -27,6 +29,10 @@ from kglab import (
     weyl_exponent,
     weyl_scan,
 )
+from kglab import exp_sums
+from kglab.exp_sums import DEFAULT_MOMENT_SAMPLE_CAP
+from kglab.intervals import _fft_length, factorize
+from kglab.weights import WeightFunction
 from tests.conftest import MOMENT_GRID
 
 
@@ -318,3 +324,192 @@ class TestWeylScan:
         assert weyl_exponent(3) == 7
         assert weyl_exponent(5) == 21
         assert minor_arc_rho(2) == pytest.approx(1.0 / 62.0)
+
+
+# ---------------------------------------------------------------------------
+# frequency blocks against the per-frequency kernel
+
+
+def per_frequency_phase_sum(values, lo, hi, k, num, den):
+    """The kernel as it was before frequency blocks: one frequency num/den."""
+    if den <= 2**64:
+        powers = np.array([pow(m, k, 2**64) for m in range(lo, hi + 1)], dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            prod = powers * np.uint64(num % den * (2**64 // den))
+        phases = prod.astype(np.float64) * 2.0**-64
+    else:
+        phases = np.array([pow(m, k, den) * num % den / den for m in range(lo, hi + 1)])
+    ang = 2.0 * np.pi * phases
+    re, im = np.cos(ang), np.sin(ang)
+    if values is not None:
+        re, im = values * re, values * im
+    return complex(np.sum(re), np.sum(im))
+
+
+def per_frequency_component(component, alpha, interval):
+    """The per-b decomposition loop as it was, one frequency at a time."""
+    lo, hi, k = interval.lo, interval.hi, interval.k
+    num, den = alpha.as_integer_ratio()
+    total = 0.0 + 0.0j
+    for i, b in enumerate(range(component.u_lo, component.u_hi + 1)):
+        coeff = component.xi[i]
+        if coeff == 0.0:
+            continue
+        v_lo = (lo + b - 1) // b
+        v_hi = hi // b
+        if component.kind == "type-II":
+            v_lo = max(v_lo, component.v_lo)
+            v_hi = min(v_hi, component.v_hi)
+        if v_hi < v_lo:
+            continue
+        if component.kind == "type-II":
+            inner_w = component.eta[v_lo - component.v_lo : v_hi - component.v_lo + 1]
+        elif component.inner_log:
+            inner_w = np.log(np.arange(v_lo, v_hi + 1, dtype=np.float64))
+        else:
+            inner_w = None
+        total += coeff * per_frequency_phase_sum(inner_w, v_lo, v_hi, k, num * b**k, den)
+    return component.sign * total
+
+
+# Dyadic denominators above 2^64 (exact per-term rows) mixed with fast rows.
+SLOW = [2.0**-70, 3.0 * 2.0**-66, (2**52 + 1) * 2.0**-65]
+
+
+class TestFrequencyBlocks:
+    @pytest.mark.parametrize("budget", [None, 40])
+    def test_decomposition_rows_match_per_frequency_loop(self, medium_window,
+                                                         budget, monkeypatch):
+        # budget 40 splits blocks at every few frequencies, and longer inner
+        # windows into one frequency per block.
+        if budget is not None:
+            monkeypatch.setattr(exp_sums, "_BLOCK_TERMS", budget)
+        components = vaughan_decompose(medium_window)
+        rng = np.random.default_rng(5)
+        alphas = [*rng.uniform(0.0, 1.0, size=4), SLOW[0], 0.0, *SLOW[1:],
+                  *rng.uniform(-2.0, 2.0, size=3)]
+        got = evaluate_components(components, np.array(alphas), medium_window)
+        assert got.shape == (len(alphas),)
+        for j, alpha in enumerate(alphas):
+            parts = [per_frequency_component(c, alpha, medium_window) for c in components]
+            assert complex(got[j]) == sum(parts), alpha
+        one = components[len(components) // 2]
+        rows = evaluate_component(one, np.array(alphas), medium_window)
+        assert [complex(r) for r in rows] == [
+            per_frequency_component(one, a, medium_window) for a in alphas
+        ]
+
+    def test_scalar_call_is_the_one_row_case(self, medium_window):
+        components = vaughan_decompose(medium_window)
+        alpha = 0.3183098861837907
+        value = evaluate_components(components, alpha, medium_window)
+        assert isinstance(value, complex)
+        assert value == complex(evaluate_components(components, np.array([alpha]),
+                                                    medium_window)[0])
+
+    def test_direct_sum_split_at_a_block_edge(self):
+        interval = build_interval(5 * 10**8, 2, 5, 0.85)
+        weight = von_mangoldt_weight(interval)
+        per_block = exp_sums._BLOCK_TERMS // interval.size
+        assert 1 < per_block < 30
+        rng = np.random.default_rng(8)
+        alphas = list(rng.uniform(0.0, 1.0, size=2 * per_block + 3))
+        # Slow rows on both sides of the first block edge, and alpha = 0.
+        alphas[per_block - 1], alphas[per_block] = SLOW[0], SLOW[2]
+        alphas[per_block + 1] = 0.0
+        got = weighted_exp_sum(np.array(alphas), weight, interval)
+        for j, alpha in enumerate(alphas):
+            want = per_frequency_phase_sum(weight.values, interval.lo, interval.hi, 2,
+                                           *alpha.as_integer_ratio())
+            assert complex(got[j]) == want, j
+            assert weighted_exp_sum(alpha, weight, interval) == want
+        assert got[per_block + 1] == pytest.approx(np.sum(weight.values), rel=1e-15)
+
+    @pytest.mark.parametrize("budget", [None, 1000])
+    def test_blocks_hold_at_most_the_budget(self, budget, monkeypatch):
+        # A window longer than the budget goes one frequency per block.
+        if budget is not None:
+            monkeypatch.setattr(exp_sums, "_BLOCK_TERMS", budget)
+        interval = build_interval(5 * 10**8, 2, 5, 0.85)
+        per_block = max(1, exp_sums._BLOCK_TERMS // interval.size)
+        sizes = []
+        cos = np.cos
+
+        def spy(x, *args, **kwargs):
+            sizes.append(x.shape)
+            return cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cos", spy)
+        weighted_exp_sum(np.linspace(0.0, 1.0, 40), unit_weight(interval), interval)
+        assert sizes == [(per_block, interval.size)] * (40 // per_block) + (
+            [(40 % per_block, interval.size)] if 40 % per_block else [])
+
+    @pytest.mark.parametrize("weight_fn", [unit_weight, prime_indicator, von_mangoldt_weight])
+    def test_scan_rows_match_per_sample_loop(self, weight_fn):
+        interval = build_interval(5 * 3000**2, 2, 5, 0.85)
+        dissection = build_dissection(interval, 0.3)
+        weight = weight_fn(interval)
+        report = weyl_scan(interval, dissection, 1000, weight, seed=4)
+        alphas = np.random.default_rng(4).uniform(
+            1.0 / dissection.Q, 1.0 + 1.0 / dissection.Q, size=1000)
+        assert 1000 > exp_sums._BLOCK_TERMS // interval.size > 1
+        for row, alpha in zip(report.rows, alphas):
+            value = abs(per_frequency_phase_sum(weight.values, interval.lo, interval.hi, 2,
+                                                *float(alpha).as_integer_ratio()))
+            assert (row.alpha, row.abs_f) == (float(alpha), value)
+
+    def test_first_sample_over_the_bound_raises(self):
+        interval = build_interval(5 * 3000**2, 2, 5, 0.85)
+        dissection = build_dissection(interval, 0.3)
+        alphas = np.random.default_rng(6).uniform(
+            1.0 / dissection.Q, 1.0 + 1.0 / dissection.Q, size=1000)
+        values = [abs(per_frequency_phase_sum(None, interval.lo, interval.hi, 2,
+                                              *float(a).as_integer_ratio()))
+                  for a in alphas]
+        # A unit weight declaring a bound below the third largest |f|.
+        bound = sorted(values)[-3] / interval.size
+        trivial = bound * interval.size + 1e-9 * max(1.0, bound * interval.size)
+        first = next(j for j, v in enumerate(values) if v > trivial)
+        assert first >= exp_sums._BLOCK_TERMS // interval.size  # not in the first block
+        weight = WeightFunction("unit", interval, np.ones(interval.size), bound)
+        with pytest.raises(ConsistencyError) as exc:
+            weyl_scan(interval, dissection, 1000, weight, seed=6)
+        assert str(exc.value) == f"|f| = {values[first]} exceeds the trivial bound {trivial}"
+
+
+# ---------------------------------------------------------------------------
+# Nyquist moments at padded lengths
+
+
+@pytest.mark.parametrize("k,lo,hi,t,prime,padded_odd", [
+    (2, 66, 83, 2, True, False),     # 10,133 prime, padded to 10,240
+    (2, 90, 103, 2, True, True),     # 10,037 prime, padded to 10,125
+    (3, 31, 37, 2, True, True),      # 83,449 prime, padded to 84,375
+    (3, 20, 25, 3, True, False),     # 45,751 prime, padded to 46,080
+    (2, 208, 214, 2, False, False),  # 7 * 1447, padded to 10,240
+    (3, 20, 27, 2, False, True),     # 17 * 2749, padded to 46,875
+    (3, 22, 28, 3, False, False),    # 5^2 * 2713, padded to 69,120
+])
+def test_moment_at_awkward_lengths(k, lo, hi, t, prime, padded_odd):
+    size = 2 * t * (hi**k - lo**k) + 1
+    largest = max(p for p, _ in factorize(size))
+    assert (largest == size) == prime and largest > 1000
+    assert _fft_length(size) % 2 == padded_odd
+    interval = ShortInterval.from_integer_window(lo, hi, k)
+    assert float(moment_nyquist(interval, t)) == moment_enumeration(
+        interval, t, unit_weight(interval))
+
+
+def test_fft_length_is_the_least_5_smooth_bound():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    assert _fft_length(DEFAULT_MOMENT_SAMPLE_CAP) == DEFAULT_MOMENT_SAMPLE_CAP
+    want = None
+    for size in range(5000, 0, -1):
+        if smooth(size):
+            want = size
+        assert _fft_length(size) == want, size

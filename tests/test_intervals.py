@@ -62,6 +62,78 @@ class TestBuildInterval:
         interval = build_interval(5 * r**2, 2, 5, 1.0)
         assert (interval.lo, interval.hi) == (1, 2 * r)
 
+    def test_window_matches_per_side_resolution(self):
+        # Oracle: each boundary resolved on its own precision ladder, and x
+        # and y evaluated once more at 50 digits, as windows used to be built.
+        from fractions import Fraction
+
+        from kglab.errors import PrecisionError
+        from kglab.intervals import _exact_kth_root
+
+        def floor_boundary(n, k, s, theta, upper):
+            for dps in (50, 200, 800):
+                with mp.workdps(dps):
+                    xv = mp.root(mp.mpf(n) / s, k)
+                    yv = xv if theta == 1.0 else xv ** mp.mpf(theta)
+                    v = xv + yv if upper else xv - yv
+                    f = mp.floor(v)
+                    eps = mp.mpf(10) ** (-(dps - 12))
+                    if v - f > eps and (f + 1) - v > eps:
+                        return int(f)
+                    cand = int(mp.nint(v))
+                    if theta == 1.0 and upper:
+                        return cand if (2**k) * n >= cand**k * s else cand - 1
+                    if not upper and theta == 1.0:
+                        return 0
+            raise PrecisionError(
+                f"cannot resolve window boundary for n={n}, k={k}, s={s}, theta={theta}"
+            )
+
+        def old_window(n, k, s, theta):
+            root = _exact_kth_root(n, s, k)
+            if theta == 1.0 and root is not None:
+                x = float(root)
+                return 1, math.floor(2 * root), x, x
+            lo = floor_boundary(n, k, s, theta, upper=False) + 1
+            hi = floor_boundary(n, k, s, theta, upper=True)
+            with mp.workdps(50):
+                xv = mp.root(mp.mpf(n) / s, k)
+                yv = xv if theta == 1.0 else xv ** mp.mpf(theta)
+                return lo, hi, float(xv), float(yv)
+
+        def outcome(build, n, k, s, theta):
+            try:
+                return build(n, k, s, theta)
+            except PrecisionError as exc:
+                return str(exc)
+
+        def new_window(n, k, s, theta):
+            w = build_interval(n, k, s, theta)
+            return w.lo, w.hi, w.x, w.y
+
+        big = 10**40 + 7
+        grid = [
+            (845, 2, 5, 1.0), (844, 2, 5, 1.0), (846, 2, 5, 1.0),  # exact root, neighbours
+            (5 * 2**3 * 3**3, 3, 5, 1.0), (3 * 7**5, 5, 3, 1.0),
+            (5 * big**2 // 4 + 1, 2, 5, 1.0),   # 2x within 1e-41 of an integer
+            (5 * big**2 // 4 - 1, 2, 5, 1.0),
+            (5 * (2**80 + 3) ** 2, 2, 5, 0.85), (5 * (2**80 + 3) ** 2 + 1, 2, 5, 1.0),
+            (7 * (2**30 + 1) ** 3 - 1, 3, 7, 0.9), (2 * (3**20 + 5) ** 5 + 1, 5, 2, 0.75),
+            (5 * big**4, 2, 5, 0.5),            # x +/- y integers: unresolvable
+            (5 * big**4 + 1, 2, 5, 0.5),        # needs the 200-digit rung
+        ]
+        for k in (2, 3, 5):
+            for r in (7, 13, 1000, 3**25 + 2):
+                for delta in (-1, 0, 1):
+                    for theta in (0.55, 0.85, 0.9, 1.0):
+                        grid.append((5 * r**k + delta, k, 5, theta))
+        unresolved = 0
+        for n, k, s, theta in grid:
+            want = outcome(old_window, n, k, s, theta)
+            assert outcome(new_window, n, k, s, theta) == want, (n, k, s, theta)
+            unresolved += isinstance(want, str)
+        assert unresolved == 1
+
     @pytest.mark.parametrize(
         "n,k,s,theta",
         [
