@@ -79,7 +79,6 @@ from .singular import (
     PredictionReport,
     SingularIntegralEstimate,
     SingularSeriesEstimate,
-    clear_singular_caches,
     local_count_identity_check,
     major_arc_approx,
     phase_integral,

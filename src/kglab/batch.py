@@ -17,10 +17,11 @@ from .errors import KglabError
 from .intervals import build_interval
 from .representations import _count_mitm, _interval_for_count, _window_primes
 from .singular import (
+    DEFAULT_GRID_CELLS,
     DEFAULT_QMAX,
     _check_series_args,
+    _integrals_by_convolution,
     _series_values,
-    singular_integral,
 )
 
 SWEEP_BLOCK = 2048  # targets per pass; bounds the term matrix and window lists
@@ -85,12 +86,13 @@ def _sweep_block(ns: list, k: int, s: int, theta: float, qmax: int) -> list:
             errors[i] = exc
         live = []
     series, series_errors = _series_values([ns[i] for i in live], k, s, qmax) if live else ([], [])
-    for i, value, error in zip(live, series, series_errors):
-        if error is not None:
-            errors[i] = error
-            continue
-        integral = singular_integral(ns[i], windows[i], k, s, method="density-convolution")
-        predictions[i] = float(value * integral.value * math.log(windows[i].x) ** (-s))
+    for i, error in zip(live, series_errors):
+        errors[i] = error
+    kept = [(i, value) for i, value in zip(live, series) if errors[i] is None]
+    integrals = _integrals_by_convolution([ns[i] for i, _ in kept], [windows[i] for i, _ in kept],
+                                          s, DEFAULT_GRID_CELLS)
+    for (i, value), integral in zip(kept, integrals):
+        predictions[i] = float(value * integral * math.log(windows[i].x) ** (-s))
 
     return [
         SweepRow(n=n, count=count, prediction=prediction) if error is None

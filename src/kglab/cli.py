@@ -402,6 +402,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         config.fmt = _DEFAULT_FMT.get(config.subcommand, "json")
     if config.subcommand in ("count", "predict") and config.n is None:
         raise ValidationError(f"{config.subcommand} needs --n")
+    for name in ("samples", "alphas"):
+        if getattr(config, name) < 1:
+            raise ValidationError(f"need --{name} >= 1, got {getattr(config, name)}")
     return config
 
 

@@ -47,7 +47,6 @@ DEFAULT_MOMENT_SAMPLE_CAP = 1 << 26
 _BLOCK_TERMS = 1 << 16
 DEFAULT_ENUM_STATE_CAP = 100_000_000
 COMPLETE_SUM_CAP = 1_000_000
-_DIRECT_Q_LIMIT = 512      # exact-index table up to here, DFT above
 
 
 def weyl_exponent(k: int) -> int:
@@ -174,17 +173,11 @@ def complete_exp_sums(q: int, k: int) -> tuple:
     """(units mod q, S(q, a) for every residue a mod q), where S(q, a) is
     the sum over units h mod q of e(a h^k / q).
 
-    The units are enumerated once.  Small moduli sum the exact-index table
-    (phases are integers mod q throughout); larger moduli evaluate all a at
-    once through the DFT of the k-th power residue counts.
+    The units are enumerated once, and all a are evaluated at once through
+    the DFT of the k-th power residue counts.
     """
     hs = units(q)
-    powers = pow_mod(hs, k, q)
-    # Without this branch the sweep ran ~20% slower (glibc allocator, later FFTs).
-    if q <= _DIRECT_Q_LIMIT:
-        roots = np.exp(2j * np.pi * np.arange(q) / q)
-        return hs, roots[np.arange(q)[:, None] * powers[None, :] % q].sum(axis=1)
-    counts = np.bincount(powers, minlength=q).astype(np.float64)
+    counts = np.bincount(pow_mod(hs, k, q), minlength=q).astype(np.float64)
     return hs, np.conj(np.fft.fft(counts))
 
 

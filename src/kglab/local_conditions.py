@@ -45,15 +45,22 @@ def local_profile(k: int) -> LocalProfile:
     for p in sieve_upto(k + 1):
         if k % (p - 1) != 0:
             continue
-        tau = 0
-        kk = k
-        while kk % p == 0:
-            kk //= p
-            tau += 1
-        gamma = tau + 2 if (p == 2 and tau > 0) else tau + 1
+        tau, gamma = prime_exponents(p, k)
         factors.append((p, tau, gamma))
         modulus *= p**gamma
     return LocalProfile(k=k, factors=tuple(factors), modulus=modulus)
+
+
+def prime_exponents(p: int, k: int) -> tuple:
+    """(tau, gamma) for the prime p: tau is the multiplicity of p in k and
+    gamma = tau + 1, or tau + 2 when p = 2 divides k.  For every prime p,
+    not only those in the local modulus, the unit sum S(p^j, a) vanishes
+    for j > gamma (Hua, Additive Theory of Prime Numbers, 1965)."""
+    tau = 0
+    while k % p == 0:
+        k //= p
+        tau += 1
+    return tau, tau + 2 if (p == 2 and tau > 0) else tau + 1
 
 
 def is_admissible(n: int, k: int, s: int) -> bool:

@@ -10,7 +10,9 @@ convolution), and the cross-checks are part of the contract.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,8 +25,16 @@ from .errors import (
     ValidationError,
 )
 from .exp_sums import complete_exp_sum, complete_exp_sums
-from .intervals import ShortInterval, _fft_length, build_interval, euler_phi, sieve_upto
-from .local_conditions import local_profile, unit_solution_counts
+from .intervals import (
+    ShortInterval,
+    _fft_length,
+    build_interval,
+    euler_phi,
+    factorize,
+    pow_mod,
+    sieve_upto,
+)
+from .local_conditions import local_profile, prime_exponents, unit_solution_counts
 
 A_TERM_CAP = 100_000
 QMAX_CAP = 100_000
@@ -36,48 +46,36 @@ DEFAULT_GRID_CELLS = 1 << 14
 KAPPA_MINUS = 0.99
 KAPPA_PLUS = 1.01
 DIRECT_BLOCK = 1 << 16     # entries of one (rows, qmax) block of the direct sum
+SERIES_BLOCK = 1 << 18     # terms of one row block of targets: 4 MB of complex values
 
-_TERM_CACHE = {}           # (k, s, q) -> (units, (S/phi)^s)
-
-
-def clear_singular_caches():
-    _TERM_CACHE.clear()
-
-
-def _term_arrays(q: int, k: int, s: int) -> tuple:
-    key = (k, s, q)
-    hit = _TERM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    units, sums = complete_exp_sums(q, k)
-    wpow = (sums[units % q] / len(units)) ** s
-    _TERM_CACHE[key] = (units, wpow)
-    return units, wpow
+# Series term tables kept, one per (k, s, qmax), least recently used
+# dropped first.  A table's arrays take 128,352 bytes at k = 2, qmax = 1e4,
+# at most 421,216 (k = 60) at that truncation, and at most
+# TERM_TABLE_BYTES (k = 60, qmax = QMAX_CAP): the cache stays under 14 MB.
+TERM_TABLES = 4
+TERM_TABLE_BYTES = 3_282_272
 
 
 def singular_series_term(q: int, n: int, k: int, s: int, cap: int = A_TERM_CAP) -> float:
     """Weight of modulus q in the series: phi(q)^(-s) * sum over units a
     of S(q, a)^s e(-a n / q), with the imaginary residue checked before
-    it is discarded."""
+    it is discarded.  Computed afresh from the complete sums on every
+    call: the per-modulus oracle for the series tables.
+    """
     if q < 1:
         raise ValidationError(f"need q >= 1, got {q}")
     if q > cap:
         raise CapExceeded(f"q={q} exceeds the series-term cap {cap}")
-    value = _term_complex(q, n, k, s)
+    if q == 1:
+        return 1.0
+    units, sums = complete_exp_sums(q, k)
+    phases = np.exp(-2j * np.pi * np.mod(units * (n % q), q) / q)
+    value = complex(np.sum((sums[units] / len(units)) ** s * phases))
     if abs(value.imag) >= IMAG_RESIDUE_TOL:
         raise ConsistencyError(
             f"series term at q={q} has imaginary residue {value.imag}"
         )
     return float(value.real)
-
-
-def _term_complex(q: int, n: int, k: int, s: int) -> complex:
-    units, wpow = _term_arrays(q, k, s)
-    if q == 1:
-        return complex(1.0, 0.0)
-    idx = np.mod(units * (n % q), q)
-    phases = np.exp(-2j * np.pi * idx / q)
-    return complex(np.sum(wpow * phases))
 
 
 @dataclass(frozen=True)
@@ -111,9 +109,10 @@ def singular_series(n: int, k: int, s: int, qmax: int = DEFAULT_QMAX) -> Singula
     Requires s >= 3 and a truncation at least the local modulus for k.
     """
     _check_series_args(k, s, qmax)
-    groups = _prime_powers(qmax)
-    terms = np.array([[singular_series_term(q, n, k, s)
-                       for _, powers in groups for q in powers]])
+    groups = _term_table(k, s, qmax).groups
+    terms, errors = _series_terms([n], k, s, qmax)
+    if errors[0] is not None:
+        raise errors[0]
     product, sigmas = _multiplicative_assembly(terms, groups)
     value = float(product[0])
     flag = "ok"
@@ -143,49 +142,119 @@ def _check_series_args(k: int, s: int, qmax: int):
         )
 
 
-def _prime_powers(qmax: int) -> list:
-    """[(p, [p, p^2, ...]), ...] for the primes p <= qmax, in order: the
-    columns of a term matrix, one per prime power."""
+_TermTable = namedtuple("_TermTable", "groups moduli cols primes exps keys values local")
+
+
+def _powers_of_a_primitive_root(p: int) -> np.ndarray:
+    """[g^0, g^1, ..., g^(p-2)] mod p for the least primitive root g."""
+    ells = [ell for ell, _ in factorize(p - 1)]
+    g = next(g for g in range(1, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in ells))
+    powers = np.ones(p - 1, dtype=np.int64)
+    done = 1
+    while done < p - 1:
+        step = min(done, p - 1 - done)
+        powers[done:done + step] = powers[:step] * pow(g, done, p) % p
+        done += step
+    return powers
+
+
+@functools.lru_cache(maxsize=TERM_TABLES)
+def _term_table(k: int, s: int, qmax: int) -> _TermTable:
+    """The terms A(q, n) of the prime powers q <= qmax as functions of n;
+    arguments are checked by the caller.
+
+    ``groups`` is [(p, [p, p^2, ...]), ...], one column per prime power.
+    For p not dividing k, let g be a primitive root, d = gcd(k, p - 1) and
+    e = (p - 1) / d.  The k-th powers are H = {g^(d m)}, its cosets are
+    g^i H for i < d, and eta_i is the Gauss period over g^i H.  Then
+    S(p, a) = d eta_i for a in g^i H (Berndt, Evans and Williams, Gauss and
+    Jacobi Sums, 1998), so with w_i = (d eta_i / (p - 1))^s the term is
+    (p - 1) / d * sum w_i at n = 0 mod p, and sum_i w_i eta_(i + j mod d)
+    when -n lies in g^j H, that is when (-n)^e = g^(j e) mod p.  Column
+    ``cols[i]`` of ``primes[i]`` takes the entry of ``values`` at the key
+    p * (qmax + 1) + (-n)^exps[i] mod p in ``keys``.  A prime power q of a
+    prime dividing k, up to p^gamma, has a ``local`` (column, q, table over
+    n mod q).  Every other column is 0 (Hua: S(p^j, a) = 0 for j > gamma).
+    """
     groups = []
     for p in sieve_upto(qmax):
         powers = [p]
         while powers[-1] * p <= qmax:
             powers.append(powers[-1] * p)
         groups.append((p, powers))
-    return groups
+    cols, primes, keys, values, local = [], [], [], [], []
+    col = 0
+    for p, powers in groups:
+        tau, gamma = prime_exponents(p, k)
+        if tau:
+            for j, q in enumerate(powers[:gamma]):
+                units, sums = complete_exp_sums(q, k)
+                placed = np.zeros(q, dtype=complex)
+                placed[units % q] = (sums[units % q] / len(units)) ** s
+                local.append((col + j, q, np.fft.fft(placed)))
+        else:
+            d = math.gcd(k, p - 1)
+            e = (p - 1) // d
+            logs = _powers_of_a_primitive_root(p)
+            half = np.exp(2j * np.pi * np.arange(p // 2 + 1) / p)
+            roots = np.concatenate([half, half[p - len(half):0:-1].conj()])  # e(x / p)
+            periods = roots[np.ascontiguousarray(logs.reshape(e, d).T)].sum(axis=1)
+            weights = (d * periods / (p - 1)) ** s
+            shifted = periods[(np.arange(d)[:, None] + np.arange(d)[None, :]) % d]
+            classes = np.concatenate([[0], logs[e * np.arange(d)]])  # (-n)^e, n = 0 first
+            order = np.argsort(classes)
+            cols.append(col)
+            primes.append(p)
+            keys.append(p * (qmax + 1) + classes[order])
+            values.append(np.concatenate([[(p - 1) / d * weights.sum()], shifted @ weights])[order])
+        col += len(powers)
+    primes = np.array(primes, dtype=np.int64)
+    moduli = np.array([q for _, powers in groups for q in powers], dtype=np.int64)
+    table = _TermTable(groups, moduli, np.array(cols, dtype=np.int64), primes,
+                       (primes - 1) // np.gcd(primes - 1, k), np.concatenate(keys),
+                       np.concatenate(values), tuple(local))
+    for array in [*table[1:7], *(column for _, _, column in local)]:
+        array.flags.writeable = False  # shared by every caller through the cache
+    return table
 
 
-def _series_values(ns, k: int, s: int, qmax: int) -> tuple:
-    """Multiplicative series value of every target, and for each target
-    the ConsistencyError of its first term with an imaginary residue (or
-    None).  Arguments are checked by the caller.
-
-    The term at q depends on n only through n mod q, so each prime power
-    gets one length-q FFT of (S/phi)^s placed on the units, read at every
-    target's residue and then dropped.
-    """
-    groups = _prime_powers(qmax)
+def _series_terms(ns, k: int, s: int, qmax: int) -> tuple:
+    """The (targets, prime powers) matrix of terms, and for each target the
+    ConsistencyError of its first term with an imaginary residue (or None).
+    Arguments are checked by the caller."""
+    table = _term_table(k, s, qmax)
     try:
         targets = np.array(ns, dtype=np.int64)
     except OverflowError:
         targets = np.array(ns, dtype=object)
-    terms = np.empty((len(targets), sum(len(powers) for _, powers in groups)))
+    values = np.zeros((len(targets), len(table.moduli)), dtype=complex)
+    negated = (-targets[:, None] % table.primes).astype(np.int64)
+    classes = pow_mod(negated, table.exps, table.primes)
+    values[:, table.cols] = table.values[np.searchsorted(table.keys, table.primes * (qmax + 1) + classes)]
+    for col, q, column in table.local:
+        values[:, col] = column[(targets % q).astype(np.int64)]
+    bad = np.abs(values.imag) >= IMAG_RESIDUE_TOL
     errors = [None] * len(targets)
-    col = 0
-    for _, powers in groups:
-        for q in powers:
-            units, wpow = _term_arrays(q, k, s)
-            placed = np.zeros(q, dtype=complex)
-            placed[units % q] = wpow
-            values = np.fft.fft(placed)[(targets % q).astype(np.int64)]
-            for i in np.flatnonzero(np.abs(values.imag) >= IMAG_RESIDUE_TOL):
-                if errors[i] is None:
-                    errors[i] = ConsistencyError(
-                        f"series term at q={q} has imaginary residue {float(values.imag[i])}"
-                    )
-            terms[:, col] = values.real
-            col += 1
-    return _multiplicative_assembly(terms, groups)[0], errors
+    for i in np.flatnonzero(bad.any(axis=1)):
+        col = int(np.argmax(bad[i]))
+        errors[i] = ConsistencyError(
+            f"series term at q={table.moduli[col]} has imaginary residue {float(values[i, col].imag)}"
+        )
+    return values.real.copy(), errors
+
+
+def _series_values(ns, k: int, s: int, qmax: int) -> tuple:
+    """Multiplicative series value of every target, and for each target the
+    ConsistencyError of its first term with an imaginary residue (or None).
+    Arguments are checked by the caller.  Targets go SERIES_BLOCK terms at a time."""
+    table = _term_table(k, s, qmax)
+    step = max(1, SERIES_BLOCK // len(table.moduli))
+    values, errors = [np.empty(0)], []
+    for start in range(0, len(ns), step):
+        terms, block_errors = _series_terms(ns[start:start + step], k, s, qmax)
+        values.append(_multiplicative_assembly(terms, table.groups)[0])
+        errors.extend(block_errors)
+    return np.concatenate(values), errors
 
 
 def _multiplicative_assembly(terms: np.ndarray, groups: list) -> tuple:
@@ -359,26 +428,39 @@ def _support(n: int, interval: ShortInterval, s: int) -> bool:
     return s * lo_t <= n <= s * hi_t
 
 
-def _integral_by_convolution(n: int, interval: ShortInterval, s: int,
-                             grid_cells: int) -> float:
-    x, y, k = interval.x, interval.y, interval.k
-    lo_t = (x - y) ** k
-    hi_t = (x + y) ** k
-    h = (hi_t - lo_t) / grid_cells
-    t_mid = lo_t + (np.arange(grid_cells) + 0.5) * h
-    density = (1.0 / k) * t_mid ** (1.0 / k - 1.0)
+def _integrals_by_convolution(ns, intervals, s: int, grid_cells: int) -> list:
+    """The density-convolution integral at each n in its window, 0 off the grid.
+
+    One spectrum array and one result array serve every target, so a
+    target's own allocations are the FFT's scratch alone.  With fresh
+    arrays per target, glibc handed their pages back after most targets of
+    a sweep and faulted them in again, about 990 page faults per target.
+    """
     size = s * (grid_cells - 1) + 1  # the linear convolution: no wrap-around
     pad = _fft_length(size)
-    spectrum = np.fft.rfft(density, pad)
-    conv = np.fft.irfft(spectrum**s, pad)[:size]
-    conv = conv * h ** (s - 1)
-    # index m holds the value at s*lo_t + (m + s/2) * h
-    pos = (n - s * lo_t) / h - s / 2.0
-    if pos <= 0 or pos >= len(conv) - 1:
-        return 0.0
-    i = int(math.floor(pos))
-    fracpos = pos - i
-    return float(max(0.0, (1.0 - fracpos) * conv[i] + fracpos * conv[i + 1]))
+    spectrum = np.empty(pad // 2 + 1, dtype=complex)
+    conv = np.empty(pad)
+    values = []
+    for n, interval in zip(ns, intervals):
+        x, y, k = interval.x, interval.y, interval.k
+        lo_t = (x - y) ** k
+        hi_t = (x + y) ** k
+        h = (hi_t - lo_t) / grid_cells
+        # index m of the convolution holds its value at s*lo_t + (m + s/2) * h
+        pos = (n - s * lo_t) / h - s / 2.0
+        if pos <= 0 or pos >= size - 1:
+            values.append(0.0)
+            continue
+        t_mid = lo_t + (np.arange(grid_cells) + 0.5) * h
+        density = (1.0 / k) * t_mid ** (1.0 / k - 1.0)
+        np.fft.rfft(density, pad, out=spectrum)
+        np.fft.irfft(np.power(spectrum, s, out=spectrum), pad, out=conv)
+        i = int(math.floor(pos))
+        fracpos = pos - i
+        scale = h ** (s - 1)
+        values.append(float(max(0.0, (1.0 - fracpos) * (conv[i] * scale)
+                                + fracpos * (conv[i + 1] * scale))))
+    return values
 
 
 def _integral_by_quadrature(n: int, interval: ShortInterval, s: int,
@@ -446,7 +528,7 @@ def singular_integral(n: int, interval: ShortInterval, k: int, s: int,
             n=n, k=k, s=s, value=0.0, method=method, grid_cells=grid_cells
         )
     if method == "density-convolution":
-        value = _integral_by_convolution(n, interval, s, grid_cells)
+        value = _integrals_by_convolution([n], [interval], s, grid_cells)[0]
         return SingularIntegralEstimate(
             n=n, k=k, s=s, value=value, method=method, grid_cells=grid_cells
         )
@@ -456,7 +538,7 @@ def singular_integral(n: int, interval: ShortInterval, k: int, s: int,
             n=n, k=k, s=s, value=value, method=method, grid_cells=grid_cells
         )
     quad = _integral_by_quadrature(n, interval, s)
-    conv = _integral_by_convolution(n, interval, s, grid_cells)
+    conv = _integrals_by_convolution([n], [interval], s, grid_cells)[0]
     scale = max(abs(quad), abs(conv), 1e-300)
     flagged = abs(quad - conv) > 0.05 * scale
     return SingularIntegralEstimate(

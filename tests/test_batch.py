@@ -102,6 +102,8 @@ def test_blocks_of_targets_join_up(monkeypatch):
     ["--range", "1:200:3", "--k", "2", "--s", "5", "--qmax", "1000"],
     ["--range", "100:400:7", "--k", "2", "--s", "2", "--qmax", "1000"],
     ["--range", "100000:100400:7", "--k", "2", "--s", "5", "--qmax", "1000"],
+    # one target at the default truncation
+    ["--range", "838349:838350", "--k", "2", "--s", "5", "--qmax", "10000"],
 ])
 def test_compare_rows_match_per_target_path(argv, tmp_path):
     path = tmp_path / "compare.json"
@@ -134,7 +136,7 @@ def test_convolution_pad_covers_the_whole_support():
     # The FFT length must hold the linear convolution, s (G - 1) + 1 points:
     # a shorter one wraps the top of the support onto the bottom.  Checked
     # on a small grid against repeated np.convolve, at both support edges.
-    from kglab.singular import _integral_by_convolution
+    from kglab.singular import _integrals_by_convolution
 
     interval = build_interval(10**5, 2, 5, 0.9)
     k, s, cells = 2, 5, 64
@@ -150,6 +152,6 @@ def test_convolution_pad_covers_the_whole_support():
         pos = (n - s * lo_t) / h - s / 2.0
         i = int(math.floor(pos))
         expected = (1.0 - (pos - i)) * conv[i] + (pos - i) * conv[i + 1]
-        got = _integral_by_convolution(n, interval, s, cells)
+        got = _integrals_by_convolution([n], [interval], s, cells)[0]
         # FFT rounding is relative to the largest value, not to this one
         assert abs(got - expected) <= 1e-12 * conv.max(), n

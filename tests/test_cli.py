@@ -161,6 +161,18 @@ class TestContracts:
         assert main(["count", "--n", "19", "--k", "2", "--s", "5"]) == 2
         assert main(["count", "--n", "845", "--k", "1", "--s", "5"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["vaughan-check", "--n", "500000000", "--theta", "0.85", "--alphas", "-1"],
+        ["vaughan-check", "--n", "500000000", "--theta", "0.85", "--alphas", "0"],
+        ["sieve-check", "--samples", "-5"],
+        ["sieve-check", "--samples", "0"],
+    ])
+    def test_no_frequencies_or_samples_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: need --")
+        assert err.count("\n") == 1
+
     def test_computation_error_exits_1(self, capsys):
         # Valid config, but the truncation exceeds the series cap at runtime.
         assert main(["singular-series", "--n", "29", "--k", "2", "--s", "5",

@@ -66,8 +66,8 @@ class TestSeriesTerm:
                 assert abs(joint - prod) <= 1e-8 * max(1.0, abs(joint), abs(prod))
 
     def test_fft_and_direct_paths_agree(self):
-        # complete_exp_sums switches from the exact-index table to the DFT
-        # above q = 512; both sides must match an inline exact-index sum.
+        # complete_exp_sums takes the DFT of the power residue counts; it
+        # must match an inline exact-index sum at prime and composite q.
         from kglab.exp_sums import complete_exp_sums
 
         for q in (509, 510, 513, 600):
@@ -79,6 +79,95 @@ class TestSeriesTerm:
                 phases = np.outer(np.arange(q), powers) % q / q
                 exact = np.exp(2j * np.pi * phases).sum(axis=1)
                 assert np.allclose(sums, exact, rtol=0.0, atol=1e-9)
+
+
+def oracle_terms(q, ns, k, svals, phases=None):
+    """The complete-sum term at q for each n and each s in ``svals``: the
+    (S/phi)^s table over the units times e(-a n / q), summed over the
+    units a.  ``phases`` may hold the e(-a n / q) matrix."""
+    from kglab.exp_sums import complete_exp_sums
+
+    units, sums = complete_exp_sums(q, k)
+    if phases is None:
+        phases = oracle_phases(q, ns)
+    return [phases @ (sums[units % q] / len(units)) ** s for s in svals]
+
+
+def oracle_phases(q, ns):
+    units = np.array([h for h in range(1, q + 1) if math.gcd(h, q) == 1])
+    residues = np.array([n % q for n in ns], dtype=np.int64)
+    return np.exp(-2j * np.pi * (residues[:, None] * units[None, :] % q) / q)
+
+
+# n = 0 mod every q, units and non-units mod every small p, a product of
+# the primes 17..43 (0 mod p but not mod p^2), and two large targets.
+ORACLE_TARGETS = [0, *range(1, 14), 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43,
+                  838349, 10**30 + 5]
+
+
+class TestTermTable:
+    def test_matches_complete_sum_oracle(self):
+        from kglab.singular import _series_terms, _term_table
+
+        cases = [(k, s) for k in (2, 3, 4, 5, 6) for s in (3, 5, 7)]
+        tables = {}
+        for k, s in cases:
+            terms, errors = _series_terms(ORACLE_TARGETS, k, s, 2000)
+            assert errors == [None] * len(ORACLE_TARGETS)
+            tables[k, s] = terms
+        for col, q in enumerate(_term_table(2, 3, 2000).moduli.tolist()):
+            phases = oracle_phases(q, ORACLE_TARGETS)
+            for k in (2, 3, 4, 5, 6):
+                expected = oracle_terms(q, ORACLE_TARGETS, k, (3, 5, 7), phases)
+                for s, want in zip((3, 5, 7), expected):
+                    gap = np.abs(tables[k, s][:, col] - want.real)
+                    assert np.all(gap <= 1e-14 * np.maximum(1.0, np.abs(want))), (k, s, q)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8, 9, 12])
+    def test_exact_zeros_above_gamma(self, k):
+        from kglab.local_conditions import prime_exponents
+        from kglab.singular import _series_terms, _term_table
+
+        table = _term_table(k, 5, 2000)
+        terms, _ = _series_terms(ORACLE_TARGETS, k, 5, 2000)
+        col = 0
+        for p, powers in table.groups:
+            _, gamma = prime_exponents(p, k)
+            for j, q in enumerate(powers, start=1):
+                if j > gamma:
+                    assert np.all(terms[:, col] == 0.0), (k, q)
+                    if p <= 50:
+                        oracle = oracle_terms(q, ORACLE_TARGETS, k, (5,))[0]
+                        assert np.all(np.abs(oracle) < 1e-12), (k, q)
+                col += 1
+
+    def test_cubes_keep_the_term_at_nine(self):
+        # 3 | k but (3 - 1) does not divide 3, so 3 is outside the local
+        # modulus; still gamma(3) = 2 and the term at q = 9 is not zero.
+        from kglab.local_conditions import local_profile
+        from kglab.singular import _series_terms, _term_table
+
+        assert 3 not in [p for p, _, _ in local_profile(3).factors]
+        col = _term_table(3, 5, 2000).moduli.tolist().index(9)
+        terms, _ = _series_terms(ORACLE_TARGETS, 3, 5, 2000)
+        expected = oracle_terms(9, ORACLE_TARGETS, 3, (5,))[0].real
+        assert np.max(np.abs(expected)) > 0.1
+        assert np.allclose(terms[:, col], expected, rtol=0.0, atol=1e-14)
+
+    def test_one_target_series_is_the_batched_value(self):
+        from kglab.singular import _series_values
+
+        for n in (29, 838349, 838348, 10**30 + 5):
+            assert singular_series(n, 2, 5, 10**4).value == _series_values([n], 2, 5, 10**4)[0][0]
+
+    def test_table_cache_is_bounded(self):
+        from kglab.singular import TERM_TABLE_BYTES, TERM_TABLES, _term_table
+
+        assert _term_table.cache_info().maxsize == TERM_TABLES <= 4
+        table = _term_table(2, 5, 10**4)
+        arrays = [table.moduli, table.cols, table.primes, table.exps, table.keys, table.values]
+        size = sum(a.nbytes for a in arrays) + sum(c.nbytes for _, _, c in table.local)
+        assert size <= 130_000 <= TERM_TABLE_BYTES
 
 
 class TestDivisorSumIdentity:
