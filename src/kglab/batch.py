@@ -4,8 +4,8 @@ For every target n, `sweep` gives the count of `count_exact` and the
 prediction of `predict_main_term` with the density-convolution integral,
 or the error either would raise, with the count's error first.  Work is
 shared across targets: targets that induce the same integer window share
-one sieve and one set of half-sum tables, and each series term is read
-from one table of that term over all residues mod q.
+one sieve and one set of half-sum tables, and every target reads its
+series terms from one shared term table (`singular._term_table`).
 """
 
 from __future__ import annotations

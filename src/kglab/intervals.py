@@ -256,23 +256,19 @@ def pow_mod(base: np.ndarray, k: int, q: int) -> np.ndarray:
     """Elementwise base^k mod q by square-and-multiply.
 
     q = 2^64 runs in wrapping uint64 arithmetic; any other modulus runs in
-    int64, where q^2 must fit.  Given an array of exponents k, the moduli
-    q may be an array too; both broadcast against base, in int64.
+    int64, where q^2 must fit.
     """
-    vector = np.ndim(k) > 0
-    wrap = not vector and q == 1 << 64
-    if not wrap and (np.max(q) if vector else q) > 3_000_000_000:
-        raise CapExceeded(f"modulus {np.max(q)} too large for the vector powmod")
+    wrap = q == 1 << 64
+    if not wrap and q > 3_000_000_000:
+        raise CapExceeded(f"modulus {q} too large for the vector powmod")
     b = base.astype(np.uint64) if wrap else np.mod(base, q)
     out = np.ones_like(b)
     with np.errstate(over="ignore"):
         while True:
-            if vector:
-                out = np.where(k & 1, out * b % q, out)
-            elif k & 1:
+            if k & 1:
                 out = out * b if wrap else out * b % q
-            k = k >> 1
-            if not (k.any() if vector else k):
+            k >>= 1
+            if not k:
                 return out
             b = b * b if wrap else b * b % q
 

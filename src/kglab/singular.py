@@ -31,7 +31,6 @@ from .intervals import (
     build_interval,
     euler_phi,
     factorize,
-    pow_mod,
     sieve_upto,
 )
 from .local_conditions import local_profile, prime_exponents, unit_solution_counts
@@ -50,10 +49,10 @@ SERIES_BLOCK = 1 << 18     # terms of one row block of targets: 4 MB of complex 
 
 # Series term tables kept, one per (k, s, qmax), least recently used
 # dropped first.  A table's arrays take 128,352 bytes at k = 2, qmax = 1e4,
-# at most 421,216 (k = 60) at that truncation, and at most
-# TERM_TABLE_BYTES (k = 60, qmax = QMAX_CAP): the cache stays under 14 MB.
+# at most 250,096 (k = 44) at that truncation, and at most 2,380,384 over
+# every admissible (k, qmax), reached at k = 54, qmax = QMAX_CAP: the cache
+# stays under 10 MB.
 TERM_TABLES = 4
-TERM_TABLE_BYTES = 3_282_272
 
 
 def singular_series_term(q: int, n: int, k: int, s: int, cap: int = A_TERM_CAP) -> float:
@@ -228,8 +227,11 @@ def _series_terms(ns, k: int, s: int, qmax: int) -> tuple:
     except OverflowError:
         targets = np.array(ns, dtype=object)
     values = np.zeros((len(targets), len(table.moduli)), dtype=complex)
-    negated = (-targets[:, None] % table.primes).astype(np.int64)
-    classes = pow_mod(negated, table.exps, table.primes)
+    base = (-targets[:, None] % table.primes).astype(np.int64)
+    classes, exps = np.ones_like(base), table.exps
+    while exps.any():  # classes = (-n)^exps mod p, by square-and-multiply
+        classes = np.where(exps & 1, classes * base % table.primes, classes)
+        base, exps = base * base % table.primes, exps >> 1
     values[:, table.cols] = table.values[np.searchsorted(table.keys, table.primes * (qmax + 1) + classes)]
     for col, q, column in table.local:
         values[:, col] = column[(targets % q).astype(np.int64)]
@@ -435,6 +437,7 @@ def _integrals_by_convolution(ns, intervals, s: int, grid_cells: int) -> list:
     target's own allocations are the FFT's scratch alone.  With fresh
     arrays per target, glibc handed their pages back after most targets of
     a sweep and faulted them in again, about 990 page faults per target.
+    The `out=` arguments of numpy.fft need NumPy 2.0.
     """
     size = s * (grid_cells - 1) + 1  # the linear convolution: no wrap-around
     pad = _fft_length(size)

@@ -161,13 +161,14 @@ class TestTermTable:
             assert singular_series(n, 2, 5, 10**4).value == _series_values([n], 2, 5, 10**4)[0][0]
 
     def test_table_cache_is_bounded(self):
-        from kglab.singular import TERM_TABLE_BYTES, TERM_TABLES, _term_table
+        # The bytes stated beside TERM_TABLES: 128,352 at k = 2, qmax = 1e4.
+        from kglab.singular import TERM_TABLES, _term_table
 
         assert _term_table.cache_info().maxsize == TERM_TABLES <= 4
         table = _term_table(2, 5, 10**4)
         arrays = [table.moduli, table.cols, table.primes, table.exps, table.keys, table.values]
         size = sum(a.nbytes for a in arrays) + sum(c.nbytes for _, _, c in table.local)
-        assert size <= 130_000 <= TERM_TABLE_BYTES
+        assert size <= 130_000
 
 
 class TestDivisorSumIdentity:
