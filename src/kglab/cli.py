@@ -420,10 +420,17 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def _write_report(path: str, text: str):
     """Write through a temporary file beside ``path``, then rename it into
     place, so a failed write leaves no partial report and any old file
-    untouched."""
+    untouched.  A symlink is followed, so the link survives; an existing
+    target that is not a regular file (a FIFO, a device) is written in
+    place."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as handle:
+            handle.write(text)
+        return
     mask = os.umask(0)
     os.umask(mask)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".kglab-")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".kglab-")
     try:
         with os.fdopen(fd, "w") as handle:
             os.fchmod(handle.fileno(), 0o666 & ~mask)  # the mode open() would give

@@ -32,11 +32,13 @@ from .errors import CapExceeded, ConsistencyError, ValidationError
 from .intervals import (
     ShortInterval,
     _fft_length,
+    _power_exceeds,
     pow_mod,
     sieve_upto,
     units,
     von_mangoldt,
 )
+from .representations import _fold_sums, _weighted_half
 from .weights import WeightFunction
 
 _TWO64 = 1 << 64
@@ -243,42 +245,34 @@ def moment_enumeration(interval: ShortInterval, t: int, weight: WeightFunction,
                        state_cap: int = DEFAULT_ENUM_STATE_CAP) -> float:
     """Weighted count of solutions of a t-fold power-sum collision.
 
-    Enumerates all t-fold sums of m^k over the window (meeting the two
-    sides in the middle), accumulates the product weight per sum value,
-    and returns sum of W(v)^2 over values v.  For the unit weight this
-    is the exact integer solution count matching ``moment_nyquist``.
+    Enumerates all t-fold sums of m^k over the support of the weight,
+    accumulates the product weight per sum value, and returns the sum of
+    W(v)^2 over values v.  A 0/1 weight counts repeats of each sorted sum
+    instead of carrying weights, so the unit weight gives the exact
+    integer solution count matching ``moment_nyquist``.  Sums run in
+    int64, or in Python integers (object arrays) once t * hi^k reaches
+    2^62.
     """
     if t < 1:
         raise ValidationError(f"need t >= 1, got {t}")
     lo, hi, k = interval.lo, interval.hi, interval.k
-    size = hi - lo + 1
-    if size**t > state_cap:
-        raise CapExceeded(f"{size}^{t} states exceed the cap {state_cap}")
-    top = t * hi**k
-    if top >= 2**62:
-        return _moment_enum_bigint(interval, t, weight)
-
-    powers = np.array([m**k for m in range(lo, hi + 1)], dtype=np.int64)
+    if _power_exceeds(hi - lo + 1, t, state_cap):
+        raise CapExceeded(f"{hi - lo + 1}^{t} states exceed the cap {state_cap}")
+    dtype = object if t * hi**k >= 2**62 else np.int64
+    powers = np.array([m**k for m in range(lo, hi + 1)], dtype=dtype)
     w = weight.values.astype(np.float64)
     nonzero = np.nonzero(w)[0]
     if np.all(w[nonzero] == 1.0):
-        sums = powers[nonzero]
-        for _ in range(t - 1):
-            sums = (sums[:, None] + powers[None, nonzero]).ravel()
-        sums.sort()
+        sums = _fold_sums(powers[nonzero], t)
+        if dtype is object:  # Python's timsort beats numpy's object sort ~5x
+            sums = np.array(sorted(sums.tolist()), dtype=object)
+        else:
+            sums.sort()
         return float(_sum_squared_run_lengths(sums))
-    sums = powers[nonzero]
-    wts = w[nonzero]
-    for _ in range(t - 1):
-        sums = (sums[:, None] + powers[None, nonzero]).ravel()
-        wts = (wts[:, None] * w[None, nonzero]).ravel()
-    order = np.argsort(sums, kind="stable")
-    sums = sums[order]
-    wts = wts[order]
-    boundaries = np.nonzero(np.diff(sums))[0] + 1
-    starts = np.concatenate(([0], boundaries))
-    totals = np.add.reduceat(wts, starts)
-    return float(np.sum(totals * totals))
+    half = _weighted_half([weight] * t, powers)
+    if half is None:
+        return 0.0
+    return float(np.sum(half[1] ** 2))
 
 
 def _sum_squared_run_lengths(sorted_vals: np.ndarray, chunk: int = 1 << 22) -> int:
@@ -305,22 +299,6 @@ def _sum_squared_run_lengths(sorted_vals: np.ndarray, chunk: int = 1 << 22) -> i
             prev = block[-1]
     total += run * run
     return total
-
-
-def _moment_enum_bigint(interval, t, weight):
-    from collections import defaultdict
-
-    acc = defaultdict(float)
-    acc[0] = 1.0
-    lo, k = interval.lo, interval.k
-    for _ in range(t):
-        nxt = defaultdict(float)
-        for s0, w0 in acc.items():
-            for i, wv in enumerate(weight.values):
-                if wv:
-                    nxt[s0 + (lo + i) ** k] += w0 * wv
-        acc = nxt
-    return float(sum(v * v for v in acc.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ The basic geometric object is the half-open window (x - y, x + y] around
 the central value x = (n/s)^(1/k), with half-width y = x^theta.  All the
 sums downstream (exponential sums, dissections, representation counts)
 run over the integers or primes of such a window, so the two integer
-endpoints are resolved with guarded high-precision arithmetic instead of
-double rounding: a boundary integer is admitted or rejected the same way
-on every platform.
+endpoints are resolved with guarded high-precision arithmetic (theta = 1
+windows by an integer k-th root) instead of double rounding: a boundary
+integer is admitted or rejected the same way on every platform.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -104,52 +103,35 @@ class PrimeTable:
         return len(self.primes)
 
 
-def _exact_kth_root(num: int, den: int, k: int):
-    """Return the Fraction r with r^k = num/den, or None if irrational."""
-    g = math.gcd(num, den)
-    num //= g
-    den //= g
-    rn = _iroot_exact(num, k)
-    if rn is None:
-        return None
-    rd = _iroot_exact(den, k)
-    if rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _iroot_exact(m: int, k: int):
-    """The integer r with r^k = m, or None; integer arithmetic at every size."""
+def _iroot(m: int, k: int) -> int:
+    """floor(m^(1/k)) for m >= 0, in integer arithmetic at every size."""
     if m == 0:
         return 0
     if k == 2:
-        r = math.isqrt(m)
-    else:
-        # Newton's iteration from above settles on floor(m^(1/k)).
-        r = 1 << -(-m.bit_length() // k)
-        while True:
-            nxt = ((k - 1) * r + m // r ** (k - 1)) // k
-            if nxt >= r:
-                break
-            r = nxt
-    return r if r**k == m else None
+        return math.isqrt(m)
+    # Newton's iteration from above settles on floor(m^(1/k)).
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        nxt = ((k - 1) * r + m // r ** (k - 1)) // k
+        if nxt >= r:
+            return r
+        r = nxt
 
 
 def _window_boundaries(n: int, k: int, s: int, theta: float) -> tuple:
-    """(floor(x - y), floor(x + y), x, y), escalating precision near ties.
+    """(floor(x - y), floor(x + y), x, y) for theta < 1, escalating
+    precision near ties.
 
     Each rung of the precision ladder evaluates x and y once and settles
-    every floor still open; x and y are taken from the first rung.  For
-    theta = 1 the tie at the upper endpoint (is 2x an integer M?) is
-    decided exactly by comparing M^k * s against 2^k * n; other ties are
-    resolved by raising the working precision, which suffices for every
-    realizable input at desk scale.
+    every floor still open; x and y are taken from the first rung.  Ties
+    are resolved by raising the working precision, which suffices for
+    every realizable input at desk scale.
     """
     floors = {}
     for dps in _DPS_LADDER:
         with mp.workdps(dps):
             xv = mp.root(mp.mpf(n) / s, k)
-            yv = xv if theta == 1.0 else xv ** mp.mpf(theta)
+            yv = xv ** mp.mpf(theta)
             if dps == _DPS_LADDER[0]:
                 x, y = float(xv), float(yv)
             eps = mp.mpf(10) ** (-(dps - 12))
@@ -160,12 +142,6 @@ def _window_boundaries(n: int, k: int, s: int, theta: float) -> tuple:
                 f = mp.floor(v)
                 if v - f > eps and (f + 1) - v > eps:
                     floors[upper] = int(f)
-                elif theta == 1.0 and upper:
-                    # Exact tie candidate M: 2x >= M  <=>  2^k * n >= M^k * s.
-                    cand = int(mp.nint(v))
-                    floors[upper] = cand if (2**k) * n >= cand**k * s else cand - 1
-                elif theta == 1.0:
-                    floors[upper] = 0  # x - y = 0 exactly
         if len(floors) == 2:
             return floors[False], floors[True], x, y
     raise PrecisionError(
@@ -196,12 +172,11 @@ def _raw_interval(n: int, k: int, s: int, theta: float, min_s: int = 1) -> Short
     if not (0.0 < theta <= 1.0):
         raise ValidationError(f"need 0 < theta <= 1, got theta={theta}")
 
-    root = _exact_kth_root(n, s, k)
-    if theta == 1.0 and root is not None:
-        lo = 1
-        hi = math.floor(2 * root)
-        x = float(root)
-        y = x
+    if theta == 1.0:
+        # The window is (0, 2x]: hi is the largest M with M^k * s <= 2^k * n.
+        with mp.workdps(_DPS_LADDER[0]):
+            x = y = float(mp.root(mp.mpf(n) / s, k))
+        lo, hi = 1, _iroot(2**k * n // s, k)
     else:
         below, hi, x, y = _window_boundaries(n, k, s, theta)
         lo = below + 1
@@ -271,6 +246,14 @@ def pow_mod(base: np.ndarray, k: int, q: int) -> np.ndarray:
             if not k:
                 return out
             b = b * b if wrap else b * b % q
+
+
+def _power_exceeds(base: int, exp: int, cap: int) -> bool:
+    """base^exp > cap for integers base, exp >= 0, without forming a power
+    longer than cap: base >= 2 exceeds any cap below 2^exp."""
+    if base > 1 and exp > cap.bit_length():
+        return True
+    return base**exp > cap
 
 
 def _fft_length(size: int) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .intervals import pow_mod, sieve_upto, units
+from .intervals import _power_exceeds, pow_mod, sieve_upto, units
 
 K_MAX = 64  # keeps the local modulus comfortably inside integer range
 
@@ -89,43 +89,27 @@ def unit_solution_counts(q: int, k: int, s: int) -> np.ndarray:
     """Vector over residues r mod q of the number of unit tuples
     (h_1, ..., h_s) with h_1^k + ... + h_s^k = r (mod q).
 
-    Exact s-fold cyclic convolution over the residue ring; large counts
-    switch to arbitrary-precision integers (convolution powering by
-    repeated squaring), so the result is exact for any s.
+    The s-th power of the unit-power counts under cyclic convolution mod q,
+    by square-and-multiply.  Counts run in int64, or in Python integers
+    (object arrays) once phi(q)^s reaches 2^62, so the result is exact for
+    any s.
     """
     base = unit_power_counts(q, k)
-    phi = int(base.sum())
-    if phi**s >= 2**62:
-        return _unit_solution_counts_big(base.tolist(), q, s)
-    out = base.copy()
-    for _ in range(s - 1):
-        full = np.convolve(out, base)
-        folded = np.zeros(q, dtype=np.int64)
-        for start in range(0, len(full), q):
-            seg = full[start : start + q]
-            folded[: len(seg)] += seg
-        out = folded
+    if _power_exceeds(int(base.sum()), s, 2**62 - 1):
+        base = base.astype(object)
+    out = np.zeros(q, dtype=base.dtype)
+    out[0] = 1  # the empty tuple
+    while s > 0:
+        if s & 1:
+            out = _cyclic_convolve(out, base, q)
+        s >>= 1
+        if s:
+            base = _cyclic_convolve(base, base, q)
     return out
 
 
-def _cyclic_convolve_big(a: list, b: list, q: int) -> list:
-    out = [0] * q
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[(i + j) % q] += ai * bj
+def _cyclic_convolve(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    full = np.convolve(a, b)
+    out = full[:q].copy()
+    out[: q - 1] += full[q:]
     return out
-
-
-def _unit_solution_counts_big(base: list, q: int, s: int) -> np.ndarray:
-    result = None
-    power = base
-    e = s
-    while e:
-        if e & 1:
-            result = power if result is None else _cyclic_convolve_big(result, power, q)
-        e >>= 1
-        if e:
-            power = _cyclic_convolve_big(power, power, q)
-    return np.array(result, dtype=object)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import CapExceeded, DominationError, ValidationError
 from .intervals import (
     ShortInterval,
+    _power_exceeds,
     _raw_interval,
     primes_in_interval,
     sieve_upto,
@@ -99,14 +100,17 @@ def _count_recursive(n: int, k: int, s: int, primes: list) -> int:
 
 
 def _check_table_cap(count: int, fold: int):
-    if count**fold > TABLE_CAP:
+    if _power_exceeds(count, fold, TABLE_CAP):
         raise CapExceeded(
             f"{count}^{fold} half-sum states exceed the cap {TABLE_CAP}"
         )
 
 
 def _fold_sums(powers: np.ndarray, fold: int) -> np.ndarray:
-    sums = np.zeros(1, dtype=np.int64)
+    """All fold-fold sums of ``powers`` (with repeats), in its dtype."""
+    if len(powers) == 1:
+        return powers * fold
+    sums = np.zeros(1, dtype=powers.dtype)
     for _ in range(fold):
         sums = (sums[:, None] + powers[None, :]).ravel()
     return sums
@@ -182,8 +186,8 @@ def count_weighted(n: int, k: int, s: int, theta: float,
     powers = np.array([m**k for m in interval], dtype=np.int64)
 
     half = len(slots) // 2
-    left = _weighted_half(slots[:half], powers, interval)
-    right = _weighted_half(slots[half:], powers, interval)
+    left = _weighted_half(slots[:half], powers)
+    right = _weighted_half(slots[half:], powers)
     if left is None or right is None:
         return 0.0
     sums_l, wts_l = left
@@ -196,8 +200,10 @@ def count_weighted(n: int, k: int, s: int, theta: float,
     return float(np.sum(wts_r[valid] * wts_l[idx[valid]]))
 
 
-def _weighted_half(slot_weights, powers: np.ndarray, interval: ShortInterval):
-    sums = np.zeros(1, dtype=np.int64)
+def _weighted_half(slot_weights, powers: np.ndarray):
+    """Distinct sums of one power per slot, ascending, with the summed
+    product weight of each; None when a slot has no support."""
+    sums = np.zeros(1, dtype=powers.dtype)
     wts = np.ones(1)
     for w in slot_weights:
         support = np.nonzero(w.values)[0]

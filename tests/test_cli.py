@@ -2,12 +2,17 @@ import json
 import math
 import os
 import shlex
+import stat
+import subprocess
+import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import kglab
 from kglab import (
     build_dissection,
     build_interval,
@@ -308,6 +313,38 @@ class TestContracts:
         os.umask(mask)
         assert target.stat().st_mode & 0o777 == 0o666 & ~mask
 
+    def test_out_to_a_fifo_writes_in_place(self, tmp_path, capsys):
+        argv = ["moments", "--lo", "11", "--hi", "20", "--k", "2", "--t", "2"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        status = main(argv + ["--out", str(fifo)])
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert status == 0
+        assert [drop_timestamp(text) for text in received] == [drop_timestamp(stdout)]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_out_through_a_symlink_keeps_the_link(self, tmp_path, capsys):
+        argv = ["dissect", "--n", "845", "--k", "2", "--s", "5", "--theta", "0.85",
+                "--delta", "0.3", "--format", "csv"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        target = tmp_path / "real.csv"
+        target.write_text("an older report\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(argv + ["--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == stdout.encode()
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -466,6 +503,29 @@ def test_weyl_scan_peak_is_phase_sum_at_zero(weight_fn):
     report = weyl_scan(interval, dissection, 1000, weight, seed=7)
     assert report.peak == abs(weighted_exp_sum(0.0, weight, interval))
     assert report.peak >= report.sup_minor
+
+
+@pytest.mark.parametrize("argv,status,expected", [
+    # Three primes (97, 101, 103) in 5 * 10^8 slots: the cap decides
+    # without forming 3^(5 * 10^8).
+    (["count", "--n", str(10**13), "--k", "2", "--s", str(10**9), "--theta", "0.35"], 1,
+     "computation error: 3^500000000 half-sum states exceed the cap 100000000\n"),
+    # One prime (101) in 10^9 slots, and one integer (5) in 10^9 slots.
+    (["count", "--n", "10201000000000", "--k", "2", "--s", str(10**9), "--theta", "0.1"], 0,
+     '"R": 1.0,'),
+    (["moments", "--lo", "5", "--hi", "5", "--t", str(10**9)], 0, '"enumeration": 1.0,'),
+])
+def test_huge_folds_finish_quickly(argv, status, expected):
+    src = str(Path(kglab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "kglab.cli", *argv], capture_output=True,
+                          text=True, timeout=10, env=env)
+    assert proc.returncode == status
+    if status:
+        assert proc.stderr == expected
+    else:
+        assert expected in proc.stdout
 
 
 def test_readme_quick_start_parses():

@@ -192,6 +192,23 @@ class TestMoments:
         )
         assert doubled == pytest.approx(4.0 * interval.size)
 
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("weight_fn", [unit_weight, prime_indicator, von_mangoldt_weight])
+    def test_enumeration_past_int64_matches_brute_force(self, t, weight_fn):
+        # t * 12^40 is far past 2^62, so the sums run in Python integers.
+        interval = ShortInterval.from_integer_window(2, 12, 40)
+        weight = weight_fn(interval)
+        totals = {}
+        for tup in itertools.product(interval, repeat=t):
+            v = sum(m**40 for m in tup)
+            totals[v] = totals.get(v, 0.0) + math.prod(weight(m) for m in tup)
+        brute = sum(w * w for w in totals.values())
+        got = moment_enumeration(interval, t, weight)
+        if weight_fn is von_mangoldt_weight:
+            assert got == pytest.approx(brute, rel=1e-12)
+        else:
+            assert got == brute
+
     def test_mean_value_slope_is_recorded_below_gate(self):
         # Growth of the fourth moment against the window half-width for
         # k = 2: the fitted log-slope stays below s - 1 + 0.3 = 3.3.

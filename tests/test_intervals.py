@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -52,15 +53,34 @@ class TestBuildInterval:
         assert interval.hi == math.floor(2 * x)
 
     def test_exact_roots_beyond_double_precision(self):
-        from kglab.intervals import _iroot_exact
+        from kglab.intervals import _iroot
 
         r = 2**80 + 12345
-        assert _iroot_exact(r**2, 2) == r
-        assert _iroot_exact(r**2 + 1, 2) is None
-        assert _iroot_exact(r**3, 3) == r
-        assert _iroot_exact(r**7 - 1, 7) is None
+        assert _iroot(r**2, 2) == r
+        assert _iroot(r**2 + 1, 2) == r
+        assert _iroot(r**3, 3) == r
+        assert _iroot(r**7 - 1, 7) == r - 1
         interval = build_interval(5 * r**2, 2, 5, 1.0)
         assert (interval.lo, interval.hi) == (1, 2 * r)
+
+    def test_theta_one_windows_are_exact_at_every_size(self):
+        def largest(n, k, s):
+            # The largest M with M^k * s <= 2^k * n, by bisection.
+            lo, hi = 1, 2
+            while hi**k * s <= 2**k * n:
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if mid**k * s <= 2**k * n else (lo, mid)
+            return lo
+
+        rng = random.Random(8)
+        cases = [(3**250, 2, 5), (7**200 + 1, 3, 5)]
+        cases += [(rng.randrange(10**103, 10**110), rng.choice((2, 3, 4)), 5)
+                  for _ in range(10)]
+        for n, k, s in cases:
+            interval = build_interval(n, k, s, 1.0)
+            assert (interval.lo, interval.hi) == (1, largest(n, k, s)), (n, k)
 
     def test_window_matches_per_side_resolution(self):
         # Oracle: each boundary resolved on its own precision ladder, and x
@@ -68,7 +88,17 @@ class TestBuildInterval:
         from fractions import Fraction
 
         from kglab.errors import PrecisionError
-        from kglab.intervals import _exact_kth_root
+
+        def integer_root(m, k):
+            with mp.workdps(len(str(m)) + 10):  # root to well under 1/2
+                r = int(mp.nint(mp.root(m, k)))
+            return r if r**k == m else None
+
+        def exact_kth_root(num, den, k):
+            # The Fraction r with r^k = num/den, or None if irrational.
+            g = math.gcd(num, den)
+            rn, rd = integer_root(num // g, k), integer_root(den // g, k)
+            return None if rn is None or rd is None else Fraction(rn, rd)
 
         def floor_boundary(n, k, s, theta, upper):
             for dps in (50, 200, 800):
@@ -90,7 +120,7 @@ class TestBuildInterval:
             )
 
         def old_window(n, k, s, theta):
-            root = _exact_kth_root(n, s, k)
+            root = exact_kth_root(n, s, k)
             if theta == 1.0 and root is not None:
                 x = float(root)
                 return 1, math.floor(2 * root), x, x

@@ -107,6 +107,25 @@ class TestAdmissibility:
                 brute[sum(h**k for h in tup) % q] += 1
             assert np.array_equal(unit_solution_counts(q, k, s), brute)
 
+    @pytest.mark.parametrize("s,dtype", [(20, np.int64), (21, object)])
+    def test_unit_solution_counts_match_literal_convolution(self, s, dtype):
+        # phi(24)^s = 8^s crosses 2^62 between s = 20 and s = 21.
+        q, k = 24, 2
+        base = [0] * q
+        for h in range(1, q + 1):
+            if math.gcd(h, q) == 1:
+                base[h**k % q] += 1
+        literal = [1] + [0] * (q - 1)
+        for _ in range(s):
+            nxt = [0] * q
+            for i, a in enumerate(literal):
+                for j, b in enumerate(base):
+                    nxt[(i + j) % q] += a * b
+            literal = nxt
+        counts = unit_solution_counts(q, k, s)
+        assert counts.dtype == dtype
+        assert [int(c) for c in counts] == literal
+
     def test_unit_power_counts_match_loop(self):
         # The vectorized counts against the per-unit loop they replaced.
         for q in range(1, 201):
