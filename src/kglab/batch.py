@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 from .errors import KglabError
 from .intervals import build_interval
-from .representations import _count_mitm, _interval_for_count, _window_primes
+from .representations import _count_mitm, _window_primes
 from .singular import (
-    DEFAULT_GRID_CELLS,
     DEFAULT_QMAX,
     _check_series_args,
     _integrals_by_convolution,
@@ -62,12 +61,6 @@ def _sweep_block(ns: list, k: int, s: int, theta: float, qmax: int) -> list:
         try:
             windows[i] = build_interval(n, k, s, theta)
         except KglabError as exc:
-            # Counting also admits s = 1, which the prediction rejects.
-            try:
-                windows[i] = _interval_for_count(n, k, s, theta)
-            except KglabError as count_exc:
-                errors[i] = count_exc
-                continue
             errors[i] = exc
 
     by_window = {}
@@ -108,8 +101,7 @@ def _sweep_block(ns: list, k: int, s: int, theta: float, qmax: int) -> list:
 
     def integrals(part):
         # one call per half, so each half fills its own FFT buffers
-        return _integrals_by_convolution([ns[i] for i, _ in part], [windows[i] for i, _ in part],
-                                         s, DEFAULT_GRID_CELLS)
+        return _integrals_by_convolution([ns[i] for i, _ in part], [windows[i] for i, _ in part], s)
 
     for (i, value), integral in zip(kept, _in_two_halves(integrals, kept)):
         predictions[i] = float(value * integral * math.log(windows[i].x) ** (-s))

@@ -69,7 +69,8 @@ def minor_arc_rho(k: int) -> float:
 
 
 def window_powers_mod64(lo: int, hi: int, k: int) -> np.ndarray:
-    return pow_mod(np.arange(lo, hi + 1, dtype=np.uint64), k, _TWO64)
+    """m^k mod 2^64 for m in [lo, hi], from m mod 2^64 (wrapping uint64)."""
+    return pow_mod(np.arange(hi - lo + 1, dtype=np.uint64) + np.uint64(lo % _TWO64), k, _TWO64)
 
 
 def _frequencies(alphas) -> tuple:
@@ -149,11 +150,6 @@ def _as_given(alphas, sums: np.ndarray):
     return complex(sums[0]) if np.ndim(alphas) == 0 else sums
 
 
-def _check_power_range(hi: int, k: int):
-    if hi**k >= 1 << 128:
-        raise CapExceeded(f"hi^k = {hi}^{k} exceeds the 128-bit phase range")
-
-
 def weighted_exp_sum(alpha, weight: WeightFunction, interval: ShortInterval):
     """sum over the window of w(m) e(m^k alpha), for a float alpha or for
     each entry of a 1-D array of them.
@@ -161,7 +157,6 @@ def weighted_exp_sum(alpha, weight: WeightFunction, interval: ShortInterval):
     Phases are reduced mod 1 in exact integer arithmetic before e(.) is
     taken; adding an integer to alpha therefore cannot change the result.
     """
-    _check_power_range(interval.hi, interval.k)
     sums = _phase_sums(weight.values, interval.lo, interval.hi, interval.k,
                        _frequencies(alpha))
     return _as_given(alpha, sums)
@@ -183,7 +178,7 @@ def complete_exp_sums(q: int, k: int) -> tuple:
     return hs, np.conj(np.fft.fft(counts))
 
 
-def complete_exp_sum(q: int, a: int, k: int, cap: int = COMPLETE_SUM_CAP) -> complex:
+def complete_exp_sum(q: int, a: int, k: int) -> complex:
     """S(q, a): the sum over units h mod q of e(a h^k / q).
 
     gcd(a, q) = 1 is expected but not enforced; the sum is well defined
@@ -193,8 +188,8 @@ def complete_exp_sum(q: int, a: int, k: int, cap: int = COMPLETE_SUM_CAP) -> com
         raise ValidationError(f"need q >= 1, got {q}")
     if not (1 <= a <= q):
         raise ValidationError(f"need 1 <= a <= q, got a={a}")
-    if q > cap:
-        raise CapExceeded(f"q={q} exceeds the complete-sum cap {cap}")
+    if q > COMPLETE_SUM_CAP:
+        raise CapExceeded(f"q={q} exceeds the complete-sum cap {COMPLETE_SUM_CAP}")
     return complex(complete_exp_sums(q, k)[1][a % q])
 
 
@@ -458,7 +453,6 @@ def evaluate_components(components, alphas, interval: ShortInterval):
     block reads.
     """
     lo, hi, k = interval.lo, interval.hi, interval.k
-    _check_power_range(hi, k)
     freqs = _frequencies(alphas)
     total = np.zeros(len(freqs[0]), dtype=np.complex128)
     if not components:

@@ -22,6 +22,10 @@ from .errors import CapExceeded, PrecisionError, ValidationError
 
 SEGMENT_BLOCK = 1 << 16        # segmented-sieve block length (cache sized)
 DEFAULT_WINDOW_CAP = 100_000_000
+# A 280 MB memory budget for the small primes that sieve a window, at about
+# 4 bytes per integer up to sqrt(hi), flags and prime list together (sieving
+# to 3e7 raised peak RSS by 114 MB on CPython 3.11): sqrt(hi) <= 7e7.
+SIEVE_LIMIT_CAP = 280_000_000 // 4
 _DPS_LADDER = (50, 200, 800)   # working precisions for boundary floors
 
 
@@ -86,11 +90,10 @@ class ShortInterval:
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Sorted primes of a window plus the small primes used to sieve them."""
+    """Sorted primes of a window."""
 
     interval: ShortInterval
     primes: tuple
-    small_primes: tuple
 
     def __contains__(self, m) -> bool:
         i = bisect_left(self.primes, m)
@@ -123,9 +126,11 @@ def _window_boundaries(n: int, k: int, s: int, theta: float) -> tuple:
     precision near ties.
 
     Each rung of the precision ladder evaluates x and y once and settles
-    every floor still open; x and y are taken from the first rung.  Ties
-    are resolved by raising the working precision, which suffices for
-    every realizable input at desk scale.
+    every floor still open; x and y are taken from the first rung.  A rung
+    of dps digits carries an absolute error of about x * 10^-dps, so it
+    settles a floor only when x +/- y lies more than (1 + x) * 10^(12 - dps)
+    from an integer; ties are resolved by raising the working precision,
+    which suffices for every realizable input at desk scale.
     """
     floors = {}
     for dps in _DPS_LADDER:
@@ -134,7 +139,7 @@ def _window_boundaries(n: int, k: int, s: int, theta: float) -> tuple:
             yv = xv ** mp.mpf(theta)
             if dps == _DPS_LADDER[0]:
                 x, y = float(xv), float(yv)
-            eps = mp.mpf(10) ** (-(dps - 12))
+            eps = (1 + xv) * mp.mpf(10) ** (12 - dps)
             for upper in (False, True):
                 if upper in floors:
                     continue
@@ -152,21 +157,17 @@ def _window_boundaries(n: int, k: int, s: int, theta: float) -> tuple:
 def build_interval(n: int, k: int, s: int, theta: float) -> ShortInterval:
     """Window (x - y, x + y] with x = (n/s)^(1/k) and y = x^theta.
 
-    Requires n >= s * 2^k, k >= 2, s >= 2 and 0 < theta <= 1.
+    Requires n >= s * 2^k, 2 <= k <= 64, s >= 1 and 0 < theta <= 1.  This
+    is the one window constructor: counts admit s = 1 (a single prime
+    power), and the series and integral check their own s >= 3.
     """
-    interval = _raw_interval(n, k, s, theta, min_s=2)
-    return interval
-
-
-def _raw_interval(n: int, k: int, s: int, theta: float, min_s: int = 1) -> ShortInterval:
-    # Shared constructor; representation counting admits the s = 1 edge case.
     for name, val in (("n", n), ("k", k), ("s", s)):
         if not isinstance(val, int):
             raise ValidationError(f"{name} must be an integer, got {val!r}")
     if k < 2 or k > 64:
         raise ValidationError(f"need 2 <= k <= 64, got k={k}")
-    if s < min_s:
-        raise ValidationError(f"need s >= {min_s}, got s={s}")
+    if s < 1:
+        raise ValidationError(f"need s >= 1, got s={s}")
     if n < s * 2**k:
         raise ValidationError(f"need n >= s * 2^k = {s * 2**k}, got n={n}")
     if not (0.0 < theta <= 1.0):
@@ -206,7 +207,10 @@ def primes_in_interval(
         raise CapExceeded(
             f"window length {hi - lo + 1} exceeds the cap {window_cap}"
         )
-    small = sieve_upto(math.isqrt(hi))
+    limit = math.isqrt(hi)
+    if limit > SIEVE_LIMIT_CAP:
+        raise CapExceeded(f"sieving up to sqrt(hi) = {limit} exceeds the cap {SIEVE_LIMIT_CAP}")
+    small = sieve_upto(limit)
     primes = []
     start = max(lo, 2)
     for block_lo in range(start, hi + 1, SEGMENT_BLOCK):
@@ -222,9 +226,7 @@ def primes_in_interval(
         primes.extend(
             block_lo + i for i, keep in enumerate(flags) if keep
         )
-    return PrimeTable(
-        interval=interval, primes=tuple(primes), small_primes=tuple(small)
-    )
+    return PrimeTable(interval=interval, primes=tuple(primes))
 
 
 def pow_mod(base: np.ndarray, k: int, q: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from .errors import CapExceeded, DominationError, ValidationError
 from .intervals import (
     ShortInterval,
     _power_exceeds,
-    _raw_interval,
+    build_interval,
     primes_in_interval,
     sieve_upto,
 )
@@ -48,19 +48,13 @@ class CountReport:
         return float(self.count).is_integer()
 
 
-def _interval_for_count(n: int, k: int, s: int, theta: float) -> ShortInterval:
-    # s = 1 is admitted here (single power of a prime) even though the
-    # generic window constructor asks for s >= 2.
-    return _raw_interval(n, k, s, theta, min_s=1)
-
-
 def count_exact(n: int, k: int, s: int, theta: float,
                 method: str = "meet-in-middle") -> CountReport:
     """Ordered count of representations n = p_1^k + ... + p_s^k with all
     p_i prime and in the window."""
     if method not in ("meet-in-middle", "exhaustive"):
         raise ValidationError(f"unknown counting method {method!r}")
-    primes = _window_primes(_interval_for_count(n, k, s, theta))
+    primes = _window_primes(build_interval(n, k, s, theta))
     if method == "exhaustive":
         value = _count_recursive(n, k, s, primes)
     else:
@@ -170,7 +164,7 @@ def count_weighted(n: int, k: int, s: int, theta: float,
     """
     if s < 5:
         raise ValidationError(f"need s >= 5 for the weighted count, got s={s}")
-    interval = _interval_for_count(n, k, s, theta)
+    interval = build_interval(n, k, s, theta)
     for w in (lam, lam_plus):
         if (w.interval.lo, w.interval.hi) != (interval.lo, interval.hi):
             raise ValidationError(
@@ -246,7 +240,7 @@ def vector_sieve_lower(n: int, k: int, s: int, theta: float,
     its first slot, so one weighted count with first-slot weight
     5 * lam_minus - 4 * lam_plus gives the combination.
     """
-    interval = _interval_for_count(n, k, s, theta)
+    interval = build_interval(n, k, s, theta)
     if not check_domination(lam_minus, lam_plus, interval):
         raise DominationError(
             "weight pair does not dominate the prime indicator on this window"

@@ -41,7 +41,13 @@ DEFAULT_QMAX = 10_000
 OBSTRUCTION_FLOOR = 1e-6
 SMALL_SERIES_FLOOR = 0.05  # flagged, never failed
 IMAG_RESIDUE_TOL = 1e-10
-DEFAULT_GRID_CELLS = 1 << 14
+GRID_CELLS = 1 << 14
+# A 280 MB memory budget for the convolution buffers of the sweep's two
+# halves, at about 32 bytes per padded sample in each (a pad of 3,276,800
+# raised peak RSS by 101 MB): pads up to 4,375,000 samples, s <= 266.
+PAD_CAP = 280_000_000 // (2 * 32)
+QUAD_TAIL_TARGET = 1e-4    # relative size of the estimated quadrature tail
+QUAD_BLOCK_CAP = 4096
 KAPPA_MINUS = 0.99
 KAPPA_PLUS = 1.01
 DIRECT_BLOCK = 1 << 16     # entries of one (rows, qmax) block of the direct sum
@@ -55,7 +61,7 @@ SERIES_BLOCK = 1 << 18     # terms of one row block of targets: 4 MB of complex 
 TERM_TABLES = 4
 
 
-def singular_series_term(q: int, n: int, k: int, s: int, cap: int = A_TERM_CAP) -> float:
+def singular_series_term(q: int, n: int, k: int, s: int) -> float:
     """Weight of modulus q in the series: phi(q)^(-s) * sum over units a
     of S(q, a)^s e(-a n / q), with the imaginary residue checked before
     it is discarded.  Computed afresh from the complete sums on every
@@ -63,8 +69,8 @@ def singular_series_term(q: int, n: int, k: int, s: int, cap: int = A_TERM_CAP) 
     """
     if q < 1:
         raise ValidationError(f"need q >= 1, got {q}")
-    if q > cap:
-        raise CapExceeded(f"q={q} exceeds the series-term cap {cap}")
+    if q > A_TERM_CAP:
+        raise CapExceeded(f"q={q} exceeds the series-term cap {A_TERM_CAP}")
     if q == 1:
         return 1.0
     units, sums = complete_exp_sums(q, k)
@@ -430,7 +436,7 @@ def _support(n: int, interval: ShortInterval, s: int) -> bool:
     return s * lo_t <= n <= s * hi_t
 
 
-def _integrals_by_convolution(ns, intervals, s: int, grid_cells: int) -> list:
+def _integrals_by_convolution(ns, intervals, s: int) -> list:
     """The density-convolution integral at each n in its window, 0 off the grid.
 
     One spectrum array and one result array serve every target, so a
@@ -439,8 +445,10 @@ def _integrals_by_convolution(ns, intervals, s: int, grid_cells: int) -> list:
     a sweep and faulted them in again, about 990 page faults per target.
     The `out=` arguments of numpy.fft need NumPy 2.0.
     """
-    size = s * (grid_cells - 1) + 1  # the linear convolution: no wrap-around
+    size = s * (GRID_CELLS - 1) + 1  # the linear convolution: no wrap-around
     pad = _fft_length(size)
+    if pad > PAD_CAP:
+        raise CapExceeded(f"convolution pad {pad} at s={s} exceeds the cap {PAD_CAP}")
     spectrum = np.empty(pad // 2 + 1, dtype=complex)
     conv = np.empty(pad)
     values = []
@@ -448,13 +456,13 @@ def _integrals_by_convolution(ns, intervals, s: int, grid_cells: int) -> list:
         x, y, k = interval.x, interval.y, interval.k
         lo_t = (x - y) ** k
         hi_t = (x + y) ** k
-        h = (hi_t - lo_t) / grid_cells
+        h = (hi_t - lo_t) / GRID_CELLS
         # index m of the convolution holds its value at s*lo_t + (m + s/2) * h
         pos = (n - s * lo_t) / h - s / 2.0
         if pos <= 0 or pos >= size - 1:
             values.append(0.0)
             continue
-        t_mid = lo_t + (np.arange(grid_cells) + 0.5) * h
+        t_mid = lo_t + (np.arange(GRID_CELLS) + 0.5) * h
         density = (1.0 / k) * t_mid ** (1.0 / k - 1.0)
         np.fft.rfft(density, pad, out=spectrum)
         np.fft.irfft(np.power(spectrum, s, out=spectrum), pad, out=conv)
@@ -466,9 +474,7 @@ def _integrals_by_convolution(ns, intervals, s: int, grid_cells: int) -> list:
     return values
 
 
-def _integral_by_quadrature(n: int, interval: ShortInterval, s: int,
-                            tail_target: float = 1e-4,
-                            max_blocks: int = 4096) -> float:
+def _integral_by_quadrature(n: int, interval: ShortInterval, s: int) -> float:
     x, y, k = interval.x, interval.y, interval.k
     freq_center = float(s * Fraction(x) ** k - n)  # exact up to final rounding
     beta_scale = 1.0 / (y * x ** (k - 1))
@@ -478,7 +484,7 @@ def _integral_by_quadrature(n: int, interval: ShortInterval, s: int,
     total = 0.0
     prev_mag = None
     blocks_done = 0
-    while blocks_done < max_blocks:
+    while blocks_done < QUAD_BLOCK_CAP:
         b0 = blocks_done * block
         mids = b0 + 0.5 * block * (nodes + 1.0)
         wts = 0.5 * block * weights
@@ -497,26 +503,27 @@ def _integral_by_quadrature(n: int, interval: ShortInterval, s: int,
         if prev_mag is not None and prev_mag > 0 and mag < prev_mag:
             ratio = mag / prev_mag
             tail = mag * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-            if tail < tail_target * max(abs(total), 1e-300) and blocks_done >= 8:
+            if tail < QUAD_TAIL_TARGET * max(abs(total), 1e-300) and blocks_done >= 8:
                 break
         prev_mag = mag
     else:
         raise CapExceeded(
-            f"quadrature did not settle within {max_blocks} blocks"
+            f"quadrature did not settle within {QUAD_BLOCK_CAP} blocks"
         )
     return max(0.0, total)
 
 
 def singular_integral(n: int, interval: ShortInterval, k: int, s: int,
-                      method: str = "both",
-                      grid_cells: int = DEFAULT_GRID_CELLS) -> SingularIntegralEstimate:
+                      method: str = "both") -> SingularIntegralEstimate:
     """Density of real power-sum representations of n from the window.
 
     method "fourier-quadrature" integrates the s-th power of the window
     phase integral against e(-n beta); "density-convolution" convolves
-    the pushforward density of u -> u^k s times on a uniform grid (at
-    least 2^14 cells) and reads off the value at n; "both" runs the two
-    and flags a disagreement above 5 percent instead of failing.
+    the pushforward density of u -> u^k s times on a uniform grid of
+    GRID_CELLS = 2^14 cells and reads off the value at n; "both" runs the
+    two, reports the quadrature with the convolution as ``alt_value``, and
+    flags a disagreement above 5 percent instead of failing.  Off the
+    support every method gives 0.0 without running either.
     """
     if s < 3:
         raise ValidationError(f"need s >= 3, got s={s}")
@@ -524,29 +531,19 @@ def singular_integral(n: int, interval: ShortInterval, k: int, s: int,
         raise ValidationError(f"k={k} disagrees with the window's k={interval.k}")
     if method not in ("fourier-quadrature", "density-convolution", "both"):
         raise ValidationError(f"unknown method {method!r}")
-    if method != "fourier-quadrature" and grid_cells < DEFAULT_GRID_CELLS:
-        raise ValidationError(f"need at least {DEFAULT_GRID_CELLS} grid cells")
-    if not _support(n, interval, s):
-        return SingularIntegralEstimate(
-            n=n, k=k, s=s, value=0.0, method=method, grid_cells=grid_cells
-        )
-    if method == "density-convolution":
-        value = _integrals_by_convolution([n], [interval], s, grid_cells)[0]
-        return SingularIntegralEstimate(
-            n=n, k=k, s=s, value=value, method=method, grid_cells=grid_cells
-        )
-    if method == "fourier-quadrature":
-        value = _integral_by_quadrature(n, interval, s)
-        return SingularIntegralEstimate(
-            n=n, k=k, s=s, value=value, method=method, grid_cells=grid_cells
-        )
-    quad = _integral_by_quadrature(n, interval, s)
-    conv = _integrals_by_convolution([n], [interval], s, grid_cells)[0]
-    scale = max(abs(quad), abs(conv), 1e-300)
-    flagged = abs(quad - conv) > 0.05 * scale
+    value, quad, conv = 0.0, None, None
+    if _support(n, interval, s):
+        # The convolution runs first, so that its pad cap fails before the
+        # slow quadrature; value ends as the quadrature's whenever it runs.
+        if method != "fourier-quadrature":
+            value = conv = _integrals_by_convolution([n], [interval], s)[0]
+        if method != "density-convolution":
+            value = quad = _integral_by_quadrature(n, interval, s)
+    both = quad is not None and conv is not None
     return SingularIntegralEstimate(
-        n=n, k=k, s=s, value=quad, method="both", grid_cells=grid_cells,
-        flagged=flagged, alt_value=conv,
+        n=n, k=k, s=s, value=value, method=method, grid_cells=GRID_CELLS,
+        flagged=both and abs(quad - conv) > 0.05 * max(abs(quad), abs(conv), 1e-300),
+        alt_value=conv if both else None,
     )
 
 

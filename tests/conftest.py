@@ -2,8 +2,7 @@
 
 import pytest
 
-from kglab.intervals import primes_in_interval
-from kglab.representations import _interval_for_count
+from kglab.intervals import build_interval, primes_in_interval
 
 # 20 fixed moment windows (k, lo, hi): every window holds at most 200
 # integers and keeps the exact sampling count affordable.
@@ -52,7 +51,7 @@ def build_case_grid(max_cases: int = 50):
         for n in ns:
             if n < s * 2**k:
                 continue
-            interval = _interval_for_count(n, k, s, theta)
+            interval = build_interval(n, k, s, theta)
             count = len(primes_in_interval(interval))
             limit = 8 if s >= 6 else 12
             if 1 <= count <= limit:

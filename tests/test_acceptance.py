@@ -36,7 +36,6 @@ from kglab import (
     von_mangoldt_weight,
     weighted_exp_sum,
 )
-from kglab.representations import _interval_for_count
 from tests.conftest import MOMENT_GRID, build_case_grid
 
 
@@ -175,7 +174,7 @@ def test_criterion_7_vector_sieve():
     for n, k, s, theta in build_case_grid(50):
         if s < 5:
             continue  # the weighted combination is defined for s >= 5
-        interval = _interval_for_count(n, k, s, theta)
+        interval = build_interval(n, k, s, theta)
         exact = count_exact(n, k, s, theta).count
         for z in (2.0, 3.0, 4.0):
             if z >= interval.lo or z > math.sqrt(interval.x + interval.y):

@@ -81,7 +81,7 @@ def test_series_values_match_per_target_series():
     (range(1, 200, 3), 2, 5, 0.9, 1000),
     # counts work, the series rejects s < 3
     (range(100, 400, 7), 2, 2, 0.9, 1000),
-    # counts work, the prediction's window rejects s < 2
+    # s = 1: counts work, the series rejects s < 3
     (range(10, 200, 11), 2, 1, 0.9, 1000),
     # a truncation above the series cap
     (range(100013, 100300, 24), 2, 5, 0.9, 200_000),
@@ -134,7 +134,7 @@ def test_counts_identical_across_window_groups():
     assert np.count_nonzero(exhaustive) > 40
 
 
-def test_convolution_pad_covers_the_whole_support():
+def test_convolution_pad_covers_the_whole_support(monkeypatch):
     # The FFT length must hold the linear convolution, s (G - 1) + 1 points:
     # a shorter one wraps the top of the support onto the bottom.  Checked
     # on a small grid against repeated np.convolve, at both support edges.
@@ -142,6 +142,7 @@ def test_convolution_pad_covers_the_whole_support():
 
     interval = build_interval(10**5, 2, 5, 0.9)
     k, s, cells = 2, 5, 64
+    monkeypatch.setattr("kglab.singular.GRID_CELLS", cells)
     lo_t, hi_t = (interval.x - interval.y) ** k, (interval.x + interval.y) ** k
     h = (hi_t - lo_t) / cells
     density = (1.0 / k) * (lo_t + (np.arange(cells) + 0.5) * h) ** (1.0 / k - 1.0)
@@ -154,7 +155,7 @@ def test_convolution_pad_covers_the_whole_support():
         pos = (n - s * lo_t) / h - s / 2.0
         i = int(math.floor(pos))
         expected = (1.0 - (pos - i)) * conv[i] + (pos - i) * conv[i + 1]
-        got = _integrals_by_convolution([n], [interval], s, cells)[0]
+        got = _integrals_by_convolution([n], [interval], s)[0]
         # FFT rounding is relative to the largest value, not to this one
         assert abs(got - expected) <= 1e-12 * conv.max(), n
 

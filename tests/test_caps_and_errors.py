@@ -2,7 +2,6 @@
 
 import pytest
 
-import kglab
 from kglab import (
     CapExceeded,
     ShortInterval,
@@ -44,12 +43,6 @@ def test_moment_state_cap():
     interval = ShortInterval.from_integer_window(1, 100, 2)
     with pytest.raises(CapExceeded):
         moment_enumeration(interval, 5, unit_weight(interval), state_cap=10**6)
-
-
-def test_exp_sum_power_range():
-    interval = ShortInterval.from_integer_window(2**40, 2**40 + 10, 4)
-    with pytest.raises(CapExceeded):
-        kglab.weighted_exp_sum(0.25, unit_weight(interval), interval)
 
 
 def test_quadrature_panel_cap():

@@ -257,6 +257,24 @@ class TestContracts:
         assert main(["compare", "--range", f"1:{stop + 1}:{step}"]) == 1
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        # sqrt(hi) = 10^8 small primes to sieve a window of about 80 integers
+        ["count", "--n", str(5 * 10**32), "--k", "2", "--s", "5", "--theta", "0.1"],
+        # a convolution pad of 163,840,000 samples at s = 10^4
+        ["predict", "--n", str(10201 * 10**4), "--k", "2", "--s", str(10**4),
+         "--theta", "0.1", "--qmax", "100"],
+        ["compare", "--range", f"{10201 * 10**4}:{10201 * 10**4 + 1}", "--k", "2",
+         "--s", str(10**4), "--theta", "0.1", "--qmax", "100"],
+    ], ids=["sieve", "pad-predict", "pad-compare"])
+    def test_sieve_and_pad_caps_exit_1_quickly(self, argv, capsys):
+        started = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: ") and "cap" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_moments_cap_exits_before_building_the_weight(self, capsys):
         # Past the Nyquist sample cap; the window's unit weight alone
         # would take 400 MB.

@@ -118,6 +118,60 @@ class TestWeightedExpSum:
             )
 
 
+class TestPowersPast128Bits:
+    """Windows with hi^k >= 2^128: the wrapped uint64 reduction needs only
+    m mod 2^64, so plain and decomposed sums stay exact at this size."""
+
+    CASES = [(5 * (2**43) ** 3, 3, 0.3), (5 * (2**70) ** 2, 2, 0.05)]
+    ALPHAS = (0.3183098861837907, 0.7071067811865476, 3.0 * 2.0**-70)
+
+    @staticmethod
+    def exact_sum(k, alpha, terms):
+        """sum of w e(m^k alpha) over (m, w) pairs, each phase reduced mod 1
+        in exact rational arithmetic."""
+        from fractions import Fraction
+
+        frac = Fraction(alpha)
+        num, den = frac.numerator, frac.denominator
+        total = 0j
+        for m, w in terms:
+            phase = (pow(m, k, den) * num % den) / den
+            total += w * complex(math.cos(2 * math.pi * phase), math.sin(2 * math.pi * phase))
+        return total
+
+    @pytest.mark.parametrize("n,k,theta", CASES, ids=["hi^3-past-2^128", "hi-past-2^64"])
+    def test_weighted_sum_matches_exact_arithmetic(self, n, k, theta):
+        interval = build_interval(n, k, 5, theta)
+        assert interval.hi**k >= 2**128
+        values = np.random.default_rng(5).uniform(-1.0, 1.0, interval.size)
+        weight = WeightFunction("table", interval, values, 1.0)
+        got = weighted_exp_sum(np.array(self.ALPHAS), weight, interval)
+        for alpha, value in zip(self.ALPHAS, got):
+            want = self.exact_sum(k, alpha, zip(interval, values.tolist()))
+            assert value == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("n,k,theta", CASES, ids=["hi^3-past-2^128", "hi-past-2^64"])
+    def test_components_match_exact_arithmetic(self, n, k, theta):
+        # Outer variable b = 1 only: the inner power table spans lo / b to hi.
+        interval = build_interval(n, k, 5, theta)
+        v_lo, v_hi = interval.lo + interval.size // 4, interval.hi - interval.size // 4
+        eta = np.random.default_rng(6).uniform(-1.0, 1.0, v_hi - v_lo + 1)
+        one = dict(u_lo=1, u_hi=1)
+        components = [
+            exp_sums.BilinearComponent(kind="type-I", sign=1, xi=np.array([0.75]),
+                                       inner_log=True, **one),
+            exp_sums.BilinearComponent(kind="type-I", sign=-1, xi=np.array([2.0]), **one),
+            exp_sums.BilinearComponent(kind="type-II", sign=1, xi=np.array([-0.5]),
+                                       v_lo=v_lo, v_hi=v_hi, eta=eta, **one),
+        ]
+        got = evaluate_components(components, np.array(self.ALPHAS), interval)
+        for alpha, value in zip(self.ALPHAS, got):
+            want = (0.75 * self.exact_sum(k, alpha, ((m, math.log(m)) for m in interval))
+                    - 2.0 * self.exact_sum(k, alpha, ((m, 1.0) for m in interval))
+                    - 0.5 * self.exact_sum(k, alpha, zip(range(v_lo, v_hi + 1), eta.tolist())))
+            assert value == pytest.approx(want, abs=1e-9)
+
+
 class TestCompleteSum:
     def test_anchors(self):
         assert complete_exp_sum(1, 1, 2) == pytest.approx(1.0)

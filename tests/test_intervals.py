@@ -169,7 +169,7 @@ class TestBuildInterval:
         [
             (19, 2, 5, 0.85),     # n below s * 2^k
             (845, 1, 5, 0.85),    # k too small
-            (845, 2, 1, 0.85),    # s too small
+            (845, 2, 0, 0.85),    # s too small
             (845, 2, 5, 0.0),     # theta at zero
             (845, 2, 5, 1.5),     # theta above one
             (845, 65, 5, 0.85),   # k above the cap
@@ -178,6 +178,38 @@ class TestBuildInterval:
     def test_rejects_bad_arguments(self, n, k, s, theta):
         with pytest.raises(ValidationError):
             build_interval(n, k, s, theta)
+
+    @pytest.mark.parametrize("n", [
+        # x + y lies 1.9e-6 below an integer, x ~ 1e46
+        499999874107480216638662914080069907537019982152476336305223184304920091816473227355390823271,
+        # x + y lies 8.0e-6 above an integer, x ~ 1e47
+        49999991087491691005576183693097496583259758518626038285358895827822775719312555818712786153480,
+    ], ids=["below-an-integer", "above-an-integer"])
+    def test_floors_near_ties_at_large_x(self, n):
+        # A 50-digit rung is off by about x * 1e-50 ~ 1e-4 here, so it must
+        # not settle a floor that close to an integer.
+        interval = build_interval(n, 2, 5, 0.85)
+        with mp.workdps(1200):
+            x = mp.sqrt(mp.mpf(n) / 5)
+            y = x ** mp.mpf(0.85)
+            assert (interval.lo, interval.hi) == (int(mp.floor(x - y)) + 1, int(mp.floor(x + y)))
+
+    @pytest.mark.parametrize("n,k,theta,lo,hi,x,y", [
+        # windows of the counting constructor at s = 1, recorded before
+        # build_interval admitted s = 1
+        (4, 2, 1.0, 1, 4, 2.0, 2.0),
+        (10, 2, 0.9, 1, 5, 3.1622776601683795, 2.8183829312644537),
+        (101, 2, 0.5, 7, 13, 10.04987562112089, 3.1701538797227005),
+        (1000, 3, 0.8, 4, 16, 10.0, 6.309573444801933),
+        (10**12 + 39, 2, 0.55, 998005, 1001995, 1000000.0000195, 1995.26231499028),
+        (3**100, 3, 0.7, 8017416935468351, 8017688491386771, 8017552713427561.0,
+         135777959210.61403),
+        (2**200, 2, 1.0, 1, 2535301200456458802993406410752, 1.2676506002282294e30,
+         1.2676506002282294e30),
+    ])
+    def test_single_power_windows(self, n, k, theta, lo, hi, x, y):
+        interval = build_interval(n, k, 1, theta)
+        assert (interval.lo, interval.hi, interval.x, interval.y) == (lo, hi, x, y)
 
     def test_boundary_exactness_left(self):
         # x - y = 0 exactly at theta = 1: 0 is excluded, 1 included.

@@ -23,7 +23,6 @@ from kglab import (
     vector_sieve_pointwise_scan,
     zero_weight,
 )
-from kglab.representations import _interval_for_count
 
 
 class TestCountExact:
@@ -227,7 +226,7 @@ class TestVectorSieve:
     @staticmethod
     def _two_counts(n, k, s, theta, lower, upper):
         # The combination as two weighted counts, kept as the oracle.
-        if not check_domination(lower, upper, _interval_for_count(n, k, s, theta)):
+        if not check_domination(lower, upper, build_interval(n, k, s, theta)):
             raise DominationError("oracle: pair does not dominate")
         return (5.0 * count_weighted(n, k, s, theta, lower, upper)
                 - 4.0 * count_weighted(n, k, s, theta, upper, upper))
@@ -236,7 +235,7 @@ class TestVectorSieve:
         outcomes = set()
         for n in (845, 5165, 40085):
             for theta in (0.85, 0.95, 1.0):
-                interval = _interval_for_count(n, 2, 5, theta)
+                interval = build_interval(n, 2, 5, theta)
                 for z in (2.0, 3.0):
                     lower, upper = toy_weights(interval, z)
                     try:
@@ -252,7 +251,7 @@ class TestVectorSieve:
 
     def test_single_count_matches_two_counts_for_real_weights(self):
         n, k, s, theta = 5165, 2, 5, 0.95
-        interval = _interval_for_count(n, k, s, theta)
+        interval = build_interval(n, k, s, theta)
         ind = prime_indicator(interval).values
         rng = np.random.default_rng(3)
         lower = table_weight(interval, dict(zip(
@@ -269,7 +268,7 @@ def test_grid_vector_sieve_lower_bound(case_grid):
     for n, k, s, theta in case_grid:
         if s < 5:
             continue
-        interval = _interval_for_count(n, k, s, theta)
+        interval = build_interval(n, k, s, theta)
         exact = count_exact(n, k, s, theta).count
         for z in (2.0, 3.0, 4.0):
             if z >= interval.lo or z > math.sqrt(interval.x + interval.y):

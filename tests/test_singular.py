@@ -6,6 +6,7 @@ import pytest
 from kglab import (
     ArcDissection,
     MinorArcError,
+    SingularIntegralEstimate,
     ValidationError,
     build_interval,
     complete_exp_sum,
@@ -292,6 +293,32 @@ class TestSingularIntegral:
                 interval.y ** (s - 1) * interval.x ** (1 - k)
             )
             assert 1e-2 <= ratio <= 1e2
+
+    # Every field of the estimate as recorded before the three methods shared
+    # one flow: (window n, k, target n, method, value, alt_value).
+    RECORDED = [
+        (845, 2, 845, "fourier-quadrature", 2120.968973992216, None),
+        (845, 2, 845, "density-convolution", 2120.9689014013406, None),
+        (845, 2, 845, "both", 2120.968973992216, 2120.9689014013406),
+        (845, 2, 700, "fourier-quadrature", 1650.6986042607289, None),
+        (845, 2, 700, "density-convolution", 1650.6986027790617, None),
+        (845, 2, 700, "both", 1650.6986042607289, 1650.6986027790617),
+        (845, 2, 10**6, "fourier-quadrature", 0.0, None),   # off the support
+        (845, 2, 10**6, "density-convolution", 0.0, None),
+        (845, 2, 10**6, "both", 0.0, None),
+        (5 * 10**9, 3, 5 * 10**9 + 7, "fourier-quadrature", 46361.887881950184, None),
+        (5 * 10**9, 3, 5 * 10**9 + 7, "density-convolution", 46361.76913171523, None),
+        (5 * 10**9, 3, 5 * 10**9 + 7, "both", 46361.887881950184, 46361.76913171523),
+    ]
+
+    @pytest.mark.parametrize("window_n,k,n,method,value,alt_value", RECORDED)
+    def test_estimate_fields_are_the_recorded_ones(self, window_n, k, n, method, value, alt_value):
+        interval = build_interval(window_n, k, 5, 0.85)
+        est = singular_integral(n, interval, k, 5, method=method)
+        assert est == SingularIntegralEstimate(
+            n=n, k=k, s=5, value=value, method=method, grid_cells=1 << 14,
+            flagged=False, alt_value=alt_value,
+        )
 
     def test_nonnegative(self):
         interval = build_interval(845, 2, 5, 0.85)
