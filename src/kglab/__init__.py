@@ -63,7 +63,6 @@ from .exp_sums import (
     coefficient_diagnostic,
     complete_exp_sum,
     default_bilinear_cut,
-    evaluate_component,
     evaluate_components,
     minor_arc_rho,
     moment_enumeration,
@@ -74,8 +73,6 @@ from .exp_sums import (
     weyl_scan,
 )
 from .singular import (
-    KAPPA_MINUS,
-    KAPPA_PLUS,
     PredictionReport,
     SingularIntegralEstimate,
     SingularSeriesEstimate,
@@ -94,7 +91,6 @@ from .representations import (
     count_weighted,
     toy_weights,
     vector_sieve_lower,
-    vector_sieve_pointwise_check,
     vector_sieve_pointwise_scan,
 )
 from .batch import SweepRow, sweep

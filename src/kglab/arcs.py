@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, ConsistencyError, ValidationError
-from .intervals import ShortInterval, euler_phi, units
+from .intervals import MEMORY_BUDGET, ShortInterval, euler_phi, units
 
-# A 280 MB memory budget for the arc family, held as FareyArc objects of
-# about 280 bytes each at the peak of construction (194,750 arcs raised
-# peak RSS by 52 MB on CPython 3.11): 1,000,000 arcs.
-ARC_COUNT_CAP = 280_000_000 // 280
+# The arc family, held as FareyArc objects of about 280 bytes each at the
+# peak of construction (194,750 arcs raised peak RSS by 52 MB): 1,000,000 arcs.
+ARC_COUNT_CAP = MEMORY_BUDGET // 280
 _DISJOINT_ASSERT_CAP = 200_000  # adjacent-pair check is skipped above this
 
 
@@ -165,11 +164,10 @@ def classify(alpha: float, dissection: ArcDissection):
     q_cap = dissection.q_cap
     if q_cap < 1:
         return None
-    beta = _reduce(alpha, Q)
-    exact = Fraction(beta)
-    q_inv = Fraction(1) / Fraction(Q)
     if not dissection.disjoint_regime:
-        return _classify_scan(exact, q_cap, q_inv, Q)
+        return classify_brute(alpha, dissection)
+    exact = Fraction(_reduce(alpha, Q))
+    q_inv = Fraction(1) / Fraction(Q)
 
     hits = []
     # q = 1 is checked directly: Legendre's criterion is only strict for
@@ -189,13 +187,18 @@ def classify(alpha: float, dissection: ArcDissection):
     return FareyArc(q=q, a=a, center=a / q, half_width=1.0 / (q * Q))
 
 
-def _classify_scan(exact: Fraction, q_cap: int, q_inv: Fraction, Q: float):
-    # Float screen with an exact rational re-check near the boundary, so
-    # the scan stays bit-stable without paying for exact arithmetic on
-    # every denominator.
-    beta = float(exact)
+def classify_brute(alpha: float, dissection: ArcDissection):
+    """Reference classifier: scan every denominator (kept as an oracle).
+
+    A float screen with an exact rational re-check near the boundary keeps
+    the scan bit-stable without exact arithmetic on every denominator.
+    """
+    Q = dissection.Q
+    beta = _reduce(alpha, Q)
+    exact = Fraction(beta)
+    q_inv = Fraction(1) / Fraction(Q)
     width = 1.0 / Q
-    for q in range(1, q_cap + 1):
+    for q in range(1, dissection.q_cap + 1):
         target = q * beta
         near = round(target)
         for a in (near, near - 1, near + 1):
@@ -207,14 +210,6 @@ def _classify_scan(exact: Fraction, q_cap: int, q_inv: Fraction, Q: float):
             if miss < width - 1e-9 * (width + 1.0) or _hit(exact, q, a, q_inv):
                 return FareyArc(q=q, a=a, center=a / q, half_width=1.0 / (q * Q))
     return None
-
-
-def classify_brute(alpha: float, dissection: ArcDissection):
-    """Reference classifier: scan every denominator (kept as an oracle)."""
-    beta = _reduce(alpha, dissection.Q)
-    exact = Fraction(beta)
-    q_inv = Fraction(1) / Fraction(dissection.Q)
-    return _classify_scan(exact, dissection.q_cap, q_inv, dissection.Q)
 
 
 def major_measure(dissection: ArcDissection) -> float:

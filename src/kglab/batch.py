@@ -73,7 +73,7 @@ def _sweep_block(ns: list, k: int, s: int, theta: float, qmax: int) -> list:
         results = []  # each group's counts, or the error that stopped them
         for members in part:
             try:
-                primes = _window_primes(windows[members[0]])
+                primes = _window_primes(windows[members[0]]).primes
                 results.append(_count_mitm([ns[i] for i in members], k, s, primes))
             except KglabError as exc:
                 results.append(exc)
@@ -88,16 +88,15 @@ def _sweep_block(ns: list, k: int, s: int, theta: float, qmax: int) -> list:
             counts[i] = float(value)
 
     live = [i for i in range(size) if counts[i] is not None and errors[i] is None]
-    try:
-        _check_series_args(k, s, qmax)
-    except KglabError as exc:
-        for i in live:
-            errors[i] = exc
-        live = []
-    series, series_errors = _series_values([ns[i] for i in live], k, s, qmax) if live else ([], [])
-    for i, error in zip(live, series_errors):
-        errors[i] = error
-    kept = [(i, value) for i, value in zip(live, series) if errors[i] is None]
+    series = []
+    if live:
+        try:
+            _check_series_args(k, s, qmax)
+            series = _series_values([ns[i] for i in live], k, s, qmax)
+        except KglabError as exc:
+            for i in live:
+                errors[i] = exc
+    kept = list(zip(live, series))
 
     def integrals(part):
         # one call per half, so each half fills its own FFT buffers

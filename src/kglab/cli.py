@@ -37,16 +37,19 @@ from .exp_sums import (
     weighted_exp_sum,
     weyl_scan,
 )
-from .intervals import ShortInterval, build_interval
+from .intervals import MEMORY_BUDGET, ShortInterval, build_interval
 from .local_conditions import is_admissible
 from .representations import count_exact, vector_sieve_pointwise_scan
 from .singular import predict_main_term, singular_series
 from .weights import prime_indicator, unit_weight, von_mangoldt_weight
 
-# A 280 MB memory budget for compare's rows, at about 2,330 bytes per target
-# of a JSON report, the heavier form (100,000 rows raised peak RSS by
-# 222 MiB on CPython 3.11): 120,171 targets in a range, admissible or not.
-COMPARE_RANGE_CAP = 280_000_000 // 2_330
+# Compare's rows, at about 2,330 bytes per target of a JSON report, the
+# heavier form (100,000 rows raised peak RSS by 222 MiB): 120,171 targets
+# in a range, admissible or not.
+COMPARE_RANGE_CAP = MEMORY_BUDGET // 2_330
+# vaughan-check's frequencies and their sums, at about 100 bytes per
+# frequency (20,000 more raised peak RSS by 1.7 MB): 2,800,000 frequencies.
+ALPHA_CAP = MEMORY_BUDGET // 100
 
 
 @dataclass
@@ -145,10 +148,6 @@ def _window_from_config(config: ExperimentConfig) -> ShortInterval:
 def _delta_from_config(config: ExperimentConfig) -> float:
     if config.delta is not None:
         return config.delta
-    if config.theta <= 31.0 / 40.0:
-        raise ValidationError(
-            "theta <= 31/40 has no default arc exponent; pass --delta explicitly"
-        )
     return default_delta(config.k, config.theta)
 
 
@@ -273,13 +272,16 @@ def _run_sieve_check(config: ExperimentConfig):
 
 
 def _run_vaughan_check(config: ExperimentConfig):
+    if config.alphas > ALPHA_CAP:
+        raise CapExceeded(f"{config.alphas} frequencies exceed the cap {ALPHA_CAP}")
     interval = _window_from_config(config)
     cut = config.x_cut if config.x_cut is not None else default_bilinear_cut(interval)
     components = vaughan_decompose(interval, cut)
+    alphas = np.random.default_rng(config.seed).uniform(0.0, 1.0, size=config.alphas)
+    # The weight is built after the components have checked their table caps.
+    lhs = evaluate_components(components, alphas, interval)
     lam = von_mangoldt_weight(interval)
     total = float(np.sum(lam.values))
-    alphas = np.random.default_rng(config.seed).uniform(0.0, 1.0, size=config.alphas)
-    lhs = evaluate_components(components, alphas, interval)
     rhs = weighted_exp_sum(alphas, lam, interval)
     worst = 0.0
     # Python's complex abs (libm hypot); numpy's vector abs rounds differently.
@@ -411,9 +413,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         config.fmt = _DEFAULT_FMT.get(config.subcommand, "json")
     if config.subcommand in ("count", "predict") and config.n is None:
         raise ValidationError(f"{config.subcommand} needs --n")
-    for name in ("samples", "alphas"):
-        if getattr(config, name) < 1:
-            raise ValidationError(f"need --{name} >= 1, got {getattr(config, name)}")
+    for name, least in (("samples", 1), ("alphas", 1), ("seed", 0)):
+        if getattr(config, name) < least:
+            raise ValidationError(f"need --{name} >= {least}, got {getattr(config, name)}")
     return config
 
 

@@ -28,27 +28,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arcs import classify
 from .errors import CapExceeded, ConsistencyError, ValidationError
 from .intervals import (
+    MEMORY_BUDGET,
     ShortInterval,
     _fft_length,
-    _power_exceeds,
+    divisor_count,
     pow_mod,
     sieve_upto,
     units,
     von_mangoldt,
 )
-from .representations import _fold_sums, _weighted_half
+from .representations import _check_table_cap, _fold_sums, _weighted_half
 from .weights import WeightFunction
 
 _TWO64 = 1 << 64
 _SCALE64 = 2.0**-64
-DEFAULT_MOMENT_SAMPLE_CAP = 1 << 26
+MOMENT_SAMPLE_CAP = 1 << 26
+RUN_CHUNK = 1 << 22        # sorted sums read at a time by _sum_squared_run_lengths
 # Frequencies x terms per kernel block: 512 KB per float64 temporary, which
 # stays in cache; 2^19-term blocks ran the 5,023-term scan ~15% slower.
 _BLOCK_TERMS = 1 << 16
-DEFAULT_ENUM_STATE_CAP = 100_000_000
 COMPLETE_SUM_CAP = 1_000_000
+# weyl-scan's samples, at about 2,400 bytes each in a JSON report, the
+# heavier form (200,000 samples raised peak RSS by 457 MB): 116,666.
+SCAN_SAMPLE_CAP = MEMORY_BUDGET // 2_400
+# vaughan_decompose's tables and the sieves behind them, at about 28 bytes
+# per entry (4.9e6 more entries raised peak RSS by 122 MB): 10,000,000.
+DECOMPOSE_ENTRY_CAP = MEMORY_BUDGET // 28
+# evaluate_components' table of v^k mod 2^64, at about 33 bytes per entry
+# while it is built (4e6 more entries raised peak RSS by 122 MB): 8,484,848.
+POWER_TABLE_CAP = MEMORY_BUDGET // 33
 
 
 def weyl_exponent(k: int) -> int:
@@ -197,8 +208,7 @@ def complete_exp_sum(q: int, a: int, k: int) -> complex:
 # moments
 
 
-def moment_nyquist(interval: ShortInterval, t: int,
-                   sample_cap: int = DEFAULT_MOMENT_SAMPLE_CAP) -> int:
+def moment_nyquist(interval: ShortInterval, t: int) -> int:
     """Exact integral of |f(alpha, 1)|^(2t) over the unit interval.
 
     |f|^(2t) is a trigonometric polynomial with frequencies bounded by
@@ -206,17 +216,16 @@ def moment_nyquist(interval: ShortInterval, t: int,
     equispaced points equals the integral exactly; N is that bound padded
     to the next 5-smooth length, where the real FFT is fast.  The result
     is the number of solutions of a t-versus-t power-sum collision and is
-    returned as an integer.
+    returned as an integer.  An N above MOMENT_SAMPLE_CAP raises
+    CapExceeded before anything is allocated.
     """
     if t < 1:
         raise ValidationError(f"need t >= 1, got {t}")
     lo, hi, k = interval.lo, interval.hi, interval.k
     spread = hi**k - lo**k
     n_samples = 2 * t * spread + 1
-    if n_samples > sample_cap:
-        raise CapExceeded(
-            f"{n_samples} sample points exceed the cap {sample_cap}"
-        )
+    if n_samples > MOMENT_SAMPLE_CAP:
+        raise CapExceeded(f"{n_samples} sample points exceed the cap {MOMENT_SAMPLE_CAP}")
     size = _fft_length(n_samples)
     # np.zeros leaves untouched pages unmapped; a full bincount would not.
     counts = np.zeros(size)
@@ -236,8 +245,7 @@ def moment_nyquist(interval: ShortInterval, t: int,
     return int(value)
 
 
-def moment_enumeration(interval: ShortInterval, t: int, weight: WeightFunction,
-                       state_cap: int = DEFAULT_ENUM_STATE_CAP) -> float:
+def moment_enumeration(interval: ShortInterval, t: int, weight: WeightFunction) -> float:
     """Weighted count of solutions of a t-fold power-sum collision.
 
     Enumerates all t-fold sums of m^k over the support of the weight,
@@ -246,13 +254,13 @@ def moment_enumeration(interval: ShortInterval, t: int, weight: WeightFunction,
     instead of carrying weights, so the unit weight gives the exact
     integer solution count matching ``moment_nyquist``.  Sums run in
     int64, or in Python integers (object arrays) once t * hi^k reaches
-    2^62.
+    2^62.  A table of more than the counting's TABLE_CAP states raises
+    CapExceeded before it is built.
     """
     if t < 1:
         raise ValidationError(f"need t >= 1, got {t}")
     lo, hi, k = interval.lo, interval.hi, interval.k
-    if _power_exceeds(hi - lo + 1, t, state_cap):
-        raise CapExceeded(f"{hi - lo + 1}^{t} states exceed the cap {state_cap}")
+    _check_table_cap(hi - lo + 1, t)
     dtype = object if t * hi**k >= 2**62 else np.int64
     powers = np.array([m**k for m in range(lo, hi + 1)], dtype=dtype)
     w = weight.values.astype(np.float64)
@@ -270,14 +278,14 @@ def moment_enumeration(interval: ShortInterval, t: int, weight: WeightFunction,
     return float(np.sum(half[1] ** 2))
 
 
-def _sum_squared_run_lengths(sorted_vals: np.ndarray, chunk: int = 1 << 22) -> int:
-    """Sum of squared run lengths of a sorted array, in bounded memory."""
+def _sum_squared_run_lengths(sorted_vals: np.ndarray) -> int:
+    """Sum of squared run lengths of a sorted array, RUN_CHUNK entries at a time."""
     total = 0
     run = 0
     prev = None
     n = len(sorted_vals)
-    for start in range(0, n, chunk):
-        block = sorted_vals[start : start + chunk]
+    for start in range(0, n, RUN_CHUNK):
+        block = sorted_vals[start : start + RUN_CHUNK]
         ends = np.nonzero(np.diff(block))[0]
         if prev is not None and len(block) and block[0] != prev:
             total += run * run
@@ -320,7 +328,6 @@ class BilinearComponent:
     v_hi: int = -1
     eta: np.ndarray = None
     inner_log: bool = False
-    cut: float = 0.0
 
 
 def default_bilinear_cut(interval: ShortInterval) -> float:
@@ -346,6 +353,10 @@ def vaughan_decompose(interval: ShortInterval, X: float = None) -> list:
     over X < b <= (x+y)/X whose inner coefficients sum log p over prime
     powers above the cut.  The evaluated components sum to the phase sum
     of the von Mangoldt function at every frequency.
+
+    The Moebius table reaches max(X^2, hi/X), the beta table hi/(X + 1)
+    and the convolution coefficients X^2; more than DECOMPOSE_ENTRY_CAP
+    entries in all raise CapExceeded before any table is built.
     """
     if X is None:
         X = default_bilinear_cut(interval)
@@ -362,6 +373,11 @@ def vaughan_decompose(interval: ShortInterval, X: float = None) -> list:
     x2int = int(math.floor(X * X))
     b_lo = xint + 1
     b_hi = int(math.floor(hi / X))
+    w_max = hi // (xint + 1)
+    entries = max(x2int, b_hi) + w_max + x2int
+    if entries > DECOMPOSE_ENTRY_CAP:
+        raise CapExceeded(f"decomposition tables of {entries} entries exceed the cap "
+                          f"{DECOMPOSE_ENTRY_CAP}")
 
     mu = _moebius_table(max(x2int, b_hi))
     lam = np.array([0.0] + [von_mangoldt(c) for c in range(1, xint + 1)])
@@ -380,7 +396,6 @@ def vaughan_decompose(interval: ShortInterval, X: float = None) -> list:
 
     # Inner coefficients of the bilinear piece: sum of log p over prime
     # power divisors above the cut.
-    w_max = hi // (xint + 1)
     beta = np.zeros(w_max + 1)
     for p in sieve_upto(w_max):
         pj = p
@@ -393,19 +408,11 @@ def vaughan_decompose(interval: ShortInterval, X: float = None) -> list:
     components = []
     for u0, u1 in _dyadic_blocks(1, xint):
         xi = np.array([float(mu[b]) for b in range(u0, u1 + 1)])
-        components.append(
-            BilinearComponent(
-                kind="type-I", sign=+1, u_lo=u0, u_hi=u1, xi=xi,
-                inner_log=True, cut=X,
-            )
-        )
+        components.append(BilinearComponent(kind="type-I", sign=+1, u_lo=u0, u_hi=u1, xi=xi,
+                                            inner_log=True))
     for u0, u1 in _dyadic_blocks(1, x2int):
         xi = conv[u0 : u1 + 1].copy()
-        components.append(
-            BilinearComponent(
-                kind="type-I", sign=-1, u_lo=u0, u_hi=u1, xi=xi, cut=X,
-            )
-        )
+        components.append(BilinearComponent(kind="type-I", sign=-1, u_lo=u0, u_hi=u1, xi=xi))
     for u0, u1 in _dyadic_blocks(b_lo, b_hi):
         xi = np.array([float(mu[b]) for b in range(u0, u1 + 1)])
         v_lo = max(1, (lo + u1 - 1) // u1)
@@ -415,12 +422,8 @@ def vaughan_decompose(interval: ShortInterval, X: float = None) -> list:
         if v_hi < v_lo:
             continue
         eta = beta[v_lo : v_hi + 1].copy()
-        components.append(
-            BilinearComponent(
-                kind="type-II", sign=+1, u_lo=u0, u_hi=u1, xi=xi,
-                v_lo=v_lo, v_hi=v_hi, eta=eta, cut=X,
-            )
-        )
+        components.append(BilinearComponent(kind="type-II", sign=+1, u_lo=u0, u_hi=u1, xi=xi,
+                                            v_lo=v_lo, v_hi=v_hi, eta=eta))
     return components
 
 
@@ -436,13 +439,6 @@ def _moebius_table(limit: int) -> np.ndarray:
     return mu
 
 
-def evaluate_component(component: BilinearComponent, alphas,
-                       interval: ShortInterval):
-    """Signed value of one component at a float frequency, or at each
-    entry of a 1-D array of them."""
-    return evaluate_components([component], alphas, interval)
-
-
 def evaluate_components(components, alphas, interval: ShortInterval):
     """Sum of the signed component values at a float frequency, or at each
     entry of a 1-D array of them.
@@ -450,7 +446,8 @@ def evaluate_components(components, alphas, interval: ShortInterval):
     For each outer b the inner sum runs over v with b*v in the window, at
     the exact frequency b^k * alpha, for all frequencies in one kernel
     call.  The inner terms slice one table of v^k mod 2^64 over the v any
-    block reads.
+    block reads, from ceil(lo / max u_hi) to hi; a table longer than
+    POWER_TABLE_CAP raises CapExceeded before it is built.
     """
     lo, hi, k = interval.lo, interval.hi, interval.k
     freqs = _frequencies(alphas)
@@ -458,6 +455,8 @@ def evaluate_components(components, alphas, interval: ShortInterval):
     if not components:
         return _as_given(alphas, total)
     v_min = -(-lo // max(c.u_hi for c in components))
+    if hi - v_min + 1 > POWER_TABLE_CAP:
+        raise CapExceeded(f"{hi - v_min + 1} inner powers exceed the cap {POWER_TABLE_CAP}")
     powers_mod = window_powers_mod64(v_min, hi, k)
     for component in components:
         part = np.zeros_like(total)
@@ -486,8 +485,6 @@ def evaluate_components(components, alphas, interval: ShortInterval):
 
 def coefficient_diagnostic(components) -> float:
     """max |xi_u| / tau(u)^3 over type-II blocks (recorded, never asserted)."""
-    from .intervals import divisor_count
-
     worst = 0.0
     for comp in components:
         if comp.kind != "type-II":
@@ -547,14 +544,14 @@ def weyl_scan(interval: ShortInterval, dissection, samples: int,
     """Sample |f(alpha, w)| uniformly over the representative window and
     split the samples by arc class.
 
-    Requires samples >= 1000.  Each |f| is checked against the trivial
-    bound B * |window|; the normalizing exponent is 1 - rho with
-    rho = 1/(31 t_k).
+    Requires 1000 <= samples <= SCAN_SAMPLE_CAP; the cap is checked before
+    anything is drawn.  Each |f| is checked against the trivial bound
+    B * |window|; the normalizing exponent is 1 - rho with rho = 1/(31 t_k).
     """
-    from .arcs import classify
-
     if samples < 1000:
         raise ValidationError(f"need samples >= 1000, got {samples}")
+    if samples > SCAN_SAMPLE_CAP:
+        raise CapExceeded(f"{samples} samples exceed the cap {SCAN_SAMPLE_CAP}")
     k = interval.k
     rho = minor_arc_rho(k)
     norm = interval.y ** (1.0 - rho)

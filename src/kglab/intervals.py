@@ -20,12 +20,16 @@ import numpy as np
 
 from .errors import CapExceeded, PrecisionError, ValidationError
 
+# The memory one table may take.  Every cap on a table that grows with the
+# input is this budget over the bytes per entry measured for that table
+# (peak RSS on CPython 3.11, NumPy 2).
+MEMORY_BUDGET = 280_000_000
 SEGMENT_BLOCK = 1 << 16        # segmented-sieve block length (cache sized)
-DEFAULT_WINDOW_CAP = 100_000_000
-# A 280 MB memory budget for the small primes that sieve a window, at about
-# 4 bytes per integer up to sqrt(hi), flags and prime list together (sieving
-# to 3e7 raised peak RSS by 114 MB on CPython 3.11): sqrt(hi) <= 7e7.
-SIEVE_LIMIT_CAP = 280_000_000 // 4
+WINDOW_CAP = 100_000_000       # integers of a window that primes_in_interval sieves
+# The small primes that sieve a window, at about 4 bytes per integer up to
+# sqrt(hi), flags and prime list together (sieving to 3e7 raised peak RSS
+# by 114 MB): sqrt(hi) <= 7e7.
+SIEVE_LIMIT_CAP = MEMORY_BUDGET // 4
 _DPS_LADDER = (50, 200, 800)   # working precisions for boundary floors
 
 
@@ -55,19 +59,8 @@ class ShortInterval:
         """Number of integers in the window."""
         return self.hi - self.lo + 1
 
-    @property
-    def theta(self) -> float:
-        """Exponent with y = x^theta (recomputed from the stored reals)."""
-        return math.log(self.y) / math.log(self.x)
-
     def __iter__(self):
         return iter(range(self.lo, self.hi + 1))
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __contains__(self, m) -> bool:
-        return self.lo <= m <= self.hi and m == int(m)
 
     @classmethod
     def from_integer_window(cls, lo: int, hi: int, k: int) -> "ShortInterval":
@@ -198,15 +191,12 @@ def sieve_upto(limit: int) -> list:
     return [i for i in range(2, limit + 1) if flags[i]]
 
 
-def primes_in_interval(
-    interval: ShortInterval, window_cap: int = DEFAULT_WINDOW_CAP
-) -> PrimeTable:
-    """Exactly the primes p with x - y < p <= x + y, by segmented sieve."""
+def primes_in_interval(interval: ShortInterval) -> PrimeTable:
+    """Exactly the primes p with x - y < p <= x + y, by segmented sieve; past
+    WINDOW_CAP integers or SIEVE_LIMIT_CAP on sqrt(hi), CapExceeded first."""
     lo, hi = interval.lo, interval.hi
-    if hi - lo + 1 > window_cap:
-        raise CapExceeded(
-            f"window length {hi - lo + 1} exceeds the cap {window_cap}"
-        )
+    if hi - lo + 1 > WINDOW_CAP:
+        raise CapExceeded(f"window length {hi - lo + 1} exceeds the cap {WINDOW_CAP}")
     limit = math.isqrt(hi)
     if limit > SIEVE_LIMIT_CAP:
         raise CapExceeded(f"sieving up to sqrt(hi) = {limit} exceeds the cap {SIEVE_LIMIT_CAP}")

@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import CapExceeded, DominationError, ValidationError
 from .intervals import (
+    MEMORY_BUDGET,
+    PrimeTable,
     ShortInterval,
     _power_exceeds,
     build_interval,
@@ -27,8 +29,11 @@ from .intervals import (
 from .weights import WeightFunction, prime_indicator
 
 PRIME_COUNT_CAP = 50_000
-TABLE_CAP = 100_000_000
+TABLE_CAP = 100_000_000    # states of one fold-sum table, here and in the moments
 PROBE_BLOCK = 1 << 18      # entries of one (targets, half-sums) probe block
+# The pointwise sieve scan's draws and products, at about 170 bytes per
+# sample (900,000 more samples raised peak RSS by 138 MB): 1,647,058.
+SIEVE_SAMPLE_CAP = MEMORY_BUDGET // 170
 
 
 @dataclass(frozen=True)
@@ -43,10 +48,6 @@ class CountReport:
     method: str
     prime_count: int
 
-    @property
-    def is_integer(self) -> bool:
-        return float(self.count).is_integer()
-
 
 def count_exact(n: int, k: int, s: int, theta: float,
                 method: str = "meet-in-middle") -> CountReport:
@@ -54,7 +55,7 @@ def count_exact(n: int, k: int, s: int, theta: float,
     p_i prime and in the window."""
     if method not in ("meet-in-middle", "exhaustive"):
         raise ValidationError(f"unknown counting method {method!r}")
-    primes = _window_primes(build_interval(n, k, s, theta))
+    primes = _window_primes(build_interval(n, k, s, theta)).primes
     if method == "exhaustive":
         value = _count_recursive(n, k, s, primes)
     else:
@@ -65,13 +66,11 @@ def count_exact(n: int, k: int, s: int, theta: float,
     )
 
 
-def _window_primes(interval: ShortInterval) -> list:
-    primes = list(primes_in_interval(interval).primes)
-    if len(primes) > PRIME_COUNT_CAP:
-        raise CapExceeded(
-            f"{len(primes)} primes exceed the counting cap {PRIME_COUNT_CAP}"
-        )
-    return primes
+def _window_primes(interval: ShortInterval) -> PrimeTable:
+    table = primes_in_interval(interval)
+    if len(table) > PRIME_COUNT_CAP:
+        raise CapExceeded(f"{len(table)} primes exceed the counting cap {PRIME_COUNT_CAP}")
+    return table
 
 
 def _count_recursive(n: int, k: int, s: int, primes: list) -> int:
@@ -91,6 +90,11 @@ def _count_recursive(n: int, k: int, s: int, primes: list) -> int:
         return total
 
     return rec(n, s)
+
+
+def _check_int64(largest_sum: int):
+    if largest_sum >= 2**62:
+        raise CapExceeded("power sums exceed the int64 fast path")
 
 
 def _check_table_cap(count: int, fold: int):
@@ -121,8 +125,7 @@ def _count_mitm(ns, k: int, s: int, primes: list) -> np.ndarray:
     if not primes:
         return counts
     lo_sum, hi_sum = s * primes[0] ** k, s * primes[-1] ** k
-    if hi_sum >= 2**62:
-        raise CapExceeded("power sums exceed the int64 fast path")
+    _check_int64(hi_sum)
     hash_fold = s // 2
     probe_fold = s - hash_fold
     _check_table_cap(len(primes), probe_fold)
@@ -146,12 +149,14 @@ def _count_mitm(ns, k: int, s: int, primes: list) -> np.ndarray:
     return counts
 
 
+def _run_starts(sorted_vals: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal values in a sorted array."""
+    return np.concatenate(([0], np.nonzero(np.diff(sorted_vals))[0] + 1))
+
+
 def _unique_counts(sorted_vals: np.ndarray):
-    boundaries = np.nonzero(np.diff(sorted_vals))[0] + 1
-    starts = np.concatenate(([0], boundaries))
-    uniq = sorted_vals[starts]
-    counts = np.diff(np.concatenate((starts, [len(sorted_vals)])))
-    return uniq, counts
+    starts = _run_starts(sorted_vals)
+    return sorted_vals[starts], np.diff(np.append(starts, len(sorted_vals)))
 
 
 def count_weighted(n: int, k: int, s: int, theta: float,
@@ -162,21 +167,29 @@ def count_weighted(n: int, k: int, s: int, theta: float,
 
     Requires s >= 5.
     """
+    return _count_weighted(n, k, s, _weighted_window(n, k, s, theta, lam, lam_plus),
+                           lam, lam_plus)
+
+
+def _weighted_window(n: int, k: int, s: int, theta: float, *weights) -> ShortInterval:
+    """The window of (n, k, s, theta), once every weight is found to be on it."""
     if s < 5:
         raise ValidationError(f"need s >= 5 for the weighted count, got s={s}")
     interval = build_interval(n, k, s, theta)
-    for w in (lam, lam_plus):
+    for w in weights:
         if (w.interval.lo, w.interval.hi) != (interval.lo, interval.hi):
             raise ValidationError(
                 "weight was built on a different window than (n, k, s, theta) induces"
             )
-    table = primes_in_interval(interval)
-    if len(table.primes) > PRIME_COUNT_CAP:
-        raise CapExceeded("too many primes for the weighted count")
-    indicator = prime_indicator(interval, table)
+    return interval
+
+
+def _count_weighted(n: int, k: int, s: int, interval: ShortInterval,
+                    lam: WeightFunction, lam_plus: WeightFunction) -> float:
+    """`count_weighted` on the window that `_weighted_window` checked."""
+    indicator = prime_indicator(interval, _window_primes(interval))
     slots = [lam] + [lam_plus] * 4 + [indicator] * (s - 5)
-    if interval.hi**k * s >= 2**62:
-        raise CapExceeded("power sums exceed the int64 fast path")
+    _check_int64(s * interval.hi**k)
     powers = np.array([m**k for m in interval], dtype=np.int64)
 
     half = len(slots) // 2
@@ -209,12 +222,9 @@ def _weighted_half(slot_weights, powers: np.ndarray):
         wts = (wts[:, None] * w.values[None, support]).ravel()
         order = np.argsort(sums, kind="stable")
         sums = sums[order]
-        wts = wts[order]
-        uniq_idx = np.concatenate(
-            ([0], np.nonzero(np.diff(sums))[0] + 1)
-        )
-        wts = np.add.reduceat(wts, uniq_idx)
-        sums = sums[uniq_idx]
+        starts = _run_starts(sums)
+        wts = np.add.reduceat(wts[order], starts)
+        sums = sums[starts]
     return sums, wts
 
 
@@ -240,19 +250,16 @@ def vector_sieve_lower(n: int, k: int, s: int, theta: float,
     its first slot, so one weighted count with first-slot weight
     5 * lam_minus - 4 * lam_plus gives the combination.
     """
-    interval = build_interval(n, k, s, theta)
+    interval = _weighted_window(n, k, s, theta, lam_minus, lam_plus)
     if not check_domination(lam_minus, lam_plus, interval):
         raise DominationError(
             "weight pair does not dominate the prime indicator on this window"
         )
-    window = lam_minus.interval
-    if (window.lo, window.hi) != (lam_plus.interval.lo, lam_plus.interval.hi):
-        raise ValidationError("the sieve weights were built on different windows")
     combined = WeightFunction(
-        "sieve-combination", window, 5.0 * lam_minus.values - 4.0 * lam_plus.values,
+        "sieve-combination", interval, 5.0 * lam_minus.values - 4.0 * lam_plus.values,
         5.0 * lam_minus.bound + 4.0 * lam_plus.bound,
     )
-    return count_weighted(n, k, s, theta, combined, lam_plus)
+    return _count_weighted(n, k, s, interval, combined, lam_plus)
 
 
 def toy_weights(interval: ShortInterval, z: float):
@@ -275,17 +282,17 @@ def toy_weights(interval: ShortInterval, z: float):
     med_cap = int(math.floor(math.sqrt(x + y)))
     for p in sieve_upto(med_cap):
         first = ((lo + p - 1) // p) * p
+        if first > interval.hi:
+            continue
         if p <= z:
-            if first <= interval.hi:
-                has_small[first - lo :: p] = True
+            has_small[first - lo :: p] = True
         else:
-            if first <= interval.hi:
-                medium[first - lo :: p] += 1
+            medium[first - lo :: p] += 1
     upper_vals = (~has_small).astype(np.float64)
     lower_vals = upper_vals * (1.0 - medium)
     bound_low = float(np.max(np.abs(lower_vals))) if size else 0.0
-    upper = WeightFunction("sieve-upper", interval, upper_vals, 1.0, z=z)
-    lower = WeightFunction("sieve-lower", interval, lower_vals, max(bound_low, 1.0), z=z)
+    upper = WeightFunction("sieve-upper", interval, upper_vals, 1.0)
+    lower = WeightFunction("sieve-lower", interval, lower_vals, max(bound_low, 1.0))
     return lower, upper
 
 
@@ -296,8 +303,10 @@ def vector_sieve_pointwise_scan(samples: int, seed: int) -> dict:
     upper weights in [e_i, 1], lower weights in [-2, e_i]) and tests
     e_1...e_5 >= sum_i lower_i prod_{j != i} upper_j - 4 prod upper_j.
     The box is an assumption recorded in the output, not a theorem
-    about wider ranges.
+    about wider ranges.  Past SIEVE_SAMPLE_CAP samples, CapExceeded first.
     """
+    if samples > SIEVE_SAMPLE_CAP:
+        raise CapExceeded(f"{samples} samples exceed the cap {SIEVE_SAMPLE_CAP}")
     rng = np.random.default_rng(seed)
     e = rng.integers(0, 2, size=(samples, 5)).astype(np.float64)
     up = e + (1.0 - e) * rng.uniform(0.0, 1.0, size=(samples, 5))
@@ -328,8 +337,3 @@ def vector_sieve_pointwise_scan(samples: int, seed: int) -> dict:
         "witness": witness,
         "box": "upper in [e,1], lower in [-2,e] (assumed, not asserted for wider boxes)",
     }
-
-
-def vector_sieve_pointwise_check(samples: int, seed: int) -> bool:
-    """True iff the randomized search finds no violation."""
-    return vector_sieve_pointwise_scan(samples, seed)["violations"] == 0

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .arcs import classify
 from .errors import (
     CapExceeded,
     ConsistencyError,
@@ -26,6 +27,7 @@ from .errors import (
 )
 from .exp_sums import complete_exp_sum, complete_exp_sums
 from .intervals import (
+    MEMORY_BUDGET,
     ShortInterval,
     _fft_length,
     build_interval,
@@ -33,31 +35,27 @@ from .intervals import (
     factorize,
     sieve_upto,
 )
-from .local_conditions import local_profile, prime_exponents, unit_solution_counts
+from .local_conditions import is_admissible, local_profile, prime_exponents, unit_solution_counts
 
-A_TERM_CAP = 100_000
-QMAX_CAP = 100_000
+QMAX_CAP = 100_000          # the largest modulus the series reads
 DEFAULT_QMAX = 10_000
 OBSTRUCTION_FLOOR = 1e-6
 SMALL_SERIES_FLOOR = 0.05  # flagged, never failed
 IMAG_RESIDUE_TOL = 1e-10
 GRID_CELLS = 1 << 14
-# A 280 MB memory budget for the convolution buffers of the sweep's two
-# halves, at about 32 bytes per padded sample in each (a pad of 3,276,800
-# raised peak RSS by 101 MB): pads up to 4,375,000 samples, s <= 266.
-PAD_CAP = 280_000_000 // (2 * 32)
+# The convolution buffers of the sweep's two halves, at about 32 bytes per
+# padded sample in each (a pad of 3,276,800 raised peak RSS by 101 MB):
+# pads up to 4,375,000 samples, s <= 266.
+PAD_CAP = MEMORY_BUDGET // (2 * 32)
 QUAD_TAIL_TARGET = 1e-4    # relative size of the estimated quadrature tail
 QUAD_BLOCK_CAP = 4096
-KAPPA_MINUS = 0.99
-KAPPA_PLUS = 1.01
-DIRECT_BLOCK = 1 << 16     # entries of one (rows, qmax) block of the direct sum
-SERIES_BLOCK = 1 << 18     # terms of one row block of targets: 4 MB of complex values
+SERIES_BLOCK = 1 << 18     # terms of one row block of targets: 2 MB of floats
 
 # Series term tables kept, one per (k, s, qmax), least recently used
-# dropped first.  A table's arrays take 128,352 bytes at k = 2, qmax = 1e4,
-# at most 250,096 (k = 44) at that truncation, and at most 2,380,384 over
-# every admissible (k, qmax), reached at k = 54, qmax = QMAX_CAP: the cache
-# stays under 10 MB.
+# dropped first.  A table's arrays take 98,768 bytes at k = 2, qmax = 1e4,
+# at most 179,528 (k = 44) at that truncation, and 1,689,152 at k = 54,
+# qmax = QMAX_CAP, the largest over every admissible (k, qmax): the cache
+# stays under 7 MB.
 TERM_TABLES = 4
 
 
@@ -69,8 +67,8 @@ def singular_series_term(q: int, n: int, k: int, s: int) -> float:
     """
     if q < 1:
         raise ValidationError(f"need q >= 1, got {q}")
-    if q > A_TERM_CAP:
-        raise CapExceeded(f"q={q} exceeds the series-term cap {A_TERM_CAP}")
+    if q > QMAX_CAP:
+        raise CapExceeded(f"q={q} exceeds the series-term cap {QMAX_CAP}")
     if q == 1:
         return 1.0
     units, sums = complete_exp_sums(q, k)
@@ -115,9 +113,7 @@ def singular_series(n: int, k: int, s: int, qmax: int = DEFAULT_QMAX) -> Singula
     """
     _check_series_args(k, s, qmax)
     groups = _term_table(k, s, qmax).groups
-    terms, errors = _series_terms([n], k, s, qmax)
-    if errors[0] is not None:
-        raise errors[0]
+    terms = _series_terms([n], k, s, qmax)
     product, sigmas = _multiplicative_assembly(terms, groups)
     value = float(product[0])
     flag = "ok"
@@ -128,7 +124,7 @@ def singular_series(n: int, k: int, s: int, qmax: int = DEFAULT_QMAX) -> Singula
     return SingularSeriesEstimate(
         n=n, k=k, s=s, qmax=qmax,
         value=value,
-        value_direct=float(_direct_assembly(terms, groups, qmax)[0]),
+        value_direct=_direct_assembly(terms[0], groups, qmax),
         p_local=tuple((p, float(sigma)) for (p, _), sigma in zip(groups, sigmas[0])),
         method="multiplicative",
         flag=flag,
@@ -180,6 +176,9 @@ def _term_table(k: int, s: int, qmax: int) -> _TermTable:
     p * (qmax + 1) + (-n)^exps[i] mod p in ``keys``.  A prime power q of a
     prime dividing k, up to p^gamma, has a ``local`` (column, q, table over
     n mod q).  Every other column is 0 (Hua: S(p^j, a) = 0 for j > gamma).
+    Every entry is computed complex and its imaginary residue checked once,
+    here (`_real_terms`); the first failing column raises, so no such table
+    is cached, and the arrays kept are real.
     """
     groups = []
     for p in sieve_upto(qmax):
@@ -196,7 +195,7 @@ def _term_table(k: int, s: int, qmax: int) -> _TermTable:
                 units, sums = complete_exp_sums(q, k)
                 placed = np.zeros(q, dtype=complex)
                 placed[units % q] = (sums[units % q] / len(units)) ** s
-                local.append((col + j, q, np.fft.fft(placed)))
+                local.append((col + j, q, _real_terms(np.fft.fft(placed), q)))
         else:
             d = math.gcd(k, p - 1)
             e = (p - 1) // d
@@ -211,7 +210,8 @@ def _term_table(k: int, s: int, qmax: int) -> _TermTable:
             cols.append(col)
             primes.append(p)
             keys.append(p * (qmax + 1) + classes[order])
-            values.append(np.concatenate([[(p - 1) / d * weights.sum()], shifted @ weights])[order])
+            terms = np.concatenate([[(p - 1) / d * weights.sum()], shifted @ weights])[order]
+            values.append(_real_terms(terms, p))
         col += len(powers)
     primes = np.array(primes, dtype=np.int64)
     moduli = np.array([q for _, powers in groups for q in powers], dtype=np.int64)
@@ -223,16 +223,24 @@ def _term_table(k: int, s: int, qmax: int) -> _TermTable:
     return table
 
 
-def _series_terms(ns, k: int, s: int, qmax: int) -> tuple:
-    """The (targets, prime powers) matrix of terms, and for each target the
-    ConsistencyError of its first term with an imaginary residue (or None).
-    Arguments are checked by the caller."""
+def _real_terms(terms: np.ndarray, q: int) -> np.ndarray:
+    """The real parts of the complex terms of modulus q, once no imaginary
+    residue reaches IMAG_RESIDUE_TOL."""
+    residue = float(np.max(np.abs(terms.imag)))
+    if residue >= IMAG_RESIDUE_TOL:
+        raise ConsistencyError(f"series terms at q={q} have imaginary residue {residue:.3g}")
+    return terms.real.copy()
+
+
+def _series_terms(ns, k: int, s: int, qmax: int) -> np.ndarray:
+    """The real (targets, prime powers) matrix of terms, read from the
+    checked table.  Arguments are checked by the caller."""
     table = _term_table(k, s, qmax)
     try:
         targets = np.array(ns, dtype=np.int64)
     except OverflowError:
         targets = np.array(ns, dtype=object)
-    values = np.zeros((len(targets), len(table.moduli)), dtype=complex)
+    values = np.zeros((len(targets), len(table.moduli)))
     base = (-targets[:, None] % table.primes).astype(np.int64)
     classes, exps = np.ones_like(base), table.exps
     while exps.any():  # classes = (-n)^exps mod p, by square-and-multiply
@@ -241,28 +249,19 @@ def _series_terms(ns, k: int, s: int, qmax: int) -> tuple:
     values[:, table.cols] = table.values[np.searchsorted(table.keys, table.primes * (qmax + 1) + classes)]
     for col, q, column in table.local:
         values[:, col] = column[(targets % q).astype(np.int64)]
-    bad = np.abs(values.imag) >= IMAG_RESIDUE_TOL
-    errors = [None] * len(targets)
-    for i in np.flatnonzero(bad.any(axis=1)):
-        col = int(np.argmax(bad[i]))
-        errors[i] = ConsistencyError(
-            f"series term at q={table.moduli[col]} has imaginary residue {float(values[i, col].imag)}"
-        )
-    return values.real.copy(), errors
+    return values
 
 
-def _series_values(ns, k: int, s: int, qmax: int) -> tuple:
-    """Multiplicative series value of every target, and for each target the
-    ConsistencyError of its first term with an imaginary residue (or None).
-    Arguments are checked by the caller.  Targets go SERIES_BLOCK terms at a time."""
+def _series_values(ns, k: int, s: int, qmax: int) -> np.ndarray:
+    """Multiplicative series value of every target.  Arguments are checked
+    by the caller.  Targets go SERIES_BLOCK terms at a time."""
     table = _term_table(k, s, qmax)
     step = max(1, SERIES_BLOCK // len(table.moduli))
-    values, errors = [np.empty(0)], []
+    values = [np.empty(0)]
     for start in range(0, len(ns), step):
-        terms, block_errors = _series_terms(ns[start:start + step], k, s, qmax)
-        values.append(_multiplicative_assembly(terms, table.groups)[0])
-        errors.extend(block_errors)
-    return np.concatenate(values), errors
+        values.append(_multiplicative_assembly(_series_terms(ns[start:start + step], k, s, qmax),
+                                               table.groups)[0])
+    return np.concatenate(values)
 
 
 def _multiplicative_assembly(terms: np.ndarray, groups: list) -> tuple:
@@ -281,17 +280,17 @@ def _multiplicative_assembly(terms: np.ndarray, groups: list) -> tuple:
     return product, sigmas
 
 
-def _direct_assembly(terms: np.ndarray, groups: list, qmax: int) -> np.ndarray:
-    """Per row of the term matrix: the sum of the weights of all q <= qmax.
+def _direct_assembly(terms: np.ndarray, groups: list, qmax: int) -> float:
+    """The sum of the weights of all q <= qmax, from one target's terms.
 
     A composite weight is the product of its prime-power weights
     (multiplicativity, verified directly in the test suite on small
     coprime pairs).  ``parts[j, q]`` is the column of the j-th prime-power
     part of q, smallest prime first, or the column of ones past the last
     part; the product runs from the largest prime down and the sum over q
-    in order, both one row block at a time.
+    in order.
     """
-    ones_col = terms.shape[1]
+    ones_col = len(terms)
     width, prod = 0, 1
     for p, _ in groups:
         prod *= p
@@ -308,16 +307,11 @@ def _direct_assembly(terms: np.ndarray, groups: list, qmax: int) -> np.ndarray:
             parts[filled[qs], qs] = col
             filled[qs] += 1
             col += 1
-    extended = np.hstack([terms, np.ones((len(terms), 1))])
-    totals = np.empty(len(terms))
-    step = max(1, DIRECT_BLOCK // (qmax + 1))
-    for start in range(0, len(terms), step):
-        rows = extended[start:start + step]
-        values = rows[:, parts[-1]]
-        for j in range(len(parts) - 2, -1, -1):
-            values = values * rows[:, parts[j]]
-        totals[start:start + step] = np.cumsum(values[:, 1:], axis=1)[:, -1]
-    return totals
+    row = np.append(terms, 1.0)
+    values = row[parts[-1]]
+    for j in range(len(parts) - 2, -1, -1):
+        values = values * row[parts[j]]
+    return float(np.cumsum(values[1:])[-1])
 
 
 def local_count_identity_check(q: int, n: int, k: int, s: int) -> bool:
@@ -437,7 +431,10 @@ def _support(n: int, interval: ShortInterval, s: int) -> bool:
 
 
 def _integrals_by_convolution(ns, intervals, s: int) -> list:
-    """The density-convolution integral at each n in its window, 0 off the grid.
+    """The density-convolution integral at each n in its window, 0 off the
+    grid.  The s-th power of the spectrum overflows for large s (s = 200 at
+    n = 2040200, theta = 0.1): a value read from it that is not finite
+    raises CapExceeded instead of being clipped to 0.
 
     One spectrum array and one result array serve every target, so a
     target's own allocations are the FFT's scratch alone.  With fresh
@@ -449,6 +446,10 @@ def _integrals_by_convolution(ns, intervals, s: int) -> list:
     pad = _fft_length(size)
     if pad > PAD_CAP:
         raise CapExceeded(f"convolution pad {pad} at s={s} exceeds the cap {PAD_CAP}")
+    # glibc raises its mmap and trim thresholds to the size of a freed mapping: one
+    # freed here keeps the FFT's scratch (pad doubles a call) in the heap, not
+    # mapped and faulted in afresh for each target (about 577 faults each).
+    np.empty(2 * pad)
     spectrum = np.empty(pad // 2 + 1, dtype=complex)
     conv = np.empty(pad)
     values = []
@@ -464,13 +465,17 @@ def _integrals_by_convolution(ns, intervals, s: int) -> list:
             continue
         t_mid = lo_t + (np.arange(GRID_CELLS) + 0.5) * h
         density = (1.0 / k) * t_mid ** (1.0 / k - 1.0)
-        np.fft.rfft(density, pad, out=spectrum)
-        np.fft.irfft(np.power(spectrum, s, out=spectrum), pad, out=conv)
         i = int(math.floor(pos))
         fracpos = pos - i
         scale = h ** (s - 1)
-        values.append(float(max(0.0, (1.0 - fracpos) * (conv[i] * scale)
-                                + fracpos * (conv[i + 1] * scale))))
+        # A local error state: this may run on the sweep's helper thread.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.fft.rfft(density, pad, out=spectrum)
+            np.fft.irfft(np.power(spectrum, s, out=spectrum), pad, out=conv)
+            value = (1.0 - fracpos) * (conv[i] * scale) + fracpos * (conv[i + 1] * scale)
+        if not math.isfinite(value):
+            raise CapExceeded(f"the density convolution overflows at s={s}; use fourier-quadrature")
+        values.append(float(max(0.0, value)))
     return values
 
 
@@ -558,8 +563,6 @@ def major_arc_approx(alpha: float, dissection, interval: ShortInterval,
     kappa = 1 approximates the prime-indicator phase sum; raising on a
     minor-arc frequency is a contract error.
     """
-    from .arcs import classify
-
     arc = classify(alpha, dissection)
     if arc is None:
         raise MinorArcError(f"alpha={alpha} lies on the minor arcs")
@@ -599,8 +602,6 @@ def predict_main_term(n: int, k: int, s: int, theta: float,
 
     Inadmissible n are reported (obstruction flag), not rejected.
     """
-    from .local_conditions import is_admissible
-
     interval = build_interval(n, k, s, theta)
     series = singular_series(n, k, s, qmax)
     integral = singular_integral(n, interval, k, s, method=integral_method)

@@ -28,7 +28,6 @@ class WeightFunction:
     interval: ShortInterval
     values: np.ndarray
     bound: float
-    z: float = None
 
     def __post_init__(self):
         if len(self.values) != self.interval.size:

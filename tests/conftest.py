@@ -1,8 +1,16 @@
-"""Shared grids for the counting and moment tests."""
+"""Shared grids for the counting and moment tests, and the CLI runner."""
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from kglab.intervals import build_interval, primes_in_interval
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # 20 fixed moment windows (k, lo, hi): every window holds at most 200
 # integers and keeps the exact sampling count affordable.
@@ -67,3 +75,24 @@ def build_case_grid(max_cases: int = 50):
 @pytest.fixture(scope="session")
 def case_grid():
     return build_case_grid(50)
+
+
+def run_kglab(argv, seconds=10.0):
+    """Run `python -W error -m kglab.cli argv` in a fresh process, within
+    ``seconds``, and check that it ends in one of the three allowed ways:
+    exit 0 with nothing on stderr, or exit 1 or 2 with exactly one stderr
+    line and no traceback or warning.  With -W error, a warning becomes an
+    exception, so it fails here too.  Returns the completed process."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "kglab.cli", *argv],
+                          capture_output=True, text=True, timeout=max(seconds, 10.0), env=env)
+    assert time.perf_counter() - started < seconds, argv
+    if proc.returncode == 0:
+        assert proc.stderr == "", proc.stderr
+    else:
+        assert proc.returncode in (1, 2), proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
+    return proc

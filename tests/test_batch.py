@@ -69,8 +69,7 @@ def test_counts_and_predictions_match_per_target_path():
 
 def test_series_values_match_per_target_series():
     ns = list(range(100013, 103000, 24)) + [29, 10**30 + 5]
-    values, errors = _series_values(ns, 2, 5, 1000)
-    assert errors == [None] * len(ns)
+    values = _series_values(ns, 2, 5, 1000)
     for n, value in zip(ns, values):
         expected = singular_series(n, 2, 5, 1000).value
         assert abs(value - expected) <= 1e-12 * abs(expected)

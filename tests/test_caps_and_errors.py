@@ -9,8 +9,10 @@ from kglab import (
     build_interval,
     complete_exp_sum,
     count_exact,
+    count_weighted,
     moment_enumeration,
     phase_integral,
+    prime_indicator,
     primes_in_interval,
     singular_series,
     singular_series_term,
@@ -18,10 +20,11 @@ from kglab import (
 )
 
 
-def test_window_memory_cap():
+def test_window_memory_cap(monkeypatch):
+    monkeypatch.setattr("kglab.intervals.WINDOW_CAP", 10**5)
     interval = ShortInterval.from_integer_window(1, 10**6, 2)
     with pytest.raises(CapExceeded):
-        primes_in_interval(interval, window_cap=10**5)
+        primes_in_interval(interval)
 
 
 def test_complete_sum_cap():
@@ -39,10 +42,11 @@ def test_series_qmax_cap():
         singular_series(29, 2, 5, 10**6)
 
 
-def test_moment_state_cap():
+def test_moment_state_cap(monkeypatch):
+    monkeypatch.setattr("kglab.representations.TABLE_CAP", 10**6)
     interval = ShortInterval.from_integer_window(1, 100, 2)
     with pytest.raises(CapExceeded):
-        moment_enumeration(interval, 5, unit_weight(interval), state_cap=10**6)
+        moment_enumeration(interval, 5, unit_weight(interval))
 
 
 def test_quadrature_panel_cap():
@@ -55,6 +59,17 @@ def test_count_prime_cap(monkeypatch):
     monkeypatch.setattr("kglab.representations.PRIME_COUNT_CAP", 3)
     with pytest.raises(CapExceeded):
         count_exact(845, 2, 5, 0.85)
+
+
+def test_weighted_count_prime_cap(monkeypatch):
+    # The weighted count takes the counting cap and its message from the
+    # exact count's prime table.
+    interval = build_interval(845, 2, 5, 0.85)
+    weight = prime_indicator(interval)
+    assert count_weighted(845, 2, 5, 0.85, weight, weight) > 0
+    monkeypatch.setattr("kglab.representations.PRIME_COUNT_CAP", 3)
+    with pytest.raises(CapExceeded, match=r"^\d+ primes exceed the counting cap 3$"):
+        count_weighted(845, 2, 5, 0.85, weight, weight)
 
 
 def test_identity_check_caps():

@@ -3,8 +3,6 @@ import math
 import os
 import shlex
 import stat
-import subprocess
-import sys
 import threading
 import time
 import tracemalloc
@@ -12,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-import kglab
 from kglab import (
     build_dissection,
     build_interval,
@@ -28,6 +25,7 @@ from kglab.arcs import ARC_COUNT_CAP
 from kglab.batch import SweepRow
 from kglab.cli import _RUNNERS, COMPARE_RANGE_CAP, build_parser, main
 from kglab.intervals import euler_phi
+from tests.conftest import run_kglab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -534,16 +532,67 @@ def test_weyl_scan_peak_is_phase_sum_at_zero(weight_fn):
     (["moments", "--lo", "5", "--hi", "5", "--t", str(10**9)], 0, '"enumeration": 1.0,'),
 ])
 def test_huge_folds_finish_quickly(argv, status, expected):
-    src = str(Path(kglab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "kglab.cli", *argv], capture_output=True,
-                          text=True, timeout=10, env=env)
+    proc = run_kglab(argv)
     assert proc.returncode == status
     if status:
         assert proc.stderr == expected
     else:
         assert expected in proc.stdout
+
+
+HUGE = str(10**30)
+WINDOW = ["--n", "500000000", "--theta", "0.85"]
+
+
+@pytest.mark.parametrize("argv,status,start", [
+    # A negative seed is an invalid config, not a numpy traceback.
+    (["weyl-scan", *WINDOW, "--seed", "-1"], 2, "invalid config: need --seed >= 0, got -1"),
+    (["vaughan-check", *WINDOW, "--seed", "-1"], 2, "invalid config: need --seed >= 0, got -1"),
+    (["sieve-check", "--seed", "-1"], 2, "invalid config: need --seed >= 0, got -1"),
+    # Sample and frequency counts past the memory budget exit 1 before any
+    # draw: 10^11 samples would ask numpy for 745 GiB or 3.6 TiB.
+    (["weyl-scan", *WINDOW, "--samples", HUGE], 1, f"computation error: {HUGE} samples"),
+    (["weyl-scan", *WINDOW, "--samples", str(10**11)], 1, "computation error: 100000000000 samples"),
+    (["sieve-check", "--samples", HUGE], 1, f"computation error: {HUGE} samples"),
+    (["sieve-check", "--samples", str(10**11)], 1, "computation error: 100000000000 samples"),
+    (["vaughan-check", *WINDOW, "--alphas", HUGE], 1, f"computation error: {HUGE} frequencies"),
+    (["vaughan-check", *WINDOW, "--alphas", str(10**11)], 1,
+     "computation error: 100000000000 frequencies"),
+    # Decomposition tables past the budget: a Moebius table of 10^164
+    # entries, and of 1.7e8 at n = 5e20 (with a beta table as long).
+    (["vaughan-check", "--n", str(10**400)], 1, "computation error: decomposition tables of"),
+    (["vaughan-check", "--n", str(5 * 10**20)], 1,
+     "computation error: decomposition tables of 345451807 entries exceed the cap 10000000"),
+    # A series table with an imaginary residue past the tolerance, at q = 2.
+    (["singular-series", "--n", "102010000000", "--k", "2", "--s", str(10**7), "--qmax", "100"], 1,
+     "computation error: series terms at q=2 have imaginary residue"),
+], ids=["seed-weyl", "seed-vaughan", "seed-sieve", "samples-weyl", "samples-weyl-1e11",
+        "samples-sieve", "samples-sieve-1e11", "alphas", "alphas-1e11", "vaughan-1e400",
+        "vaughan-5e20", "series-residue"])
+def test_inputs_past_the_contract_exit_quickly(argv, status, start):
+    proc = run_kglab(argv, seconds=1.0)
+    assert proc.returncode == status
+    assert proc.stderr.startswith(start)
+
+
+OVERFLOW = ["--k", "2", "--s", "200", "--theta", "0.1", "--qmax", "100"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--n", "2040200", *OVERFLOW, "--integral-method", "density-convolution"],
+    ["predict", "--n", "2040200", *OVERFLOW],
+    # compare printed a prediction of 0 in these rows; like the pad cap,
+    # the overflow now stops the run.
+    ["compare", "--range", "2040200:2040400:1", *OVERFLOW],
+], ids=["density-convolution", "both", "compare"])
+def test_convolution_overflow_exits_1(argv):
+    # The convolution's s-th power overflows at s = 200 (it gave 0.0 after
+    # numpy warnings).  One convolution at this pad of 3,276,800 samples
+    # takes about 0.5 s, so the bound is looser than for the caps.
+    proc = run_kglab(argv, seconds=2.0)
+    assert proc.returncode == 1
+    assert proc.stderr == ("computation error: the density convolution overflows at s=200; "
+                           "use fourier-quadrature\n")
 
 
 def test_readme_quick_start_parses():

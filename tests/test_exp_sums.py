@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kglab import (
     ArcDissection,
+    CapExceeded,
     ConsistencyError,
     ShortInterval,
     ValidationError,
@@ -16,7 +17,6 @@ from kglab import (
     coefficient_diagnostic,
     complete_exp_sum,
     default_bilinear_cut,
-    evaluate_component,
     evaluate_components,
     minor_arc_rho,
     moment_enumeration,
@@ -30,7 +30,7 @@ from kglab import (
     weyl_scan,
 )
 from kglab import exp_sums
-from kglab.exp_sums import DEFAULT_MOMENT_SAMPLE_CAP
+from kglab.exp_sums import MOMENT_SAMPLE_CAP
 from kglab.intervals import _fft_length, factorize
 from kglab.weights import WeightFunction
 from tests.conftest import MOMENT_GRID
@@ -171,6 +171,15 @@ class TestPowersPast128Bits:
                     - 0.5 * self.exact_sum(k, alpha, zip(range(v_lo, v_hi + 1), eta.tolist())))
             assert value == pytest.approx(want, abs=1e-9)
 
+    def test_inner_power_table_cap(self):
+        # An outer variable up to 8 would need v^3 mod 2^64 for v from lo/8
+        # to hi, about 7.7e12 entries (56 TiB).
+        interval = build_interval(*self.CASES[0][:2], 5, self.CASES[0][2])
+        component = exp_sums.BilinearComponent(kind="type-I", sign=1, u_lo=1, u_hi=8,
+                                               xi=np.ones(8))
+        with pytest.raises(CapExceeded, match="inner powers exceed the cap"):
+            evaluate_components([component], 0.25, interval)
+
 
 class TestCompleteSum:
     def test_anchors(self):
@@ -198,6 +207,17 @@ class TestCompleteSum:
 
 
 class TestMoments:
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_run_lengths_across_chunk_edges(self, dtype, monkeypatch):
+        monkeypatch.setattr(exp_sums, "RUN_CHUNK", 4)
+        # Runs that end on, straddle and fill whole chunks of 4, and one
+        # that spans three chunks.
+        for runs in ([4, 4, 4], [3, 2, 7, 1, 4], [1, 11, 2], [5], [1] * 9, [2, 13, 4, 1]):
+            step = 10**20 if dtype is object else 7  # object arrays hold sums past 2^62
+            values = np.repeat(np.array([i * step for i in range(len(runs))], dtype=dtype), runs)
+            counts = np.unique(values, return_counts=True)[1]
+            assert exp_sums._sum_squared_run_lengths(values) == int(np.sum(counts**2)), runs
+
     def test_window_11_20_t2(self):
         interval = ShortInterval.from_integer_window(11, 20, 2)
         assert moment_nyquist(interval, 2) == 190
@@ -278,10 +298,11 @@ class TestMoments:
         slope = np.polyfit(logs_y, logs_m, 1)[0]
         assert slope < 3.3
 
-    def test_nyquist_sample_cap(self):
+    def test_nyquist_sample_cap(self, monkeypatch):
+        monkeypatch.setattr(exp_sums, "MOMENT_SAMPLE_CAP", 10**4)
         interval = ShortInterval.from_integer_window(10**5, 10**5 + 100, 3)
         with pytest.raises(Exception):
-            moment_nyquist(interval, 2, sample_cap=10**4)
+            moment_nyquist(interval, 2)
 
 
 @pytest.mark.parametrize("k,lo,hi", MOMENT_GRID)
@@ -324,6 +345,12 @@ class TestVaughan:
             lhs = evaluate_components(components, float(alpha), medium_window)
             rhs = weighted_exp_sum(float(alpha), lam, medium_window)
             assert abs(lhs - rhs) <= 1e-8 * total
+
+    def test_decomposition_table_cap(self, medium_window, monkeypatch):
+        monkeypatch.setattr(exp_sums, "DECOMPOSE_ENTRY_CAP", 10)
+        monkeypatch.setattr(exp_sums, "_moebius_table", None)  # never reached
+        with pytest.raises(CapExceeded, match="decomposition tables of"):
+            vaughan_decompose(medium_window)
 
     def test_block_ranges(self, medium_window):
         cut = default_bilinear_cut(medium_window)
@@ -465,7 +492,7 @@ class TestFrequencyBlocks:
             parts = [per_frequency_component(c, alpha, medium_window) for c in components]
             assert complex(got[j]) == sum(parts), alpha
         one = components[len(components) // 2]
-        rows = evaluate_component(one, np.array(alphas), medium_window)
+        rows = evaluate_components([one], np.array(alphas), medium_window)
         assert [complex(r) for r in rows] == [
             per_frequency_component(one, a, medium_window) for a in alphas
         ]
@@ -578,7 +605,7 @@ def test_fft_length_is_the_least_5_smooth_bound():
                 m //= p
         return m == 1
 
-    assert _fft_length(DEFAULT_MOMENT_SAMPLE_CAP) == DEFAULT_MOMENT_SAMPLE_CAP
+    assert _fft_length(MOMENT_SAMPLE_CAP) == MOMENT_SAMPLE_CAP
     want = None
     for size in range(5000, 0, -1):
         if smooth(size):

@@ -19,7 +19,6 @@ from kglab import (
     toy_weights,
     unit_weight,
     vector_sieve_lower,
-    vector_sieve_pointwise_check,
     vector_sieve_pointwise_scan,
     zero_weight,
 )
@@ -302,7 +301,7 @@ class TestPointwiseInequality:
         assert e.prod() == rhs == 0.0
 
     def test_no_violations_at_seed_7(self):
-        assert vector_sieve_pointwise_check(100_000, 7)
+        assert vector_sieve_pointwise_scan(100_000, 7)["violations"] == 0
 
     def test_scan_reports_box_and_counts(self):
         scan = vector_sieve_pointwise_scan(5000, 11)

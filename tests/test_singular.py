@@ -113,9 +113,7 @@ class TestTermTable:
         cases = [(k, s) for k in (2, 3, 4, 5, 6) for s in (3, 5, 7)]
         tables = {}
         for k, s in cases:
-            terms, errors = _series_terms(ORACLE_TARGETS, k, s, 2000)
-            assert errors == [None] * len(ORACLE_TARGETS)
-            tables[k, s] = terms
+            tables[k, s] = _series_terms(ORACLE_TARGETS, k, s, 2000)
         for col, q in enumerate(_term_table(2, 3, 2000).moduli.tolist()):
             phases = oracle_phases(q, ORACLE_TARGETS)
             for k in (2, 3, 4, 5, 6):
@@ -130,7 +128,7 @@ class TestTermTable:
         from kglab.singular import _series_terms, _term_table
 
         table = _term_table(k, 5, 2000)
-        terms, _ = _series_terms(ORACLE_TARGETS, k, 5, 2000)
+        terms = _series_terms(ORACLE_TARGETS, k, 5, 2000)
         col = 0
         for p, powers in table.groups:
             _, gamma = prime_exponents(p, k)
@@ -150,26 +148,50 @@ class TestTermTable:
 
         assert 3 not in [p for p, _, _ in local_profile(3).factors]
         col = _term_table(3, 5, 2000).moduli.tolist().index(9)
-        terms, _ = _series_terms(ORACLE_TARGETS, 3, 5, 2000)
+        terms = _series_terms(ORACLE_TARGETS, 3, 5, 2000)
         expected = oracle_terms(9, ORACLE_TARGETS, 3, (5,))[0].real
         assert np.max(np.abs(expected)) > 0.1
         assert np.allclose(terms[:, col], expected, rtol=0.0, atol=1e-14)
+
+    def test_tables_are_real_and_checked_when_built(self, monkeypatch):
+        from kglab import ConsistencyError, sweep
+        from kglab.singular import _term_table
+
+        table = _term_table(2, 5, 1000)
+        for array in (table.values, *(column for _, _, column in table.local)):
+            assert array.dtype == np.float64
+        # Below the table's largest residue, building it fails on its first
+        # column past the tolerance, and every row that reaches the series
+        # carries that one error; rows that fail earlier keep their own.
+        monkeypatch.setattr("kglab.singular.IMAG_RESIDUE_TOL", 1e-30)
+        _term_table.cache_clear()
+        try:
+            with pytest.raises(ConsistencyError) as caught:
+                singular_series(845, 2, 5, 1000)
+            message = str(caught.value)
+            assert message.startswith("series terms at q=")
+            rows = sweep([1, 845, 846, 901], 2, 5, 0.85, 1000)
+        finally:
+            _term_table.cache_clear()
+        assert rows[0].error.startswith("need n >= ")
+        assert [row.error for row in rows[1:]] == [message] * 3
+        assert all(row.prediction is None for row in rows)
 
     def test_one_target_series_is_the_batched_value(self):
         from kglab.singular import _series_values
 
         for n in (29, 838349, 838348, 10**30 + 5):
-            assert singular_series(n, 2, 5, 10**4).value == _series_values([n], 2, 5, 10**4)[0][0]
+            assert singular_series(n, 2, 5, 10**4).value == _series_values([n], 2, 5, 10**4)[0]
 
     def test_table_cache_is_bounded(self):
-        # The bytes stated beside TERM_TABLES: 128,352 at k = 2, qmax = 1e4.
+        # The bytes stated beside TERM_TABLES: 98,768 at k = 2, qmax = 1e4.
         from kglab.singular import TERM_TABLES, _term_table
 
         assert _term_table.cache_info().maxsize == TERM_TABLES <= 4
         table = _term_table(2, 5, 10**4)
         arrays = [table.moduli, table.cols, table.primes, table.exps, table.keys, table.values]
         size = sum(a.nbytes for a in arrays) + sum(c.nbytes for _, _, c in table.local)
-        assert size <= 130_000
+        assert size <= 100_000
 
 
 class TestDivisorSumIdentity:
