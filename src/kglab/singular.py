@@ -52,8 +52,8 @@ QUAD_BLOCK_CAP = 4096
 SERIES_BLOCK = 1 << 18     # terms of one row block of targets: 2 MB of floats
 
 # Series term tables kept, one per (k, s, qmax), least recently used
-# dropped first.  A table's arrays take 98,768 bytes at k = 2, qmax = 1e4,
-# at most 179,528 (k = 44) at that truncation, and 1,689,152 at k = 54,
+# dropped first.  A table's arrays take 98,720 bytes at k = 2, qmax = 1e4,
+# at most 179,264 (k = 50) at that truncation, and 1,688,896 at k = 54,
 # qmax = QMAX_CAP, the largest over every admissible (k, qmax): the cache
 # stays under 7 MB.
 TERM_TABLES = 4
@@ -159,26 +159,87 @@ def _powers_of_a_primitive_root(p: int) -> np.ndarray:
     return powers
 
 
+def _primitive_root_periods(p: int, k: int) -> tuple:
+    """The Gauss periods eta_i over the cosets g^i H of the k-th powers H,
+    as a (1, d) row, and the class (-n)^e = g^(i e) mod p of each coset,
+    from the powers of a primitive root g: O(p) work."""
+    d = math.gcd(k, p - 1)
+    e = (p - 1) // d
+    logs = _powers_of_a_primitive_root(p)
+    half = np.exp(2j * np.pi * np.arange(p // 2 + 1) / p)
+    roots = np.concatenate([half, half[p - len(half):0:-1].conj()])  # e(x / p)
+    periods = roots[np.ascontiguousarray(logs.reshape(e, d).T)].sum(axis=1)
+    return periods[None, :], logs[e * np.arange(d)][None, :]
+
+
+def _closed_form_periods(primes: np.ndarray, d: int) -> tuple:
+    """`_primitive_root_periods` of every prime with gcd(k, p - 1) = d <= 2,
+    one row each, in O(1) per prime (Gauss).  For d = 1 the one period is
+    -1, over the class 1.  For d = 2 the period over the squares (class 1)
+    is (-1 + g) / 2 and over the non-squares (class p - 1) it is
+    (-1 - g) / 2, with g = sqrt(p) for p = 1 mod 4 and i sqrt(p) for
+    p = 3 mod 4."""
+    if d == 1:
+        return np.full((len(primes), 1), -1.0 + 0j), np.ones((len(primes), 1), dtype=np.int64)
+    root = np.sqrt(primes.astype(float))
+    gauss = np.where(primes % 4 == 1, root + 0j, 1j * root)
+    return (np.stack([(-1 + gauss) / 2, (-1 - gauss) / 2], axis=1),
+            np.stack([np.ones_like(primes), primes - 1], axis=1))
+
+
+def _period_terms(primes: np.ndarray, periods: np.ndarray, classes: np.ndarray,
+                  s: int, qmax: int) -> tuple:
+    """The checked keys and real terms of primes sharing one d, from their
+    (primes, d) periods and coset classes: with w_i = (d eta_i / (p - 1))^s
+    the term is (p - 1) / d * sum w_i at class 0 (n = 0 mod p), and
+    sum_i w_i eta_(i + j mod d) at the class of coset j."""
+    d = periods.shape[1]
+    weights = (d * periods / (primes - 1)[:, None]) ** s
+    shifted = periods[:, (np.arange(d)[:, None] + np.arange(d)[None, :]) % d]
+    terms = np.concatenate([((primes - 1) / d * weights.sum(axis=1))[:, None],
+                            (shifted @ weights[:, :, None])[:, :, 0]], axis=1)
+    keys = primes[:, None] * (qmax + 1) + np.concatenate([np.zeros_like(classes[:, :1]), classes], axis=1)
+    return keys.ravel(), _real_terms(terms, primes).ravel()
+
+
+def _ramanujan_column(q: int, p: int, s: int) -> np.ndarray:
+    """c_q(n - s) over n mod q for q = p^j: q [q | n - s] - q / p [q / p | n - s],
+    in integers."""
+    m = (np.arange(q) - s % q) % q
+    return (q * (m == 0) - q // p * (m % (q // p) == 0)).astype(float)
+
+
 @functools.lru_cache(maxsize=TERM_TABLES)
 def _term_table(k: int, s: int, qmax: int) -> _TermTable:
     """The terms A(q, n) of the prime powers q <= qmax as functions of n;
     arguments are checked by the caller.
 
     ``groups`` is [(p, [p, p^2, ...]), ...], one column per prime power.
-    For p not dividing k, let g be a primitive root, d = gcd(k, p - 1) and
-    e = (p - 1) / d.  The k-th powers are H = {g^(d m)}, its cosets are
-    g^i H for i < d, and eta_i is the Gauss period over g^i H.  Then
-    S(p, a) = d eta_i for a in g^i H (Berndt, Evans and Williams, Gauss and
-    Jacobi Sums, 1998), so with w_i = (d eta_i / (p - 1))^s the term is
-    (p - 1) / d * sum w_i at n = 0 mod p, and sum_i w_i eta_(i + j mod d)
-    when -n lies in g^j H, that is when (-n)^e = g^(j e) mod p.  Column
-    ``cols[i]`` of ``primes[i]`` takes the entry of ``values`` at the key
-    p * (qmax + 1) + (-n)^exps[i] mod p in ``keys``.  A prime power q of a
-    prime dividing k, up to p^gamma, has a ``local`` (column, q, table over
-    n mod q).  Every other column is 0 (Hua: S(p^j, a) = 0 for j > gamma).
-    Every entry is computed complex and its imaginary residue checked once,
-    here (`_real_terms`); the first failing column raises, so no such table
-    is cached, and the arrays kept are real.
+    A prime power q = p^j with j > gamma(p) has the column 0 (Hua:
+    S(p^j, a) = 0).  The others come in three kinds.
+
+    - (p - 1) | k (the primes of the local modulus): every unit k-th power
+      is 1 mod q, so S(q, a) = phi(q) e(a / q) and the term is the
+      Ramanujan sum c_q(n - s), a ``local`` (column, q, table over n mod q)
+      computed in integers (`_ramanujan_column`).
+    - p | k otherwise (3 at k = 3): a ``local`` column from the FFT of the
+      complete sums (S(q, a) / phi(q))^s over a mod q.
+    - Every other p is keyed.  Let g be a primitive root, d = gcd(k, p - 1)
+      and e = (p - 1) / d.  The k-th powers are H = {g^(d m)}, its cosets
+      are g^i H for i < d, and eta_i is the Gauss period over g^i H.  Then
+      S(p, a) = d eta_i for a in g^i H (Berndt, Evans and Williams, Gauss
+      and Jacobi Sums, 1998), and the term depends on n only through the
+      class (-n)^e mod p: 0 when p | n, and g^(j e) when -n lies in g^j H
+      (`_period_terms`).  For d <= 2 the periods have a closed form, built
+      for all such primes at once (`_closed_form_periods`); for d >= 3 they
+      are summed over the powers of a primitive root, O(p) per prime
+      (`_primitive_root_periods`).  Column ``cols[i]`` of ``primes[i]``
+      takes the entry of ``values`` at the key p * (qmax + 1) +
+      (-n)^exps[i] mod p in ``keys``.
+
+    Every complex entry has its imaginary residue checked once, here
+    (`_real_terms`); a failing column raises, so no such table is cached,
+    and the arrays kept are real.
     """
     groups = []
     for p in sieve_upto(qmax):
@@ -186,48 +247,47 @@ def _term_table(k: int, s: int, qmax: int) -> _TermTable:
         while powers[-1] * p <= qmax:
             powers.append(powers[-1] * p)
         groups.append((p, powers))
-    cols, primes, keys, values, local = [], [], [], [], []
-    col = 0
-    for p, powers in groups:
-        tau, gamma = prime_exponents(p, k)
-        if tau:
-            for j, q in enumerate(powers[:gamma]):
+    all_primes = np.array([p for p, _ in groups], dtype=np.int64)
+    first_cols = np.cumsum([0] + [len(powers) for _, powers in groups[:-1]])
+    local = []
+    for col, (p, powers) in zip(first_cols.tolist(), groups):
+        if p > k + 1:  # past k + 1, neither p nor p - 1 divides k
+            break
+        _, gamma = prime_exponents(p, k)
+        for j, q in enumerate(powers[:gamma]):
+            if k % (p - 1) == 0:
+                local.append((col + j, q, _ramanujan_column(q, p, s)))
+            elif k % p == 0:
                 units, sums = complete_exp_sums(q, k)
                 placed = np.zeros(q, dtype=complex)
                 placed[units % q] = (sums[units % q] / len(units)) ** s
-                local.append((col + j, q, _real_terms(np.fft.fft(placed), q)))
-        else:
-            d = math.gcd(k, p - 1)
-            e = (p - 1) // d
-            logs = _powers_of_a_primitive_root(p)
-            half = np.exp(2j * np.pi * np.arange(p // 2 + 1) / p)
-            roots = np.concatenate([half, half[p - len(half):0:-1].conj()])  # e(x / p)
-            periods = roots[np.ascontiguousarray(logs.reshape(e, d).T)].sum(axis=1)
-            weights = (d * periods / (p - 1)) ** s
-            shifted = periods[(np.arange(d)[:, None] + np.arange(d)[None, :]) % d]
-            classes = np.concatenate([[0], logs[e * np.arange(d)]])  # (-n)^e, n = 0 first
-            order = np.argsort(classes)
-            cols.append(col)
-            primes.append(p)
-            keys.append(p * (qmax + 1) + classes[order])
-            terms = np.concatenate([[(p - 1) / d * weights.sum()], shifted @ weights])[order]
-            values.append(_real_terms(terms, p))
-        col += len(powers)
-    primes = np.array(primes, dtype=np.int64)
-    moduli = np.array([q for _, powers in groups for q in powers], dtype=np.int64)
-    table = _TermTable(groups, moduli, np.array(cols, dtype=np.int64), primes,
-                       (primes - 1) // np.gcd(primes - 1, k), np.concatenate(keys),
-                       np.concatenate(values), tuple(local))
+                local.append((col + j, q, _real_terms(np.fft.fft(placed)[None, :], [q])[0]))
+    keyed = (k % all_primes != 0) & (k % (all_primes - 1) != 0)
+    ds = np.gcd(all_primes - 1, k)
+    pieces = []
+    for d in (1, 2):
+        primes = all_primes[keyed & (ds == d)]
+        pieces.append(_period_terms(primes, *_closed_form_periods(primes, d), s, qmax))
+    for p in all_primes[keyed & (ds > 2)].tolist():
+        pieces.append(_period_terms(np.array([p]), *_primitive_root_periods(p, k), s, qmax))
+    keys = np.concatenate([piece_keys for piece_keys, _ in pieces])
+    order = np.argsort(keys)
+    primes = all_primes[keyed]
+    table = _TermTable(groups, np.array([q for _, powers in groups for q in powers], dtype=np.int64),
+                       first_cols[keyed], primes, (primes - 1) // ds[keyed], keys[order],
+                       np.concatenate([values for _, values in pieces])[order], tuple(local))
     for array in [*table[1:7], *(column for _, _, column in local)]:
         array.flags.writeable = False  # shared by every caller through the cache
     return table
 
 
-def _real_terms(terms: np.ndarray, q: int) -> np.ndarray:
-    """The real parts of the complex terms of modulus q, once no imaginary
-    residue reaches IMAG_RESIDUE_TOL."""
-    residue = float(np.max(np.abs(terms.imag)))
-    if residue >= IMAG_RESIDUE_TOL:
+def _real_terms(terms: np.ndarray, moduli) -> np.ndarray:
+    """The real parts of complex terms, one row per modulus, once no row's
+    imaginary residue reaches IMAG_RESIDUE_TOL; the first failing row raises."""
+    residues = np.max(np.abs(terms.imag), axis=1, initial=0.0)
+    failing = np.flatnonzero(residues >= IMAG_RESIDUE_TOL)
+    if len(failing):
+        q, residue = moduli[failing[0]], residues[failing[0]]
         raise ConsistencyError(f"series terms at q={q} have imaginary residue {residue:.3g}")
     return terms.real.copy()
 
@@ -436,11 +496,12 @@ def _integrals_by_convolution(ns, intervals, s: int) -> list:
     n = 2040200, theta = 0.1): a value read from it that is not finite
     raises CapExceeded instead of being clipped to 0.
 
-    One spectrum array and one result array serve every target, so a
-    target's own allocations are the FFT's scratch alone.  With fresh
-    arrays per target, glibc handed their pages back after most targets of
-    a sweep and faulted them in again, about 990 page faults per target.
-    The `out=` arguments of numpy.fft need NumPy 2.0.
+    One spectrum array and one power array serve every target, and the
+    convolution is written over the spectrum, so a target's own
+    allocations are the FFT's scratch alone.  With fresh arrays per
+    target, glibc handed their pages back after most targets of a sweep
+    and faulted them in again, about 990 page faults per target.  The
+    `out=` arguments of numpy.fft need NumPy 2.0.
     """
     size = s * (GRID_CELLS - 1) + 1  # the linear convolution: no wrap-around
     pad = _fft_length(size)
@@ -451,7 +512,8 @@ def _integrals_by_convolution(ns, intervals, s: int) -> list:
     # mapped and faulted in afresh for each target (about 577 faults each).
     np.empty(2 * pad)
     spectrum = np.empty(pad // 2 + 1, dtype=complex)
-    conv = np.empty(pad)
+    power = np.empty_like(spectrum)
+    conv = spectrum.view(float)[:pad]  # the spectrum is spent once its power is taken
     values = []
     for n, interval in zip(ns, intervals):
         x, y, k = interval.x, interval.y, interval.k
@@ -471,12 +533,24 @@ def _integrals_by_convolution(ns, intervals, s: int) -> list:
         # A local error state: this may run on the sweep's helper thread.
         with np.errstate(over="ignore", invalid="ignore"):
             np.fft.rfft(density, pad, out=spectrum)
-            np.fft.irfft(np.power(spectrum, s, out=spectrum), pad, out=conv)
+            np.fft.irfft(_power_into(spectrum, s, power), pad, out=conv)
             value = (1.0 - fracpos) * (conv[i] * scale) + fracpos * (conv[i + 1] * scale)
         if not math.isfinite(value):
             raise CapExceeded(f"the density convolution overflows at s={s}; use fourier-quadrature")
         values.append(float(max(0.0, value)))
     return values
+
+
+def _power_into(base: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
+    """base^s into ``out`` by square-and-multiply over the bits of s >= 1,
+    highest first.  NumPy's complex power calls the libm cpow, about four
+    times slower at the pads of the convolution."""
+    np.copyto(out, base)
+    for bit in bin(s)[3:]:
+        np.multiply(out, out, out=out)
+        if bit == "1":
+            np.multiply(out, base, out=out)
+    return out
 
 
 def _integral_by_quadrature(n: int, interval: ShortInterval, s: int) -> float:

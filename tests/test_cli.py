@@ -563,16 +563,27 @@ WINDOW = ["--n", "500000000", "--theta", "0.85"]
     (["vaughan-check", "--n", str(10**400)], 1, "computation error: decomposition tables of"),
     (["vaughan-check", "--n", str(5 * 10**20)], 1,
      "computation error: decomposition tables of 345451807 entries exceed the cap 10000000"),
-    # A series table with an imaginary residue past the tolerance, at q = 2.
-    (["singular-series", "--n", "102010000000", "--k", "2", "--s", str(10**7), "--qmax", "100"], 1,
-     "computation error: series terms at q=2 have imaginary residue"),
 ], ids=["seed-weyl", "seed-vaughan", "seed-sieve", "samples-weyl", "samples-weyl-1e11",
         "samples-sieve", "samples-sieve-1e11", "alphas", "alphas-1e11", "vaughan-1e400",
-        "vaughan-5e20", "series-residue"])
+        "vaughan-5e20"])
 def test_inputs_past_the_contract_exit_quickly(argv, status, start):
     proc = run_kglab(argv, seconds=1.0)
     assert proc.returncode == status
     assert proc.stderr.startswith(start)
+
+
+@pytest.mark.parametrize("s", [10**3, 10**5, 10**7])
+def test_series_at_huge_s_is_the_local_factor(s):
+    # n = 10201 s is s mod 24, and n - s = 10200 s is 0 mod 8 and mod 3, so
+    # the local factor is (1 + 1 + 2 + 4)(1 + 2) = 24, and every other
+    # term underflows.  The terms at 2, 3, 4 and 8 are Ramanujan sums, exact
+    # at any s: at s = 10^7 the complex s-th powers they replaced left an
+    # imaginary residue of 5.6e-10 at q = 2, and the run exited 1.
+    proc = run_kglab(["singular-series", "--n", str(10201 * s), "--k", "2", "--s", str(s),
+                      "--qmax", "100"], seconds=2.0)
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout)["result"]
+    assert result["value"] == result["value_direct"] == 24.0
 
 
 OVERFLOW = ["--k", "2", "--s", "200", "--theta", "0.1", "--qmax", "100"]

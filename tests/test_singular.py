@@ -157,7 +157,10 @@ class TestTermTable:
         from kglab import ConsistencyError, sweep
         from kglab.singular import _term_table
 
-        table = _term_table(2, 5, 1000)
+        # At k = 3 the table holds every kind of column: Ramanujan (q = 2),
+        # FFT (q = 3, 9), closed-form (d = 1) and primitive-root (d = 3).  At
+        # k = 2 the closed form and the Ramanujan sums leave no residue at all.
+        table = _term_table(3, 5, 1000)
         for array in (table.values, *(column for _, _, column in table.local)):
             assert array.dtype == np.float64
         # Below the table's largest residue, building it fails on its first
@@ -167,15 +170,52 @@ class TestTermTable:
         _term_table.cache_clear()
         try:
             with pytest.raises(ConsistencyError) as caught:
-                singular_series(845, 2, 5, 1000)
+                singular_series(845, 3, 5, 1000)
             message = str(caught.value)
             assert message.startswith("series terms at q=")
-            rows = sweep([1, 845, 846, 901], 2, 5, 0.85, 1000)
+            rows = sweep([1, 845, 846, 901], 3, 5, 0.85, 1000)
         finally:
             _term_table.cache_clear()
         assert rows[0].error.startswith("need n >= ")
         assert [row.error for row in rows[1:]] == [message] * 3
         assert all(row.prediction is None for row in rows)
+
+    @pytest.mark.parametrize("s", [10**3, 10**5, 10**7])
+    def test_local_modulus_terms_are_exact_at_any_s(self, s):
+        # The terms of the primes of the local modulus are Ramanujan sums
+        # c_q(n - s); n - s = 10200 s is 0 mod 8 and mod 3.  As complex s-th
+        # powers they drifted: q = 3 read 1.9999999999913094 at s = 10^5.
+        from kglab.singular import _series_terms, _term_table
+
+        moduli = _term_table(2, s, 100).moduli.tolist()
+        terms = _series_terms([10201 * s], 2, s, 100)[0]
+        for q, want in [(2, 1.0), (3, 2.0), (4, 2.0), (8, 4.0)]:
+            assert abs(terms[moduli.index(q)] - want) <= 1e-13, (s, q)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 10])
+    def test_closed_form_periods_match_primitive_root_sums(self, k):
+        from kglab.intervals import sieve_upto
+        from kglab.singular import _closed_form_periods, _primitive_root_periods
+
+        primes = np.array(sieve_upto(1999), dtype=np.int64)
+        ds = np.gcd(primes - 1, k)
+        assert np.count_nonzero(ds <= 2) > 100
+        for d in (1, 2):  # d = 1 only for p = 2 at even k, d = 2 never at odd k
+            chosen = primes[ds == d]
+            periods, classes = _closed_form_periods(chosen, d)
+            for p, row, row_classes in zip(chosen.tolist(), periods, classes):
+                want, want_classes = _primitive_root_periods(p, k)
+                assert row_classes.tolist() == want_classes[0].tolist(), (k, p)
+                # (p - 1) / d unit roots summed, each within a few ulps
+                assert np.max(np.abs(row - want[0])) <= 1e-15 * p, (k, p)
+
+    def test_series_at_the_cap_agrees_with_the_default_truncation(self):
+        # The whole series at QMAX_CAP, against the default truncation.
+        from kglab.singular import QMAX_CAP
+
+        for n in (29, 838349):
+            capped = singular_series(n, 2, 5, QMAX_CAP).value
+            assert capped == pytest.approx(singular_series(n, 2, 5, 10**4).value, rel=1e-6)
 
     def test_one_target_series_is_the_batched_value(self):
         from kglab.singular import _series_values
@@ -184,14 +224,14 @@ class TestTermTable:
             assert singular_series(n, 2, 5, 10**4).value == _series_values([n], 2, 5, 10**4)[0]
 
     def test_table_cache_is_bounded(self):
-        # The bytes stated beside TERM_TABLES: 98,768 at k = 2, qmax = 1e4.
+        # The bytes stated beside TERM_TABLES: 98,720 at k = 2, qmax = 1e4.
         from kglab.singular import TERM_TABLES, _term_table
 
         assert _term_table.cache_info().maxsize == TERM_TABLES <= 4
         table = _term_table(2, 5, 10**4)
         arrays = [table.moduli, table.cols, table.primes, table.exps, table.keys, table.values]
         size = sum(a.nbytes for a in arrays) + sum(c.nbytes for _, _, c in table.local)
-        assert size <= 100_000
+        assert size == 98_720
 
 
 class TestDivisorSumIdentity:
@@ -341,6 +381,21 @@ class TestSingularIntegral:
             n=n, k=k, s=5, value=value, method=method, grid_cells=1 << 14,
             flagged=False, alt_value=alt_value,
         )
+
+    @pytest.mark.parametrize("s", [3, 5, 7])
+    def test_spectrum_power_matches_numpy(self, s):
+        # The convolution raises the density's spectrum to the s-th power by
+        # square-and-multiply; np.power (libm cpow) is the reference.
+        from kglab.intervals import _fft_length
+        from kglab.singular import GRID_CELLS, _power_into
+
+        interval = build_interval(845, 2, s, 0.85)
+        lo_t, hi_t = (interval.x - interval.y) ** 2, (interval.x + interval.y) ** 2
+        t_mid = lo_t + (np.arange(GRID_CELLS) + 0.5) * (hi_t - lo_t) / GRID_CELLS
+        spectrum = np.fft.rfft(0.5 / np.sqrt(t_mid), _fft_length(s * (GRID_CELLS - 1) + 1))
+        want = np.power(spectrum, s)
+        got = _power_into(spectrum, s, np.empty_like(spectrum))
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     def test_nonnegative(self):
         interval = build_interval(845, 2, 5, 0.85)
