@@ -10,6 +10,7 @@ rational arithmetic so the split is bit-stable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +48,11 @@ class ArcDissection:
     @property
     def q_cap(self) -> int:
         return int(math.floor(self.P))
+
+    @functools.cached_property
+    def q_ratio(self) -> tuple:
+        """Q as an exact ratio (numerator, denominator) of integers."""
+        return self.Q.as_integer_ratio()
 
     @property
     def disjoint_regime(self) -> bool:
@@ -132,12 +138,11 @@ def _reduce(alpha: float, Q: float) -> float:
     return frac
 
 
-def _convergents(value: Fraction):
-    """Continued-fraction convergents of a nonnegative rational.
+def _convergents(num: int, den: int):
+    """Continued-fraction convergents of the nonnegative rational num/den.
 
     Terminates because the input is rational (floats are dyadic).
     """
-    num, den = value.numerator, value.denominator
     h0, k0 = 0, 1  # two steps back
     h1, k1 = 1, 0  # one step back
     while den:
@@ -157,8 +162,10 @@ def classify(alpha: float, dissection: ArcDissection):
 
     In the disjoint regime a hit |q*beta - a| <= 1/Q with q <= P forces
     |beta - a/q| < 1/(2q^2) for q >= 2, so a/q must be a convergent of
-    beta; q = 1 is checked directly.  Degenerate (overlapping) families
-    fall back to a scan over all denominators.
+    beta; q = 1 is checked directly.  With beta = num/den and Q = Qn/Qd
+    as exact ratios, a hit is |q num - a den| Qn <= den Qd, decided in
+    integers.  Degenerate (overlapping) families fall back to a scan over
+    all denominators.
     """
     Q = dissection.Q
     q_cap = dissection.q_cap
@@ -166,20 +173,21 @@ def classify(alpha: float, dissection: ArcDissection):
         return None
     if not dissection.disjoint_regime:
         return classify_brute(alpha, dissection)
-    exact = Fraction(_reduce(alpha, Q))
-    q_inv = Fraction(1) / Fraction(Q)
+    num, den = _reduce(alpha, Q).as_integer_ratio()
+    q_num, q_den = dissection.q_ratio
+    reach = den * q_den
 
     hits = []
     # q = 1 is checked directly: Legendre's criterion is only strict for
     # q >= 2, and the single arc at 1/1 is cheap to test.
-    if _hit(exact, 1, 1, q_inv):
+    if abs(num - den) * q_num <= reach:
         hits.append((1, 1))
-    for a, q in _convergents(exact):
+    for a, q in _convergents(num, den):
         if q > q_cap:
             break
         if q < 1 or a < 1 or a > q or math.gcd(a, q) != 1:
             continue
-        if _hit(exact, q, a, q_inv):
+        if abs(q * num - a * den) * q_num <= reach:
             hits.append((q, a))
     if not hits:
         return None

@@ -6,24 +6,28 @@ dyadic rational, so for any 64-bit fixed-point representable alpha the
 fractional part of m^k * alpha equals ((m^k mod 2^64) * A mod 2^64) / 2^64
 exactly, where A = alpha * 2^64.  Wrapping uint64 multiplication gives
 this for whole windows at vector speed; frequencies outside that range
-fall back to exact integer arithmetic per term.  One kernel does this
-reduction for every phase sum here (plain, scanned and per decomposition
-block), for a block of frequencies at a time: one row of wrapped products
-per frequency, each row added by numpy's pairwise summation, and about
-_BLOCK_TERMS terms per block.  The only inexactness left is evaluating
-e(.) and that summation.  The complete sums S(q, a) share the same exact
-modular arithmetic, one table per modulus.
+take P = round(2^64 frac(m^k alpha)) per term in exact integer arithmetic.
+One kernel does this reduction for every phase sum here (plain, scanned
+and decomposed): it reads a stream of terms (m mod 2^64, w) in chunks of
+_BLOCK_TERMS, skips terms of zero weight, and takes each chunk once for a
+block of frequencies.  e(P / 2^64) comes from the uint64 phase P itself:
+two table reads for its top 32 bits and 1 + i eps for the rest, within
+about 5e-16 of the exact value.  Each row adds a chunk by numpy's pairwise
+summation and the chunks in order.  The complete sums S(q, a) share the
+same exact modular arithmetic, one table per modulus.
 
 Moments of |f|^(2t) are integers (solution counts) and are computed two
 independent ways: averaging |f|^(2t) over any N >= 2 t spread + 1
-equispaced points, padded to a 5-smooth N for the real FFT (the sampled
+equispaced points, padded to a 5-smooth N for the FFT (the sampled
 mean of a trigonometric polynomial below the aliasing threshold is its
 exact mean), and direct enumeration of power-sum collisions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +48,20 @@ from .representations import _check_table_cap, _fold_sums, _weighted_half
 from .weights import WeightFunction
 
 _TWO64 = 1 << 64
-_SCALE64 = 2.0**-64
+# Offsets of the words _weighted_e64 reads from a uint64 phase: its top and
+# next 16-bit words and its low 32-bit half.  Its two tables of 2^16 complex
+# entries take 2 MiB, built on first use.
+_E_WORDS = (3, 2, 0) if sys.byteorder == "little" else (0, 1, 1)
 MOMENT_SAMPLE_CAP = 1 << 26
 RUN_CHUNK = 1 << 22        # sorted sums read at a time by _sum_squared_run_lengths
-# Frequencies x terms per kernel block: 512 KB per float64 temporary, which
-# stays in cache; 2^19-term blocks ran the 5,023-term scan ~15% slower.
-_BLOCK_TERMS = 1 << 16
+# Entries per block of either pass of moment_nyquist's DFT: at N = 3,037,500
+# (lo 500, hi 1000, t 2) 2^16 took 0.12 s, 2^13 0.16 s and 2^18 0.13 s.
+_MOMENT_BLOCK = 1 << 16
+# Terms per chunk, and frequencies x terms per kernel block: 640 KB of
+# buffers.  At n = 5e8 (best of 8, 2 cores) 2^14 took the 5,000-sample scan
+# in 37 ms and the decomposition in 50 ms, against 39/67 ms at 2^13, 48/61
+# ms at 2^15 and 45/73 ms at 2^12.
+_BLOCK_TERMS = 1 << 14
 COMPLETE_SUM_CAP = 1_000_000
 # weyl-scan's samples, at about 2,400 bytes each in a JSON report, the
 # heavier form (200,000 samples raised peak RSS by 457 MB): 116,666.
@@ -57,9 +69,6 @@ SCAN_SAMPLE_CAP = MEMORY_BUDGET // 2_400
 # vaughan_decompose's tables and the sieves behind them, at about 28 bytes
 # per entry (4.9e6 more entries raised peak RSS by 122 MB): 10,000,000.
 DECOMPOSE_ENTRY_CAP = MEMORY_BUDGET // 28
-# evaluate_components' table of v^k mod 2^64, at about 33 bytes per entry
-# while it is built (4e6 more entries raised peak RSS by 122 MB): 8,484,848.
-POWER_TABLE_CAP = MEMORY_BUDGET // 33
 
 
 def weyl_exponent(k: int) -> int:
@@ -79,11 +88,6 @@ def minor_arc_rho(k: int) -> float:
 # phase machinery
 
 
-def window_powers_mod64(lo: int, hi: int, k: int) -> np.ndarray:
-    """m^k mod 2^64 for m in [lo, hi], from m mod 2^64 (wrapping uint64)."""
-    return pow_mod(np.arange(hi - lo + 1, dtype=np.uint64) + np.uint64(lo % _TWO64), k, _TWO64)
-
-
 def _frequencies(alphas) -> tuple:
     """Exact form of a float or a 1-D array of frequencies: the uint64 fixed
     points num * (2^64 / den) mod 2^64 of those with dyadic denominator
@@ -100,60 +104,89 @@ def _frequencies(alphas) -> tuple:
     return fixed, exact
 
 
-def _phase_sums(values, lo: int, hi: int, k: int, freqs: tuple,
-                powers_mod: np.ndarray = None, mult: int = 1) -> np.ndarray:
-    """Row j: sum over m in [lo, hi] of values[m - lo] e(m^k mult alpha_j),
-    for the frequencies ``freqs = _frequencies(alphas)``; values=None means
-    unit weights.
+@functools.cache
+def _e_tables() -> tuple:
+    """e(j / 2^16) and e(j / 2^32) for 0 <= j < 2^16 (see _E_WORDS)."""
+    j = np.arange(1 << 16, dtype=np.float64)
+    top = np.where(j < 1 << 15, j, j - (1 << 16)) * (2.0 * np.pi / 2.0**16)  # in [-pi, pi)
+    low = j * (2.0 * np.pi / 2.0**32)
+    tables = tuple(np.cos(angle) + 1j * np.sin(angle) for angle in (top, low))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
-    Each phase is reduced mod 1 exactly before e(.) is taken: by wrapping
-    uint64 products of the fixed point, mult and m^k mod 2^64
-    (``powers_mod``, computed here if not given), or per term in Python
-    integers for the rows listed in ``freqs[1]``.  e(.) is taken only at
-    terms of nonzero weight; each row is added by numpy's pairwise
-    summation over the whole window, zeros in place of the skipped terms.
-    A block holds as many frequencies as fit in _BLOCK_TERMS window terms,
-    and at least one.
+
+def _weighted_e64(phases: np.ndarray, weights: np.ndarray, slopes: np.ndarray,
+                  out: np.ndarray, tmp: np.ndarray):
+    """Write weights * e(P / 2^64) into out for a 2-D array of uint64
+    phases P, given slopes = weights * 2 pi / 2^64; tmp is scratch of the
+    shape of out.
+
+    With t and u the top two 16-bit words of P and r its low 32 bits,
+    e(P / 2^64) = e(t / 2^16) e(u / 2^32) e(r / 2^64): two table reads and
+    1 + i eps, eps = 2 pi r / 2^64 < 1.5e-9, for the last factor, whose
+    dropped terms are below eps^2 / 2 < 1.1e-18.
+    """
+    top, low = _e_tables()
+    words = phases.view(np.uint16)
+    np.take(top, words[:, _E_WORDS[0]::4], out=out, mode="clip")
+    np.take(low, words[:, _E_WORDS[1]::4], out=tmp, mode="clip")
+    out *= tmp
+    tmp.real = weights
+    np.multiply(phases.view(np.uint32)[:, _E_WORDS[2]::2], slopes, out=tmp.imag)
+    out *= tmp
+
+
+def _exact_phase(m: int, k: int, num: int, den: int) -> int:
+    """round(2^64 * frac(m^k num / den)) mod 2^64, in Python integers."""
+    r = pow(m, k, den) * num % den
+    return (2 * r * _TWO64 + den) // (2 * den) % _TWO64
+
+
+def _phase_sums(chunks, k: int, freqs: tuple) -> np.ndarray:
+    """Row j: the sum of w e(m^k alpha_j) over the terms (m, w) of ``chunks``,
+    for the frequencies ``freqs = _frequencies(alphas)``.
+
+    ``chunks`` yields (m mod 2^64, w, m or None) for at most _BLOCK_TERMS
+    terms each; the exact m (Python integers) is needed only when
+    ``freqs[1]`` lists rows.  Each phase m^k alpha is reduced mod 1 to a
+    uint64 P before e(P / 2^64) is taken: by wrapping uint64 products of the
+    fixed point and m^k mod 2^64, or for the rows in ``freqs[1]`` per term
+    in Python integers.  Each row adds a chunk's terms by numpy's pairwise
+    summation and the chunks in order, so a row has the same bits whatever
+    other frequencies it is passed with.  A block holds as many frequencies
+    as fit in _BLOCK_TERMS terms, and at least one.
     """
     fixed, exact = freqs
-    if powers_mod is None:
-        powers_mod = window_powers_mod64(lo, hi, k)
-    size = hi - lo + 1
-    terms = np.arange(size) if values is None else np.flatnonzero(values)
-    powers_mod = powers_mod[terms]
-    if values is not None:
-        values = values[terms]
-    step = max(1, _BLOCK_TERMS // size)
-    out = np.empty(len(fixed), dtype=np.complex128)
-    for start in range(0, len(fixed), step):
-        stop = start + step
-        with np.errstate(over="ignore"):
-            prod = (fixed[start:stop] * np.uint64(mult % _TWO64))[:, None] * powers_mod
-        ang = prod.astype(np.float64)
-        ang *= _SCALE64
-        for j, (num, den) in exact.items():
-            if start <= j < stop:
-                ang[j - start] = [pow(lo + i, k, den) * (num * mult) % den / den
-                                  for i in terms.tolist()]
-        ang *= 2.0 * np.pi
-        re = np.cos(ang)
-        im = np.sin(ang, out=ang)
-        if values is not None:
-            re *= values
-            im *= values
-        out.real[start:stop] = _row_sums(re, terms, size)
-        out.imag[start:stop] = _row_sums(im, terms, size)
+    out = np.zeros(len(fixed), dtype=np.complex128)
+    buffers = [np.empty(_BLOCK_TERMS, t) for t in (np.uint64, np.complex128, np.complex128)]
+    for m_mod, weights, ms in chunks:
+        powers = pow_mod(m_mod, k, _TWO64)
+        slopes = weights * (2.0 * np.pi / 2.0**64)
+        slow = {j: np.array([_exact_phase(m, k, num, den) for m in ms], dtype=np.uint64)
+                for j, (num, den) in exact.items()}
+        size = len(powers)
+        step = max(1, _BLOCK_TERMS // size)
+        for start in range(0, len(fixed), step):
+            rows = min(step, len(fixed) - start)
+            phases, terms, tmp = (buf[: rows * size].reshape(rows, size) for buf in buffers)
+            np.multiply(fixed[start : start + rows, None], powers, out=phases)
+            for j, row in slow.items():
+                if start <= j < start + rows:
+                    phases[j - start] = row
+            _weighted_e64(phases, weights, slopes, terms, tmp)
+            out[start : start + rows] += terms.sum(axis=1)
     return out
 
 
-def _row_sums(rows: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
-    """Pairwise sum of each row, with zeros put back at the terms left out
-    so that the summation tree is the full window's."""
-    if len(terms) < size:
-        full = np.zeros((len(rows), size))
-        full[:, terms] = rows
-        rows = full
-    return np.sum(rows, axis=1)
+def _window_chunks(values: np.ndarray, lo: int, exact_terms: bool):
+    """_phase_sums chunks of the window terms (m, values[m - lo]) of nonzero
+    weight, _BLOCK_TERMS at a time."""
+    terms = np.flatnonzero(values)
+    for start in range(0, len(terms), _BLOCK_TERMS):
+        offsets = terms[start : start + _BLOCK_TERMS]
+        ms = [lo + i for i in offsets.tolist()] if exact_terms else None
+        yield offsets.astype(np.uint64) + np.uint64(lo % _TWO64), values[offsets], ms
 
 
 def _as_given(alphas, sums: np.ndarray):
@@ -168,8 +201,9 @@ def weighted_exp_sum(alpha, weight: WeightFunction, interval: ShortInterval):
     Phases are reduced mod 1 in exact integer arithmetic before e(.) is
     taken; adding an integer to alpha therefore cannot change the result.
     """
-    sums = _phase_sums(weight.values, interval.lo, interval.hi, interval.k,
-                       _frequencies(alpha))
+    freqs = _frequencies(alpha)
+    sums = _phase_sums(_window_chunks(weight.values, interval.lo, bool(freqs[1])),
+                       interval.k, freqs)
     return _as_given(alpha, sums)
 
 
@@ -214,10 +248,18 @@ def moment_nyquist(interval: ShortInterval, t: int) -> int:
     |f|^(2t) is a trigonometric polynomial with frequencies bounded by
     t * (hi^k - lo^k), so its average over any N >= 2 t (hi^k - lo^k) + 1
     equispaced points equals the integral exactly; N is that bound padded
-    to the next 5-smooth length, where the real FFT is fast.  The result
-    is the number of solutions of a t-versus-t power-sum collision and is
-    returned as an integer.  An N above MOMENT_SAMPLE_CAP raises
-    CapExceeded before anything is allocated.
+    to the next 5-smooth length, where the FFT is fast.  The result is the
+    number of solutions of a t-versus-t power-sum collision and is returned
+    as an integer.  An N above MOMENT_SAMPLE_CAP raises CapExceeded before
+    anything is allocated.
+
+    The N-point DFT of the k-th power residue counts is taken in two passes
+    over N = rows * cols, rows the largest divisor of N up to sqrt(N):
+    real transforms of length rows, over blocks of the counts built from
+    the window's residues, then twiddles and transforms of length cols, a
+    block of bins at a time.  Only the cols x (rows / 2 + 1) complex table
+    between the passes spans N, about 8 N bytes; one real FFT of all N
+    points held about 30 N bytes at its peak.
     """
     if t < 1:
         raise ValidationError(f"need t >= 1, got {t}")
@@ -227,15 +269,34 @@ def moment_nyquist(interval: ShortInterval, t: int) -> int:
     if n_samples > MOMENT_SAMPLE_CAP:
         raise CapExceeded(f"{n_samples} sample points exceed the cap {MOMENT_SAMPLE_CAP}")
     size = _fft_length(n_samples)
-    # np.zeros leaves untouched pages unmapped; a full bincount would not.
-    counts = np.zeros(size)
-    np.add.at(counts, pow_mod(lo % size + np.arange(hi - lo + 1), k, size), 1.0)
-    power = np.abs(np.fft.rfft(counts)) ** (2 * t)
-    # Hermitian fold: bins 1 .. ceil(N/2) - 1 also stand for their mirrors.
-    total = power[0] + 2.0 * np.sum(power[1 : (size + 1) // 2])
-    if size % 2 == 0:
-        total += power[size // 2]
-    mean = float(total / size)
+    rows = max(d for d in range(1, math.isqrt(size) + 1) if size % d == 0)
+    cols = size // rows
+    # Residue a * cols + b is entry (a, b) of the counts as a rows x cols array.
+    a, b = np.divmod(pow_mod(lo % size + np.arange(hi - lo + 1), k, size), cols)
+    order = np.argsort(b, kind="stable")
+    a, b = a[order], b[order]
+    half = rows // 2 + 1
+    table = np.empty((cols, half), dtype=np.complex128)
+    step = max(1, _MOMENT_BLOCK // rows)
+    for start in range(0, cols, step):
+        block = np.zeros((min(step, cols - start), rows))
+        first, last = np.searchsorted(b, [start, start + len(block)])
+        np.add.at(block, (b[first:last] - start, a[first:last]), 1.0)
+        table[start : start + len(block)] = np.fft.rfft(block, axis=1)
+    # Bin j1 + rows * j2 of the DFT is entry j2 of the length-cols transform
+    # of table[b, j1] e(-b j1 / N).  Columns 1 .. ceil(rows/2) - 1 also
+    # stand for their Hermitian mirrors rows - j1.
+    total = 0.0
+    step = max(1, _MOMENT_BLOCK // cols)
+    bs = np.arange(cols)
+    for start in range(0, half, step):
+        j1 = np.arange(start, min(start + step, half))
+        twiddle = np.exp((-2j * np.pi / size) * (np.outer(bs, j1) % size))
+        power = np.abs(np.fft.fft(table[:, start : start + len(j1)] * twiddle, axis=0))
+        power **= 2 * t
+        power *= np.where((j1 == 0) | (2 * j1 == rows), 1.0, 2.0)
+        total += float(np.sum(power))
+    mean = total / size
     value = round(mean)
     residual = abs(mean - value)
     if residual > 1e-6:
@@ -443,44 +504,57 @@ def evaluate_components(components, alphas, interval: ShortInterval):
     """Sum of the signed component values at a float frequency, or at each
     entry of a 1-D array of them.
 
-    For each outer b the inner sum runs over v with b*v in the window, at
-    the exact frequency b^k * alpha, for all frequencies in one kernel
-    call.  The inner terms slice one table of v^k mod 2^64 over the v any
-    block reads, from ceil(lo / max u_hi) to hi; a table longer than
-    POWER_TABLE_CAP raises CapExceeded before it is built.
+    The terms (b, v) of every component go to the phase kernel as one
+    stream (``_decomposition_chunks``), each chunk once for all
+    frequencies, so the memory taken does not grow with the window.
     """
-    lo, hi, k = interval.lo, interval.hi, interval.k
     freqs = _frequencies(alphas)
-    total = np.zeros(len(freqs[0]), dtype=np.complex128)
-    if not components:
-        return _as_given(alphas, total)
-    v_min = -(-lo // max(c.u_hi for c in components))
-    if hi - v_min + 1 > POWER_TABLE_CAP:
-        raise CapExceeded(f"{hi - v_min + 1} inner powers exceed the cap {POWER_TABLE_CAP}")
-    powers_mod = window_powers_mod64(v_min, hi, k)
-    for component in components:
-        part = np.zeros_like(total)
-        for i, b in enumerate(range(component.u_lo, component.u_hi + 1)):
-            coeff = component.xi[i]
-            if coeff == 0.0:
-                continue
-            v_lo = (lo + b - 1) // b
-            v_hi = hi // b
-            if component.kind == "type-II":
-                v_lo = max(v_lo, component.v_lo)
-                v_hi = min(v_hi, component.v_hi)
-            if v_hi < v_lo:
-                continue
-            if component.kind == "type-II":
-                inner_w = component.eta[v_lo - component.v_lo : v_hi - component.v_lo + 1]
-            elif component.inner_log:
-                inner_w = np.log(np.arange(v_lo, v_hi + 1, dtype=np.float64))
-            else:
-                inner_w = None
-            part += coeff * _phase_sums(inner_w, v_lo, v_hi, k, freqs,
-                                        powers_mod[v_lo - v_min : v_hi - v_min + 1], b**k)
-        total += component.sign * part
-    return _as_given(alphas, total)
+    chunks = _decomposition_chunks(components, interval.lo, interval.hi, bool(freqs[1]))
+    return _as_given(alphas, _phase_sums(chunks, interval.k, freqs))
+
+
+def _mod64(ints: np.ndarray) -> np.ndarray:
+    """Nonnegative int64 or Python-integer entries mod 2^64, as uint64."""
+    return (ints % _TWO64 if ints.dtype == object else ints).astype(np.uint64)
+
+
+def _decomposition_chunks(components, lo: int, hi: int, exact_terms: bool):
+    """_phase_sums chunks of the terms m = b v of the components, weighted
+    sign xi_b w(v): b with xi_b != 0, v with b v in [lo, hi] (in [v_lo,
+    v_hi] for type-II), and w(v) = eta[v - v_lo] for type-II, log v for
+    log-weighted type-I, else 1.
+
+    The outer b go _BLOCK_TERMS at a time and the terms of each group in
+    chunks of _BLOCK_TERMS, working out m mod 2^64 per slice of v; chunk
+    edges depend on the components alone.  Bounds run in int64, or in
+    Python integers (object arrays) once hi reaches 2^62.
+    """
+    dtype = object if hi >= 1 << 62 else np.int64
+    for comp in components:
+        for group in range(comp.u_lo, comp.u_hi + 1, _BLOCK_TERMS):
+            bs = np.arange(group, min(group + _BLOCK_TERMS, comp.u_hi + 1)).astype(dtype)
+            coeff = comp.sign * comp.xi[group - comp.u_lo : group - comp.u_lo + len(bs)]
+            v_lo = (lo + bs - 1) // bs
+            v_hi = hi // bs
+            if comp.kind == "type-II":
+                v_lo = np.maximum(v_lo, comp.v_lo)
+                v_hi = np.minimum(v_hi, comp.v_hi)
+            keep = (coeff != 0.0) & (v_hi >= v_lo)
+            bs, coeff, v_lo, v_hi = bs[keep], coeff[keep], v_lo[keep], v_hi[keep]
+            starts = np.concatenate(([0], np.cumsum((v_hi - v_lo + 1).astype(np.int64))))
+            b_mod, v_mod = _mod64(bs), _mod64(v_lo)
+            for start in range(0, int(starts[-1]), _BLOCK_TERMS):
+                idx = np.arange(start, min(start + _BLOCK_TERMS, int(starts[-1])))
+                sl = np.searchsorted(starts, idx, side="right") - 1
+                off = idx - starts[sl]
+                if comp.kind == "type-II":
+                    inner = comp.eta[(v_lo[sl] - comp.v_lo).astype(np.int64) + off]
+                elif comp.inner_log:
+                    inner = np.log(v_lo[sl].astype(np.float64) + off)
+                else:
+                    inner = 1.0
+                ms = (bs[sl] * (v_lo[sl] + off)).tolist() if exact_terms else None
+                yield b_mod[sl] * (v_mod[sl] + off.astype(np.uint64)), coeff[sl] * inner, ms
 
 
 def coefficient_diagnostic(components) -> float:
@@ -558,7 +632,8 @@ def weyl_scan(interval: ShortInterval, dissection, samples: int,
     rng = np.random.default_rng(seed)
     q_inv = 1.0 / dissection.Q
     alphas = rng.uniform(q_inv, 1.0 + q_inv, size=samples)
-    sums = _phase_sums(weight.values, interval.lo, interval.hi, k, _frequencies(alphas))
+    freqs = _frequencies(alphas)
+    sums = _phase_sums(_window_chunks(weight.values, interval.lo, bool(freqs[1])), k, freqs)
     trivial = weight.bound * interval.size + 1e-9 * max(1.0, weight.bound * interval.size)
 
     rows = []
@@ -592,5 +667,5 @@ def weyl_scan(interval: ShortInterval, dissection, samples: int,
         argmax_minor=argmax_minor,
         ratio_sup=sup_minor / norm,
         minor_inhabited=minor_seen,
-        peak=abs(float(np.sum(weight.values))),
+        peak=abs(weighted_exp_sum(0.0, weight, interval)),
     )

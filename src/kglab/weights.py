@@ -8,12 +8,14 @@ and arbitrary user tables.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .intervals import PrimeTable, ShortInterval, primes_in_interval, von_mangoldt
+from .intervals import PrimeTable, ShortInterval, _iroot, primes_in_interval, sieve_upto
 
 
 @dataclass(frozen=True)
@@ -64,13 +66,28 @@ def prime_indicator(interval: ShortInterval, table: PrimeTable = None) -> Weight
     if table is None:
         table = primes_in_interval(interval)
     values = np.zeros(interval.size)
-    for p in table.primes:
-        values[p - interval.lo] = 1.0
+    values[np.array(table.primes, dtype=np.int64) - interval.lo] = 1.0
     return WeightFunction("prime-indicator", interval, values, 1.0)
 
 
 def von_mangoldt_weight(interval: ShortInterval) -> WeightFunction:
-    values = np.array([von_mangoldt(m) for m in interval])
+    """Lambda on the window, by sieve: math.log(p) at each prime power p^j,
+    as ``intervals.von_mangoldt`` gives it, and 0 elsewhere.
+
+    The primes come from the window's prime table, so its caps apply; the
+    powers p^j, j >= 2, from the primes p in [lo^(1/j), hi^(1/j)].
+    """
+    lo, hi = interval.lo, interval.hi
+    bases = list(primes_in_interval(interval).primes)
+    powers = list(bases)
+    small = sieve_upto(math.isqrt(hi))
+    for j in range(2, hi.bit_length()):
+        first, last = _iroot(lo - 1, j) + 1, _iroot(hi, j)
+        for p in small[bisect_left(small, first) : bisect_right(small, last)]:
+            bases.append(p)
+            powers.append(p**j)
+    values = np.zeros(interval.size)
+    values[np.array(powers, dtype=np.int64) - lo] = [math.log(p) for p in bases]
     bound = float(values.max(initial=0.0))
     return WeightFunction("von-mangoldt", interval, values, max(bound, 1.0))
 

@@ -132,6 +132,20 @@ class TestClassify:
         slow_key = (slow.q, slow.a) if slow else None
         assert fast_key == slow_key
 
+    @pytest.mark.parametrize("delta", [None, 0.3])
+    def test_spectral_scan_samples_agree_with_brute_force(self, delta):
+        # Every sample weyl-scan draws at n = 5e8 under the four benchmark
+        # seeds, at the default arc exponent and at a wider family.
+        interval = build_interval(5 * 10**8, 2, 5, 0.85)
+        dissection = build_dissection(interval, delta or default_delta(2, 0.85))
+        q_inv = 1.0 / dissection.Q
+        for seed in (7, 8, 9, 10):
+            alphas = np.random.default_rng(seed).uniform(q_inv, 1.0 + q_inv, size=5000)
+            for alpha in alphas.tolist():
+                fast = classify(alpha, dissection)
+                slow = classify_brute(alpha, dissection)
+                assert (fast and (fast.q, fast.a)) == (slow and (slow.q, slow.a)), alpha
+
     def test_degenerate_overlapping_family(self):
         # P >= Q: no disjointness; the scan path must still classify.
         dissection = ArcDissection.from_parameters(5.0, 4.0)

@@ -171,15 +171,6 @@ class TestPowersPast128Bits:
                     - 0.5 * self.exact_sum(k, alpha, zip(range(v_lo, v_hi + 1), eta.tolist())))
             assert value == pytest.approx(want, abs=1e-9)
 
-    def test_inner_power_table_cap(self):
-        # An outer variable up to 8 would need v^3 mod 2^64 for v from lo/8
-        # to hi, about 7.7e12 entries (56 TiB).
-        interval = build_interval(*self.CASES[0][:2], 5, self.CASES[0][2])
-        component = exp_sums.BilinearComponent(kind="type-I", sign=1, u_lo=1, u_hi=8,
-                                               xi=np.ones(8))
-        with pytest.raises(CapExceeded, match="inner powers exceed the cap"):
-            evaluate_components([component], 0.25, interval)
-
 
 class TestCompleteSum:
     def test_anchors(self):
@@ -230,6 +221,14 @@ class TestMoments:
             assert moment_enumeration(interval, 1, unit_weight(interval)) == float(
                 interval.size
             )
+
+    @pytest.mark.parametrize("lo,hi,k", [(5, 5, 2), (1, 2, 2), (2, 3, 2), (1, 2, 3)])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_short_transforms(self, lo, hi, k, t):
+        # N from 1 to 45: one row or one column in either pass of the DFT.
+        interval = ShortInterval.from_integer_window(lo, hi, k)
+        assert float(moment_nyquist(interval, t)) == moment_enumeration(
+            interval, t, unit_weight(interval))
 
     def test_k3_enum_oracle(self):
         interval = ShortInterval.from_integer_window(5, 10, 3)
@@ -425,11 +424,12 @@ class TestWeylScan:
 
 
 # ---------------------------------------------------------------------------
-# frequency blocks against the per-frequency kernel
+# frequency blocks and term chunks against one-frequency calls
 
 
 def per_frequency_phase_sum(values, lo, hi, k, num, den):
-    """The kernel as it was before frequency blocks: one frequency num/den."""
+    """The cos/sin kernel of earlier versions, one frequency num/den at a
+    time: an independent oracle, to rounding."""
     if den <= 2**64:
         powers = np.array([pow(m, k, 2**64) for m in range(lo, hi + 1)], dtype=np.uint64)
         with np.errstate(over="ignore"):
@@ -445,7 +445,7 @@ def per_frequency_phase_sum(values, lo, hi, k, num, den):
 
 
 def per_frequency_component(component, alpha, interval):
-    """The per-b decomposition loop as it was, one frequency at a time."""
+    """The per-b decomposition loop of earlier versions on the cos/sin kernel."""
     lo, hi, k = interval.lo, interval.hi, interval.k
     num, den = alpha.as_integer_ratio()
     total = 0.0 + 0.0j
@@ -478,8 +478,8 @@ class TestFrequencyBlocks:
     @pytest.mark.parametrize("budget", [None, 40])
     def test_decomposition_rows_match_per_frequency_loop(self, medium_window,
                                                          budget, monkeypatch):
-        # budget 40 splits blocks at every few frequencies, and longer inner
-        # windows into one frequency per block.
+        # budget 40 puts chunk edges every 40 (b, v) terms, inside the
+        # slices of one b and across them, and blocks of one frequency.
         if budget is not None:
             monkeypatch.setattr(exp_sums, "_BLOCK_TERMS", budget)
         components = vaughan_decompose(medium_window)
@@ -488,13 +488,15 @@ class TestFrequencyBlocks:
                   *rng.uniform(-2.0, 2.0, size=3)]
         got = evaluate_components(components, np.array(alphas), medium_window)
         assert got.shape == (len(alphas),)
+        total = float(np.sum(von_mangoldt_weight(medium_window).values))
         for j, alpha in enumerate(alphas):
-            parts = [per_frequency_component(c, alpha, medium_window) for c in components]
-            assert complex(got[j]) == sum(parts), alpha
+            assert complex(got[j]) == evaluate_components(components, alpha, medium_window)
+            old = sum(per_frequency_component(c, alpha, medium_window) for c in components)
+            assert abs(got[j] - old) <= 1e-12 * total, alpha
         one = components[len(components) // 2]
         rows = evaluate_components([one], np.array(alphas), medium_window)
         assert [complex(r) for r in rows] == [
-            per_frequency_component(one, a, medium_window) for a in alphas
+            evaluate_components([one], a, medium_window) for a in alphas
         ]
 
     def test_scalar_call_is_the_one_row_case(self, medium_window):
@@ -508,7 +510,7 @@ class TestFrequencyBlocks:
     def test_direct_sum_split_at_a_block_edge(self):
         interval = build_interval(5 * 10**8, 2, 5, 0.85)
         weight = von_mangoldt_weight(interval)
-        per_block = exp_sums._BLOCK_TERMS // interval.size
+        per_block = exp_sums._BLOCK_TERMS // len(weight.support)
         assert 1 < per_block < 30
         rng = np.random.default_rng(8)
         alphas = list(rng.uniform(0.0, 1.0, size=2 * per_block + 3))
@@ -516,44 +518,55 @@ class TestFrequencyBlocks:
         alphas[per_block - 1], alphas[per_block] = SLOW[0], SLOW[2]
         alphas[per_block + 1] = 0.0
         got = weighted_exp_sum(np.array(alphas), weight, interval)
+        bound = 1e-12 * float(np.sum(weight.values))
         for j, alpha in enumerate(alphas):
-            want = per_frequency_phase_sum(weight.values, interval.lo, interval.hi, 2,
-                                           *alpha.as_integer_ratio())
-            assert complex(got[j]) == want, j
-            assert weighted_exp_sum(alpha, weight, interval) == want
+            assert complex(got[j]) == weighted_exp_sum(alpha, weight, interval), j
+            old = per_frequency_phase_sum(weight.values, interval.lo, interval.hi, 2,
+                                          *alpha.as_integer_ratio())
+            assert abs(got[j] - old) <= bound, j
         assert got[per_block + 1] == pytest.approx(np.sum(weight.values), rel=1e-15)
 
     @pytest.mark.parametrize("budget", [None, 1000])
     def test_blocks_hold_at_most_the_budget(self, budget, monkeypatch):
-        # A window longer than the budget goes one frequency per block.
+        # Chunks of at most the budget in terms; a chunk longer than half
+        # the budget goes one frequency per block.
         if budget is not None:
             monkeypatch.setattr(exp_sums, "_BLOCK_TERMS", budget)
         interval = build_interval(5 * 10**8, 2, 5, 0.85)
-        per_block = max(1, exp_sums._BLOCK_TERMS // interval.size)
-        sizes = []
-        cos = np.cos
+        budget = exp_sums._BLOCK_TERMS
+        shapes = []
+        kernel = exp_sums._weighted_e64
 
-        def spy(x, *args, **kwargs):
-            sizes.append(x.shape)
-            return cos(x, *args, **kwargs)
+        def spy(phases, *args):
+            shapes.append(phases.shape)
+            kernel(phases, *args)
 
-        monkeypatch.setattr(np, "cos", spy)
+        monkeypatch.setattr(exp_sums, "_weighted_e64", spy)
         weighted_exp_sum(np.linspace(0.0, 1.0, 40), unit_weight(interval), interval)
-        assert sizes == [(per_block, interval.size)] * (40 // per_block) + (
-            [(40 % per_block, interval.size)] if 40 % per_block else [])
+        want = []
+        for start in range(0, interval.size, budget):
+            size = min(budget, interval.size - start)
+            per_block = max(1, budget // size)
+            want += [(per_block, size)] * (40 // per_block)
+            want += [(40 % per_block, size)] if 40 % per_block else []
+        assert shapes == want
+        assert max(rows * size for rows, size in shapes) <= budget
 
     @pytest.mark.parametrize("weight_fn", [unit_weight, prime_indicator, von_mangoldt_weight])
-    def test_scan_rows_match_per_sample_loop(self, weight_fn):
+    def test_scan_rows_match_per_sample_loop(self, weight_fn, monkeypatch):
+        # A budget of 200 terms splits every weight into chunks, and the
+        # last chunk holds several frequencies per block.
+        monkeypatch.setattr(exp_sums, "_BLOCK_TERMS", 200)
         interval = build_interval(5 * 3000**2, 2, 5, 0.85)
         dissection = build_dissection(interval, 0.3)
         weight = weight_fn(interval)
+        terms = len(weight.support)
+        assert terms > 200 and 0 < terms % 200 < 100
         report = weyl_scan(interval, dissection, 1000, weight, seed=4)
         alphas = np.random.default_rng(4).uniform(
             1.0 / dissection.Q, 1.0 + 1.0 / dissection.Q, size=1000)
-        assert 1000 > exp_sums._BLOCK_TERMS // interval.size > 1
         for row, alpha in zip(report.rows, alphas):
-            value = abs(per_frequency_phase_sum(weight.values, interval.lo, interval.hi, 2,
-                                                *float(alpha).as_integer_ratio()))
+            value = abs(weighted_exp_sum(float(alpha), weight, interval))
             assert (row.alpha, row.abs_f) == (float(alpha), value)
 
     def test_first_sample_over_the_bound_raises(self):
@@ -561,9 +574,8 @@ class TestFrequencyBlocks:
         dissection = build_dissection(interval, 0.3)
         alphas = np.random.default_rng(6).uniform(
             1.0 / dissection.Q, 1.0 + 1.0 / dissection.Q, size=1000)
-        values = [abs(per_frequency_phase_sum(None, interval.lo, interval.hi, 2,
-                                              *float(a).as_integer_ratio()))
-                  for a in alphas]
+        unit = unit_weight(interval)
+        values = [abs(weighted_exp_sum(float(a), unit, interval)) for a in alphas]
         # A unit weight declaring a bound below the third largest |f|.
         bound = sorted(values)[-3] / interval.size
         trivial = bound * interval.size + 1e-9 * max(1.0, bound * interval.size)
@@ -573,6 +585,63 @@ class TestFrequencyBlocks:
         with pytest.raises(ConsistencyError) as exc:
             weyl_scan(interval, dissection, 1000, weight, seed=6)
         assert str(exc.value) == f"|f| = {values[first]} exceeds the trivial bound {trivial}"
+
+
+# Windows for the accuracy test: k = 2 and 3, and lo past 2^64.
+ACCURACY_WINDOWS = [(10**6, 2), (12345, 3), (2**64 + 2**40 + 17, 2), (2**70 + 5, 3)]
+
+
+@pytest.mark.parametrize("lo,k", ACCURACY_WINDOWS, ids=["k2", "k3", "k2-past-2^64", "k3-past-2^70"])
+def test_kernel_accuracy_against_mpmath(lo, k):
+    # The same exact phases summed in 40-digit arithmetic.  The bound holds
+    # for the table kernel and for the cos/sin kernel it replaced.
+    mpmath = pytest.importorskip("mpmath")
+    from fractions import Fraction
+
+    interval = ShortInterval(x=float(lo), y=100.0, k=k, lo=lo, hi=lo + 199)
+    values = np.random.default_rng(lo % 1000).uniform(-1.0, 1.0, interval.size)
+    weight = WeightFunction("table", interval, values, 1.0)
+    alphas = [*np.random.default_rng(k).uniform(0.0, 1.0, size=4), 0.5, *SLOW]
+    got = weighted_exp_sum(np.array(alphas), weight, interval)
+    bound = 2e-16 * float(np.sum(np.abs(values)))
+    with mpmath.workdps(40):
+        for alpha, value in zip(alphas, got):
+            frac = Fraction(alpha)
+            want = mpmath.fsum(
+                w * mpmath.expjpi(2 * mpmath.mpf(pow(m, k, frac.denominator) * frac.numerator
+                                                 % frac.denominator) / frac.denominator)
+                for m, w in zip(interval, values.tolist()))
+            old = per_frequency_phase_sum(values, interval.lo, interval.hi, k,
+                                          *alpha.as_integer_ratio())
+            assert abs(mpmath.mpc(complex(value)) - want) <= bound, alpha
+            assert abs(mpmath.mpc(old) - want) <= bound, alpha
+
+
+def test_decomposition_memory_does_not_grow_with_the_window():
+    # The same three components over windows of 2^16 and 2^19 integers:
+    # the evaluation allocates chunk buffers, never a table over the window.
+    import tracemalloc
+
+    peaks = []
+    for size in (2**16, 2**19):
+        interval = ShortInterval.from_integer_window(2**20, 2**20 + size - 1, 2)
+        eta = np.random.default_rng(1).uniform(-1.0, 1.0, size)
+        components = [
+            exp_sums.BilinearComponent(kind="type-I", sign=1, u_lo=1, u_hi=2,
+                                       xi=np.array([1.0, -1.0]), inner_log=True),
+            exp_sums.BilinearComponent(kind="type-I", sign=-1, u_lo=1, u_hi=3,
+                                       xi=np.array([0.5, 0.0, 2.0])),
+            exp_sums.BilinearComponent(kind="type-II", sign=1, u_lo=1, u_hi=1, xi=np.ones(1),
+                                       v_lo=interval.lo, v_hi=interval.hi, eta=eta),
+        ]
+        alphas = np.random.default_rng(2).uniform(0.0, 1.0, 4)
+        evaluate_components(components, alphas, interval)  # tables built on first use
+        tracemalloc.start()
+        evaluate_components(components, alphas, interval)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0] + 4096
+    assert peaks[1] < 8 * 2**19  # less than one uint64 per integer of the window
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kglab import (
+    ShortInterval,
     ValidationError,
     build_interval,
     prime_indicator,
@@ -40,6 +41,26 @@ def test_von_mangoldt_weight(window):
     for m in window:
         assert weight(m) == von_mangoldt(m)
     assert weight.bound >= max(weight.values)
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (1, 2000),                  # from 1, every small prime power
+    (961, 1024),                # 31^2 to 2^10
+    (2187, 2197),               # 3^7 to 13^3
+    (2**31 - 1, 2**31),         # a prime, then a power of two
+    (3**20 - 40, 3**20),        # a high power of 3 at the top edge
+    (7**11, 7**11 + 300),       # a high power of 7 at the bottom edge
+])
+def test_von_mangoldt_sieve_matches_the_scalar_function(lo, hi):
+    window = ShortInterval.from_integer_window(lo, hi, 2)
+    weight = von_mangoldt_weight(window)
+    assert weight.values.tolist() == [von_mangoldt(m) for m in window]
+
+
+def test_von_mangoldt_sieve_on_a_long_window():
+    window = build_interval(5 * 10**8, 2, 5, 0.85)
+    weight = von_mangoldt_weight(window)
+    assert weight.values.tolist() == [von_mangoldt(m) for m in window]
 
 
 def test_table_weight_roundtrip(window):
