@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded, ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, check_cap
 from .intervals import MEMORY_BUDGET, ShortInterval, euler_phi, units
 
 # The arc family, held as FareyArc objects of about 280 bytes each at the
@@ -70,10 +70,7 @@ class ArcDissection:
         count = 0
         for q in range(1, q_cap + 1):
             count += euler_phi(q)
-            if count > ARC_COUNT_CAP:
-                raise CapExceeded(
-                    f"dissection would hold over {count} arcs (cap {ARC_COUNT_CAP})"
-                )
+            check_cap(f"dissection arcs up to q={q}", count, ARC_COUNT_CAP)
         arcs = [FareyArc(q=q, a=a, center=a / q, half_width=1.0 / (q * Q))
                 for q in range(1, q_cap + 1) for a in units(q).tolist()]
         arcs.sort(key=lambda arc: (arc.center, arc.q))

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .arcs import build_dissection, default_delta
 from .batch import sweep
-from .errors import CapExceeded, KglabError, ValidationError
+from .errors import KglabError, ValidationError, check_cap
 from .exp_sums import (
     coefficient_diagnostic,
     default_bilinear_cut,
@@ -103,18 +103,15 @@ def _plain(obj):
     return obj
 
 
-def _envelope(config: ExperimentConfig, result) -> dict:
-    return {
+def _emit_json(config: ExperimentConfig, result) -> str:
+    envelope = {
         "schema": 1,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": config.public_dict(),
+        "config": _plain(config.public_dict()),
         "result": result,
     }
-
-
-def _emit_json(config: ExperimentConfig, result) -> str:
-    return json.dumps(_plain(_envelope(config, result)), sort_keys=True, indent=2) + "\n"
+    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
 
 
 def _fmt_cell(v) -> str:
@@ -161,7 +158,7 @@ def _series_payload(est) -> dict:
 def _run_count(config: ExperimentConfig):
     result = _plain(count_exact(config.n, config.k, config.s, config.theta))
     result["R"] = result.pop("count")
-    return result, None
+    return result
 
 
 def _run_predict(config: ExperimentConfig):
@@ -174,7 +171,7 @@ def _run_predict(config: ExperimentConfig):
     for key in ("n", "k", "s"):
         del result["integral"][key]
     result["obstructed"] = rep.obstructed
-    return result, None
+    return result
 
 
 def _parse_range(spec: str):
@@ -197,8 +194,7 @@ def _run_compare(config: ExperimentConfig):
         raise ValidationError("compare needs --range start:stop:step")
     start, stop, step = _parse_range(config.range_spec)
     size = (stop - start - 1) // step + 1  # len(range(...)), which overflows past 2^63
-    if size > COMPARE_RANGE_CAP:
-        raise CapExceeded(f"range holds {size} targets (cap {COMPARE_RANGE_CAP})")
+    check_cap("compare range targets", size, COMPARE_RANGE_CAP)
     header = ("n", "R", "prediction", "ratio", "admissible", "anomaly", "error")
     targets = []
     for n in range(start, stop, step):
@@ -215,15 +211,18 @@ def _run_compare(config: ExperimentConfig):
         anomaly = row.count == 0 and row.prediction > config.anomaly_threshold
         rows.append((n, row.count, row.prediction,
                      ratio if math.isfinite(ratio) else "", adm, anomaly, ""))
-    return [dict(zip(header, row)) for row in rows], [header, *rows]
+    if config.fmt == "csv":
+        return [header, *rows]
+    return _plain([dict(zip(header, row)) for row in rows])
 
 
 def _run_dissect(config: ExperimentConfig):
     interval = _window_from_config(config)
     dissection = build_dissection(interval, _delta_from_config(config), slim=config.slim)
-    rows = [("q", "a", "center", "half_width")]
-    rows.extend((arc.q, arc.a, arc.center, arc.half_width) for arc in dissection.arcs)
-    return _plain(dissection), rows
+    if config.fmt == "csv":
+        return [("q", "a", "center", "half_width"),
+                *((arc.q, arc.a, arc.center, arc.half_width) for arc in dissection.arcs)]
+    return _plain(dissection)
 
 
 _WEIGHTS = {
@@ -240,10 +239,12 @@ def _run_weyl_scan(config: ExperimentConfig):
         raise ValidationError(f"unknown weight {config.weight!r}")
     weight = _WEIGHTS[config.weight](interval)
     report = weyl_scan(interval, dissection, config.samples, weight, seed=config.seed)
+    if config.fmt == "csv":
+        return report.to_csv_rows()
     result = _plain(report)
     for row in result["rows"]:
         row["class"] = row.pop("kind")
-    return result, list(report.to_csv_rows())
+    return result
 
 
 def _run_moments(config: ExperimentConfig):
@@ -252,28 +253,25 @@ def _run_moments(config: ExperimentConfig):
     # cap; a window far past that cap would need hundreds of MB of weight.
     nyquist = moment_nyquist(interval, config.t)
     enum = moment_enumeration(interval, config.t, unit_weight(interval))
-    result = {
+    return _plain({
         "window": {"lo": interval.lo, "hi": interval.hi, "k": interval.k},
         "t": config.t,
         "nyquist": nyquist,
         "enumeration": enum,
         "agree": nyquist == round(enum),
-    }
-    return result, None
+    })
 
 
 def _run_singular_series(config: ExperimentConfig):
-    est = singular_series(config.n, config.k, config.s, config.qmax)
-    return _series_payload(est), None
+    return _series_payload(singular_series(config.n, config.k, config.s, config.qmax))
 
 
 def _run_sieve_check(config: ExperimentConfig):
-    return vector_sieve_pointwise_scan(config.samples, config.seed), None
+    return _plain(vector_sieve_pointwise_scan(config.samples, config.seed))
 
 
 def _run_vaughan_check(config: ExperimentConfig):
-    if config.alphas > ALPHA_CAP:
-        raise CapExceeded(f"{config.alphas} frequencies exceed the cap {ALPHA_CAP}")
+    check_cap("vaughan-check frequencies", config.alphas, ALPHA_CAP)
     interval = _window_from_config(config)
     cut = config.x_cut if config.x_cut is not None else default_bilinear_cut(interval)
     components = vaughan_decompose(interval, cut)
@@ -287,7 +285,7 @@ def _run_vaughan_check(config: ExperimentConfig):
     # Python's complex abs (libm hypot); numpy's vector abs rounds differently.
     for left, right in zip(lhs.tolist(), rhs.tolist()):
         worst = max(worst, abs(left - right) / total)
-    result = {
+    return _plain({
         "cut": cut,
         "components": len(components),
         "alphas": config.alphas,
@@ -295,8 +293,7 @@ def _run_vaughan_check(config: ExperimentConfig):
         "sum_von_mangoldt": total,
         "max_rel_residual": worst,
         "type_ii_coefficient_diagnostic": coefficient_diagnostic(components),
-    }
-    return result, None
+    })
 
 
 _RUNNERS = {
@@ -310,26 +307,29 @@ _RUNNERS = {
     "sieve-check": _run_sieve_check,
     "vaughan-check": _run_vaughan_check,
 }
+# The subcommands with a CSV form, and the form each writes by default.
+_DEFAULT_FMT = {"weyl-scan": "csv", "compare": "csv", "dissect": "json"}
 
 
 def run(config: ExperimentConfig) -> tuple:
-    """Execute one subcommand; returns (exit_status, report_text)."""
+    """Execute one subcommand; returns (exit_status, report_text).  Its runner
+    builds only the form asked for: CSV rows, or a JSON payload by `_plain`."""
     try:
         runner = _RUNNERS[config.subcommand]
     except KeyError:
         return 2, f"unknown subcommand {config.subcommand!r}\n"
+    if config.fmt == "csv" and config.subcommand not in _DEFAULT_FMT:
+        return 2, f"invalid config: subcommand {config.subcommand} has no CSV form\n"
     try:
-        result, rows = runner(config)
+        report = runner(config)
     except ValidationError as exc:
         return 2, f"invalid config: {exc}\n"
     except (KglabError, OverflowError, FloatingPointError, MemoryError) as exc:
         # A bare MemoryError has no message; its name stands in.
         return 1, f"computation error: {str(exc) or type(exc).__name__}\n"
     if config.fmt == "csv":
-        if rows is None:
-            return 2, f"subcommand {config.subcommand} has no CSV form\n"
-        return 0, _emit_csv(config, rows)
-    return 0, _emit_json(config, result)
+        return 0, _emit_csv(config, report)
+    return 0, _emit_json(config, report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,9 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", type=int)
 
     return parser
-
-
-_DEFAULT_FMT = {"weyl-scan": "csv", "compare": "csv", "dissect": "json"}
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:

@@ -13,6 +13,13 @@ class CapExceeded(KglabError, RuntimeError):
     """A configured memory or state-space cap would be exceeded."""
 
 
+def check_cap(what: str, used, cap: int):
+    """Raise CapExceeded, as "<what>: <used> exceeds the cap <cap>", when
+    used > cap; ``used`` is an int or any value that compares and prints."""
+    if used > cap:
+        raise CapExceeded(f"{what}: {used} exceeds the cap {cap}")
+
+
 class PrecisionError(KglabError, RuntimeError):
     """A boundary decision could not be resolved even at maximal precision."""
 

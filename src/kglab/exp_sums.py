@@ -33,17 +33,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcs import classify
-from .errors import CapExceeded, ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, check_cap
 from .intervals import (
     MEMORY_BUDGET,
     ShortInterval,
     _fft_length,
-    divisor_count,
+    divisor_counts,
     pow_mod,
     sieve_upto,
     units,
     von_mangoldt,
 )
+from .local_conditions import unit_power_counts
 from .representations import _check_table_cap, _fold_sums, _weighted_half
 from .weights import WeightFunction
 
@@ -215,12 +216,11 @@ def complete_exp_sums(q: int, k: int) -> tuple:
     """(units mod q, S(q, a) for every residue a mod q), where S(q, a) is
     the sum over units h mod q of e(a h^k / q).
 
-    The units are enumerated once, and all a are evaluated at once through
-    the DFT of the k-th power residue counts.
+    All a are evaluated at once through the DFT of the k-th power residue
+    counts of `unit_power_counts`.
     """
-    hs = units(q)
-    counts = np.bincount(pow_mod(hs, k, q), minlength=q).astype(np.float64)
-    return hs, np.conj(np.fft.fft(counts))
+    counts = unit_power_counts(q, k).astype(np.float64)
+    return units(q), np.conj(np.fft.fft(counts))
 
 
 def complete_exp_sum(q: int, a: int, k: int) -> complex:
@@ -233,8 +233,7 @@ def complete_exp_sum(q: int, a: int, k: int) -> complex:
         raise ValidationError(f"need q >= 1, got {q}")
     if not (1 <= a <= q):
         raise ValidationError(f"need 1 <= a <= q, got a={a}")
-    if q > COMPLETE_SUM_CAP:
-        raise CapExceeded(f"q={q} exceeds the complete-sum cap {COMPLETE_SUM_CAP}")
+    check_cap("complete sum modulus q", q, COMPLETE_SUM_CAP)
     return complex(complete_exp_sums(q, k)[1][a % q])
 
 
@@ -266,8 +265,7 @@ def moment_nyquist(interval: ShortInterval, t: int) -> int:
     lo, hi, k = interval.lo, interval.hi, interval.k
     spread = hi**k - lo**k
     n_samples = 2 * t * spread + 1
-    if n_samples > MOMENT_SAMPLE_CAP:
-        raise CapExceeded(f"{n_samples} sample points exceed the cap {MOMENT_SAMPLE_CAP}")
+    check_cap("moment sample points", n_samples, MOMENT_SAMPLE_CAP)
     size = _fft_length(n_samples)
     rows = max(d for d in range(1, math.isqrt(size) + 1) if size % d == 0)
     cols = size // rows
@@ -436,9 +434,7 @@ def vaughan_decompose(interval: ShortInterval, X: float = None) -> list:
     b_hi = int(math.floor(hi / X))
     w_max = hi // (xint + 1)
     entries = max(x2int, b_hi) + w_max + x2int
-    if entries > DECOMPOSE_ENTRY_CAP:
-        raise CapExceeded(f"decomposition tables of {entries} entries exceed the cap "
-                          f"{DECOMPOSE_ENTRY_CAP}")
+    check_cap("decomposition table entries", entries, DECOMPOSE_ENTRY_CAP)
 
     mu = _moebius_table(max(x2int, b_hi))
     lam = np.array([0.0] + [von_mangoldt(c) for c in range(1, xint + 1)])
@@ -558,16 +554,16 @@ def _decomposition_chunks(components, lo: int, hi: int, exact_terms: bool):
 
 
 def coefficient_diagnostic(components) -> float:
-    """max |xi_u| / tau(u)^3 over type-II blocks (recorded, never asserted)."""
-    worst = 0.0
-    for comp in components:
-        if comp.kind != "type-II":
-            continue
-        for i, b in enumerate(range(comp.u_lo, comp.u_hi + 1)):
-            val = abs(float(comp.xi[i]))
-            if val:
-                worst = max(worst, val / divisor_count(b) ** 3)
-    return worst
+    """max |xi_u| / tau(u)^3 over type-II blocks (recorded, never asserted),
+    with tau from one divisor-count sieve over the blocks' range."""
+    blocks = [comp for comp in components if comp.kind == "type-II"]
+    if not blocks:
+        return 0.0
+    lo = min(comp.u_lo for comp in blocks)
+    cubes = divisor_counts(lo, max(comp.u_hi for comp in blocks)).astype(np.float64) ** 3
+    # A zero xi gives 0, which never raises the maximum.
+    return max(float(np.max(np.abs(comp.xi) / cubes[comp.u_lo - lo : comp.u_hi - lo + 1]))
+               for comp in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +620,7 @@ def weyl_scan(interval: ShortInterval, dissection, samples: int,
     """
     if samples < 1000:
         raise ValidationError(f"need samples >= 1000, got {samples}")
-    if samples > SCAN_SAMPLE_CAP:
-        raise CapExceeded(f"{samples} samples exceed the cap {SCAN_SAMPLE_CAP}")
+    check_cap("weyl-scan samples", samples, SCAN_SAMPLE_CAP)
     k = interval.k
     rho = minor_arc_rho(k)
     norm = interval.y ** (1.0 - rho)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .errors import CapExceeded, PrecisionError, ValidationError
+from .errors import PrecisionError, ValidationError, check_cap
 
 # The memory one table may take.  Every cap on a table that grows with the
 # input is this budget over the bytes per entry measured for that table
@@ -195,11 +195,9 @@ def primes_in_interval(interval: ShortInterval) -> PrimeTable:
     """Exactly the primes p with x - y < p <= x + y, by segmented sieve; past
     WINDOW_CAP integers or SIEVE_LIMIT_CAP on sqrt(hi), CapExceeded first."""
     lo, hi = interval.lo, interval.hi
-    if hi - lo + 1 > WINDOW_CAP:
-        raise CapExceeded(f"window length {hi - lo + 1} exceeds the cap {WINDOW_CAP}")
+    check_cap("window length", hi - lo + 1, WINDOW_CAP)
     limit = math.isqrt(hi)
-    if limit > SIEVE_LIMIT_CAP:
-        raise CapExceeded(f"sieving up to sqrt(hi) = {limit} exceeds the cap {SIEVE_LIMIT_CAP}")
+    check_cap("sieve limit sqrt(hi)", limit, SIEVE_LIMIT_CAP)
     small = sieve_upto(limit)
     primes = []
     start = max(lo, 2)
@@ -226,8 +224,8 @@ def pow_mod(base: np.ndarray, k: int, q: int) -> np.ndarray:
     int64, where q^2 must fit.
     """
     wrap = q == 1 << 64
-    if not wrap and q > 3_000_000_000:
-        raise CapExceeded(f"modulus {q} too large for the vector powmod")
+    if not wrap:
+        check_cap("pow_mod modulus", q, 3_000_000_000)
     b = base.astype(np.uint64) if wrap else np.mod(base, q)
     out = np.ones_like(b)
     with np.errstate(over="ignore"):
@@ -324,6 +322,19 @@ def divisor_count(m: int) -> int:
     for _, e in factorize(m):
         out *= e + 1
     return out
+
+
+def divisor_counts(lo: int, hi: int) -> np.ndarray:
+    """divisor_count(m) for every m in [lo, hi], 1 <= lo <= hi, by one sieve
+    over d <= sqrt(hi): d counts twice in each multiple m > d^2 (for d and
+    m/d), once in m = d^2."""
+    taus = np.zeros(hi - lo + 1, dtype=np.int32)
+    for d in range(1, math.isqrt(hi) + 1):
+        square = d * d
+        taus[max(square, -(-lo // d) * d) - lo :: d] += 2
+        if square >= lo:
+            taus[square - lo] -= 1
+    return taus
 
 
 _POINT_FUNCTIONS = {

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, DominationError, ValidationError
+from .errors import DominationError, ValidationError, check_cap
 from .intervals import (
     MEMORY_BUDGET,
     PrimeTable,
@@ -68,8 +68,7 @@ def count_exact(n: int, k: int, s: int, theta: float,
 
 def _window_primes(interval: ShortInterval) -> PrimeTable:
     table = primes_in_interval(interval)
-    if len(table) > PRIME_COUNT_CAP:
-        raise CapExceeded(f"{len(table)} primes exceed the counting cap {PRIME_COUNT_CAP}")
+    check_cap("primes to count", len(table), PRIME_COUNT_CAP)
     return table
 
 
@@ -92,16 +91,22 @@ def _count_recursive(n: int, k: int, s: int, primes: list) -> int:
     return rec(n, s)
 
 
-def _check_int64(largest_sum: int):
-    if largest_sum >= 2**62:
-        raise CapExceeded("power sums exceed the int64 fast path")
+@dataclass(frozen=True)
+class _Power:
+    """count^fold for a cap check, compared without being formed."""
+
+    count: int
+    fold: int
+
+    def __gt__(self, cap: int) -> bool:
+        return _power_exceeds(self.count, self.fold, cap)
+
+    def __str__(self) -> str:
+        return f"{self.count}^{self.fold}"
 
 
 def _check_table_cap(count: int, fold: int):
-    if _power_exceeds(count, fold, TABLE_CAP):
-        raise CapExceeded(
-            f"{count}^{fold} half-sum states exceed the cap {TABLE_CAP}"
-        )
+    check_cap("fold-sum table states", _Power(count, fold), TABLE_CAP)
 
 
 def _fold_sums(powers: np.ndarray, fold: int) -> np.ndarray:
@@ -125,7 +130,7 @@ def _count_mitm(ns, k: int, s: int, primes: list) -> np.ndarray:
     if not primes:
         return counts
     lo_sum, hi_sum = s * primes[0] ** k, s * primes[-1] ** k
-    _check_int64(hi_sum)
+    check_cap("largest power sum in int64", hi_sum, 2**62 - 1)
     hash_fold = s // 2
     probe_fold = s - hash_fold
     _check_table_cap(len(primes), probe_fold)
@@ -189,7 +194,7 @@ def _count_weighted(n: int, k: int, s: int, interval: ShortInterval,
     """`count_weighted` on the window that `_weighted_window` checked."""
     indicator = prime_indicator(interval, _window_primes(interval))
     slots = [lam] + [lam_plus] * 4 + [indicator] * (s - 5)
-    _check_int64(s * interval.hi**k)
+    check_cap("largest power sum in int64", s * interval.hi**k, 2**62 - 1)
     powers = np.array([m**k for m in interval], dtype=np.int64)
 
     half = len(slots) // 2
@@ -216,8 +221,7 @@ def _weighted_half(slot_weights, powers: np.ndarray):
         support = np.nonzero(w.values)[0]
         if len(support) == 0:
             return None
-        if len(sums) * len(support) > TABLE_CAP:
-            raise CapExceeded("weighted half-sum table exceeds the cap")
+        check_cap("weighted half-sum table states", len(sums) * len(support), TABLE_CAP)
         sums = (sums[:, None] + powers[None, support]).ravel()
         wts = (wts[:, None] * w.values[None, support]).ravel()
         order = np.argsort(sums, kind="stable")
@@ -305,8 +309,7 @@ def vector_sieve_pointwise_scan(samples: int, seed: int) -> dict:
     The box is an assumption recorded in the output, not a theorem
     about wider ranges.  Past SIEVE_SAMPLE_CAP samples, CapExceeded first.
     """
-    if samples > SIEVE_SAMPLE_CAP:
-        raise CapExceeded(f"{samples} samples exceed the cap {SIEVE_SAMPLE_CAP}")
+    check_cap("sieve-check samples", samples, SIEVE_SAMPLE_CAP)
     rng = np.random.default_rng(seed)
     e = rng.integers(0, 2, size=(samples, 5)).astype(np.float64)
     up = e + (1.0 - e) * rng.uniform(0.0, 1.0, size=(samples, 5))

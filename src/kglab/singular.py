@@ -19,12 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arcs import classify
-from .errors import (
-    CapExceeded,
-    ConsistencyError,
-    MinorArcError,
-    ValidationError,
-)
+from .errors import CapExceeded, ConsistencyError, MinorArcError, ValidationError, check_cap
 from .exp_sums import complete_exp_sum, complete_exp_sums
 from .intervals import (
     MEMORY_BUDGET,
@@ -67,8 +62,7 @@ def singular_series_term(q: int, n: int, k: int, s: int) -> float:
     """
     if q < 1:
         raise ValidationError(f"need q >= 1, got {q}")
-    if q > QMAX_CAP:
-        raise CapExceeded(f"q={q} exceeds the series-term cap {QMAX_CAP}")
+    check_cap("series modulus q", q, QMAX_CAP)
     if q == 1:
         return 1.0
     units, sums = complete_exp_sums(q, k)
@@ -134,8 +128,7 @@ def singular_series(n: int, k: int, s: int, qmax: int = DEFAULT_QMAX) -> Singula
 def _check_series_args(k: int, s: int, qmax: int):
     if s < 3:
         raise ValidationError(f"need s >= 3, got s={s}")
-    if qmax > QMAX_CAP:
-        raise CapExceeded(f"qmax={qmax} exceeds the cap {QMAX_CAP}")
+    check_cap("series truncation qmax", qmax, QMAX_CAP)
     modulus = local_profile(k).modulus
     if qmax < modulus:
         raise ValidationError(
@@ -382,10 +375,8 @@ def local_count_identity_check(q: int, n: int, k: int, s: int) -> bool:
     The count is exact (integer convolution over residues); the check
     passes within 1e-8 relative error.
     """
-    if q > 500:
-        raise CapExceeded(f"identity check capped at q=500, got {q}")
-    if s > 6:
-        raise CapExceeded(f"identity check capped at s=6, got {s}")
+    check_cap("identity check modulus q", q, 500)
+    check_cap("identity check s", s, 6)
     lhs = 0.0
     for d in range(1, q + 1):
         if q % d == 0:
@@ -418,8 +409,7 @@ def _centered_phase_integral(beta: float, interval: ShortInterval, order: float)
     if not math.isfinite(swing):
         raise CapExceeded("phase swing overflows double precision")
     panels = int(math.ceil(8.0 * (1.0 + swing)))
-    if panels > PANEL_CAP:
-        raise CapExceeded(f"{panels} quadrature panels exceed the cap {PANEL_CAP}")
+    check_cap("quadrature panels", panels, PANEL_CAP)
     nodes, weights = _GL_NODES
     edges = np.linspace(-y, y, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -505,8 +495,7 @@ def _integrals_by_convolution(ns, intervals, s: int) -> list:
     """
     size = s * (GRID_CELLS - 1) + 1  # the linear convolution: no wrap-around
     pad = _fft_length(size)
-    if pad > PAD_CAP:
-        raise CapExceeded(f"convolution pad {pad} at s={s} exceeds the cap {PAD_CAP}")
+    check_cap(f"convolution pad at s={s}", pad, PAD_CAP)
     # glibc raises its mmap and trim thresholds to the size of a freed mapping: one
     # freed here keeps the FFT's scratch (pad doubles a call) in the heap, not
     # mapped and faulted in afresh for each target (about 577 faults each).
@@ -563,7 +552,8 @@ def _integral_by_quadrature(n: int, interval: ShortInterval, s: int) -> float:
     total = 0.0
     prev_mag = None
     blocks_done = 0
-    while blocks_done < QUAD_BLOCK_CAP:
+    while True:
+        check_cap("quadrature blocks", blocks_done + 1, QUAD_BLOCK_CAP)
         b0 = blocks_done * block
         mids = b0 + 0.5 * block * (nodes + 1.0)
         wts = 0.5 * block * weights
@@ -585,10 +575,6 @@ def _integral_by_quadrature(n: int, interval: ShortInterval, s: int) -> float:
             if tail < QUAD_TAIL_TARGET * max(abs(total), 1e-300) and blocks_done >= 8:
                 break
         prev_mag = mag
-    else:
-        raise CapExceeded(
-            f"quadrature did not settle within {QUAD_BLOCK_CAP} blocks"
-        )
     return max(0.0, total)
 
 

@@ -1,7 +1,11 @@
 """Resource caps and error contracts across modules."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import kglab
 from kglab import (
     CapExceeded,
     ShortInterval,
@@ -18,6 +22,37 @@ from kglab import (
     singular_series_term,
     unit_weight,
 )
+from kglab.errors import check_cap
+from kglab.representations import _check_table_cap
+
+
+def test_check_cap_message_shape():
+    check_cap("things", 7, 7)
+    with pytest.raises(CapExceeded, match=r"^things: 8 exceeds the cap 7$"):
+        check_cap("things", 8, 7)
+    # count^fold is compared without being formed.
+    _check_table_cap(10**4, 2)
+    with pytest.raises(CapExceeded,
+                       match=r"^fold-sum table states: 2\^1000000000 exceeds the cap 100000000$"):
+        _check_table_cap(2, 10**9)
+
+
+def test_every_cap_goes_through_check_cap():
+    # The only other raises are the two overflows, which are not caps.
+    raisers = set()
+    for path in sorted(Path(kglab.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                        and "CapExceeded" in ast.unparse(node.exc.func)):
+                    raisers.add((path.name, func.name))
+    assert raisers == {
+        ("errors.py", "check_cap"),
+        ("singular.py", "_centered_phase_integral"),
+        ("singular.py", "_integrals_by_convolution"),
+    }
 
 
 def test_window_memory_cap(monkeypatch):
@@ -68,7 +103,7 @@ def test_weighted_count_prime_cap(monkeypatch):
     weight = prime_indicator(interval)
     assert count_weighted(845, 2, 5, 0.85, weight, weight) > 0
     monkeypatch.setattr("kglab.representations.PRIME_COUNT_CAP", 3)
-    with pytest.raises(CapExceeded, match=r"^\d+ primes exceed the counting cap 3$"):
+    with pytest.raises(CapExceeded, match=r"^primes to count: \d+ exceeds the cap 3$"):
         count_weighted(845, 2, 5, 0.85, weight, weight)
 
 

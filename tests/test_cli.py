@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import re
 import shlex
 import stat
 import threading
 import time
 import tracemalloc
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import pytest
@@ -23,8 +25,12 @@ from kglab import (
 )
 from kglab.arcs import ARC_COUNT_CAP
 from kglab.batch import SweepRow
-from kglab.cli import _RUNNERS, COMPARE_RANGE_CAP, build_parser, main
-from kglab.intervals import euler_phi
+from kglab import cli
+from kglab.cli import _RUNNERS, ALPHA_CAP, COMPARE_RANGE_CAP, build_parser, main
+from kglab.exp_sums import MOMENT_SAMPLE_CAP, SCAN_SAMPLE_CAP
+from kglab.intervals import SIEVE_LIMIT_CAP, euler_phi
+from kglab.representations import SIEVE_SAMPLE_CAP
+from kglab.singular import PAD_CAP, QMAX_CAP
 from tests.conftest import run_kglab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,6 +40,12 @@ def run_cli(argv, tmp_path, name="out.json"):
     path = tmp_path / name
     status = main(argv + ["--out", str(path)])
     return status, path.read_text() if path.exists() else ""
+
+
+def assert_cap_error(err: str, what: str, cap: int, used: str = r"\d+"):
+    """``err`` is the one line of the cap ``cap`` on ``what``; both
+    ``what`` and ``used`` are regular expressions."""
+    assert re.fullmatch(rf"computation error: {what}: {used} exceeds the cap {cap}\n", err), err
 
 
 def drop_timestamp(text):
@@ -178,10 +190,47 @@ class TestContracts:
         assert err.startswith("invalid config: need --")
         assert err.count("\n") == 1
 
+    def test_csv_of_a_json_only_subcommand_exits_2_before_computing(self, capsys):
+        # The decomposition at this n takes about a second.
+        started = time.perf_counter()
+        assert main(["vaughan-check", "--n", "20000000000000", "--alphas", "2",
+                     "--format", "csv"]) == 2
+        assert time.perf_counter() - started < 0.1
+        assert capsys.readouterr().err == (
+            "invalid config: subcommand vaughan-check has no CSV form\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--range", "845:1000:24", "--qmax", "100"],
+        ["dissect", "--n", "845", "--delta", "0.3"],
+        ["weyl-scan", "--n", "500000000", "--samples", "1000"],
+    ])
+    def test_only_the_form_asked_for_is_built(self, argv, monkeypatch, capsys):
+        seen, made = [], []
+        plain = cli._plain
+
+        def recording(obj):
+            seen.append(obj)
+            made.append(plain(obj))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "_plain", recording)
+        assert main(argv + ["--format", "csv"]) == 0
+        # The CSV form takes only its config line through _plain.
+        assert not any(isinstance(obj, (list, tuple)) or is_dataclass(obj) for obj in seen)
+        assert [obj for obj in seen if isinstance(obj, dict)] == [seen[0]]
+        assert "subcommand" in seen[0]
+        seen.clear()
+        made.clear()
+        assert main(argv + ["--format", "json"]) == 0
+        # The JSON form takes no payload through _plain a second time.
+        containers = {id(obj) for obj in made if isinstance(obj, (dict, list))}
+        assert not any(id(obj) in containers for obj in seen)
+
     def test_computation_error_exits_1(self, capsys):
         # Valid config, but the truncation exceeds the series cap at runtime.
         assert main(["singular-series", "--n", "29", "--k", "2", "--s", "5",
                      "--qmax", "200000"]) == 1
+        assert_cap_error(capsys.readouterr().err, "series truncation qmax", QMAX_CAP, "200000")
 
     @pytest.mark.parametrize("argv", [
         ["count", "--n", str(10**400), "--k", "2", "--s", "5", "--theta", "1.0"],
@@ -228,9 +277,8 @@ class TestContracts:
                        "--theta", "0.85", "--delta", repr(delta)])
         assert time.perf_counter() - started < 10.0
         assert status == 1
-        err = capsys.readouterr().err
-        assert err.startswith("computation error: ") and "cap" in err
-        assert err.count("\n") == 1
+        assert_cap_error(capsys.readouterr().err, rf"dissection arcs up to q={q_cap}",
+                         ARC_COUNT_CAP, str(arcs))
 
     def test_compare_range_above_the_cap_exits_1_quickly(self, tmp_path, monkeypatch, capsys):
         # About 2,330 bytes per JSON row at a 280 MB budget; the
@@ -241,9 +289,8 @@ class TestContracts:
             assert main(["compare", "--range", f"100000:{stop}", "--theta", "0.9",
                          "--qmax", "1000"]) == 1
             assert time.perf_counter() - started < 5.0
-            err = capsys.readouterr().err
-            assert err.startswith("computation error: ") and "cap" in err
-            assert err.count("\n") == 1
+            assert_cap_error(capsys.readouterr().err, "compare range targets",
+                             COMPARE_RANGE_CAP, str(stop - 100000))
 
         # The cap counts every target the range walks, admissible or not.
         monkeypatch.setattr("kglab.cli.sweep",
@@ -253,25 +300,25 @@ class TestContracts:
         assert main(["compare", "--range", f"1:{stop}:{step}",
                      "--out", str(tmp_path / "capped.csv")]) == 0
         assert main(["compare", "--range", f"1:{stop + 1}:{step}"]) == 1
-        assert "cap" in capsys.readouterr().err
+        assert_cap_error(capsys.readouterr().err, "compare range targets",
+                         COMPARE_RANGE_CAP, str(COMPARE_RANGE_CAP + 1))
 
-    @pytest.mark.parametrize("argv", [
+    @pytest.mark.parametrize("argv,what,cap", [
         # sqrt(hi) = 10^8 small primes to sieve a window of about 80 integers
-        ["count", "--n", str(5 * 10**32), "--k", "2", "--s", "5", "--theta", "0.1"],
+        (["count", "--n", str(5 * 10**32), "--k", "2", "--s", "5", "--theta", "0.1"],
+         re.escape("sieve limit sqrt(hi)"), SIEVE_LIMIT_CAP),
         # a convolution pad of 163,840,000 samples at s = 10^4
-        ["predict", "--n", str(10201 * 10**4), "--k", "2", "--s", str(10**4),
-         "--theta", "0.1", "--qmax", "100"],
-        ["compare", "--range", f"{10201 * 10**4}:{10201 * 10**4 + 1}", "--k", "2",
-         "--s", str(10**4), "--theta", "0.1", "--qmax", "100"],
+        (["predict", "--n", str(10201 * 10**4), "--k", "2", "--s", str(10**4),
+          "--theta", "0.1", "--qmax", "100"], "convolution pad at s=10000", PAD_CAP),
+        (["compare", "--range", f"{10201 * 10**4}:{10201 * 10**4 + 1}", "--k", "2",
+          "--s", str(10**4), "--theta", "0.1", "--qmax", "100"],
+         "convolution pad at s=10000", PAD_CAP),
     ], ids=["sieve", "pad-predict", "pad-compare"])
-    def test_sieve_and_pad_caps_exit_1_quickly(self, argv, capsys):
+    def test_sieve_and_pad_caps_exit_1_quickly(self, argv, what, cap, capsys):
         started = time.perf_counter()
         assert main(argv) == 1
         assert time.perf_counter() - started < 1.0
-        err = capsys.readouterr().err
-        assert err.startswith("computation error: ") and "cap" in err
-        assert err.count("\n") == 1
-        assert "Traceback" not in err
+        assert_cap_error(capsys.readouterr().err, what, cap)
 
     def test_moments_cap_exits_before_building_the_weight(self, capsys):
         # Past the Nyquist sample cap; the window's unit weight alone
@@ -283,9 +330,7 @@ class TestContracts:
         finally:
             tracemalloc.stop()
         assert status == 1
-        err = capsys.readouterr().err
-        assert err.startswith("computation error: ") and "cap" in err
-        assert err.count("\n") == 1
+        assert_cap_error(capsys.readouterr().err, "moment sample points", MOMENT_SAMPLE_CAP)
         assert peak < 10 * 2**20
 
     def test_out_to_missing_directory_exits_1(self, tmp_path, capsys):
@@ -525,7 +570,7 @@ def test_weyl_scan_peak_is_phase_sum_at_zero(weight_fn):
     # Three primes (97, 101, 103) in 5 * 10^8 slots: the cap decides
     # without forming 3^(5 * 10^8).
     (["count", "--n", str(10**13), "--k", "2", "--s", str(10**9), "--theta", "0.35"], 1,
-     "computation error: 3^500000000 half-sum states exceed the cap 100000000\n"),
+     "computation error: fold-sum table states: 3^500000000 exceeds the cap 100000000\n"),
     # One prime (101) in 10^9 slots, and one integer (5) in 10^9 slots.
     (["count", "--n", "10201000000000", "--k", "2", "--s", str(10**9), "--theta", "0.1"], 0,
      '"R": 1.0,'),
@@ -551,18 +596,23 @@ WINDOW = ["--n", "500000000", "--theta", "0.85"]
     (["sieve-check", "--seed", "-1"], 2, "invalid config: need --seed >= 0, got -1"),
     # Sample and frequency counts past the memory budget exit 1 before any
     # draw: 10^11 samples would ask numpy for 745 GiB or 3.6 TiB.
-    (["weyl-scan", *WINDOW, "--samples", HUGE], 1, f"computation error: {HUGE} samples"),
-    (["weyl-scan", *WINDOW, "--samples", str(10**11)], 1, "computation error: 100000000000 samples"),
-    (["sieve-check", "--samples", HUGE], 1, f"computation error: {HUGE} samples"),
-    (["sieve-check", "--samples", str(10**11)], 1, "computation error: 100000000000 samples"),
-    (["vaughan-check", *WINDOW, "--alphas", HUGE], 1, f"computation error: {HUGE} frequencies"),
+    (["weyl-scan", *WINDOW, "--samples", HUGE], 1,
+     f"computation error: weyl-scan samples: {HUGE} exceeds the cap {SCAN_SAMPLE_CAP}\n"),
+    (["weyl-scan", *WINDOW, "--samples", str(10**11)], 1,
+     f"computation error: weyl-scan samples: 100000000000 exceeds the cap {SCAN_SAMPLE_CAP}\n"),
+    (["sieve-check", "--samples", HUGE], 1,
+     f"computation error: sieve-check samples: {HUGE} exceeds the cap {SIEVE_SAMPLE_CAP}\n"),
+    (["sieve-check", "--samples", str(10**11)], 1,
+     f"computation error: sieve-check samples: 100000000000 exceeds the cap {SIEVE_SAMPLE_CAP}\n"),
+    (["vaughan-check", *WINDOW, "--alphas", HUGE], 1,
+     f"computation error: vaughan-check frequencies: {HUGE} exceeds the cap {ALPHA_CAP}\n"),
     (["vaughan-check", *WINDOW, "--alphas", str(10**11)], 1,
-     "computation error: 100000000000 frequencies"),
+     f"computation error: vaughan-check frequencies: 100000000000 exceeds the cap {ALPHA_CAP}\n"),
     # Decomposition tables past the budget: a Moebius table of 10^164
     # entries, and of 1.7e8 at n = 5e20 (with a beta table as long).
-    (["vaughan-check", "--n", str(10**400)], 1, "computation error: decomposition tables of"),
+    (["vaughan-check", "--n", str(10**400)], 1, "computation error: decomposition table entries: "),
     (["vaughan-check", "--n", str(5 * 10**20)], 1,
-     "computation error: decomposition tables of 345451807 entries exceed the cap 10000000"),
+     "computation error: decomposition table entries: 345451807 exceeds the cap 10000000\n"),
 ], ids=["seed-weyl", "seed-vaughan", "seed-sieve", "samples-weyl", "samples-weyl-1e11",
         "samples-sieve", "samples-sieve-1e11", "alphas", "alphas-1e11", "vaughan-1e400",
         "vaughan-5e20"])

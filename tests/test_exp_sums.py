@@ -31,7 +31,7 @@ from kglab import (
 )
 from kglab import exp_sums
 from kglab.exp_sums import MOMENT_SAMPLE_CAP
-from kglab.intervals import _fft_length, factorize
+from kglab.intervals import _fft_length, divisor_count, divisor_counts, factorize
 from kglab.weights import WeightFunction
 from tests.conftest import MOMENT_GRID
 
@@ -348,7 +348,7 @@ class TestVaughan:
     def test_decomposition_table_cap(self, medium_window, monkeypatch):
         monkeypatch.setattr(exp_sums, "DECOMPOSE_ENTRY_CAP", 10)
         monkeypatch.setattr(exp_sums, "_moebius_table", None)  # never reached
-        with pytest.raises(CapExceeded, match="decomposition tables of"):
+        with pytest.raises(CapExceeded, match=r"^decomposition table entries: \d+ exceeds the cap 10$"):
             vaughan_decompose(medium_window)
 
     def test_block_ranges(self, medium_window):
@@ -364,6 +364,22 @@ class TestVaughan:
     def test_coefficient_diagnostic_finite(self, medium_window):
         components = vaughan_decompose(medium_window)
         assert 0.0 <= coefficient_diagnostic(components) < math.inf
+
+    @pytest.mark.parametrize("n", [5 * 800**2, 5 * 10**8])
+    def test_coefficient_diagnostic_by_divisor_sieve(self, n):
+        # Trial division per b is the reference for the sieve, on every b
+        # of the decomposition, and for the diagnostic it feeds.
+        components = vaughan_decompose(build_interval(n, 2, 5, 0.85))
+        reference = 0.0
+        for comp in components:
+            taus = [divisor_count(b) for b in range(comp.u_lo, comp.u_hi + 1)]
+            assert divisor_counts(comp.u_lo, comp.u_hi).tolist() == taus
+            if comp.kind == "type-II":
+                reference = max(reference, *(abs(float(xi)) / tau**3
+                                             for xi, tau in zip(comp.xi, taus)))
+        assert coefficient_diagnostic(components) == reference
+        if n == 5 * 10**8:  # the spectral benchmark's window
+            assert reference == 0.125
 
     def test_cut_out_of_range(self, medium_window):
         with pytest.raises(ValidationError):
