@@ -30,7 +30,7 @@ from .singular import (
     _series_values,
 )
 
-SWEEP_BLOCK = 2048  # targets per pass; bounds the term matrix and window lists
+SWEEP_BLOCK = 2048  # targets per pass: bounds the window lists; `_series_values` bounds the terms
 
 
 @dataclass(frozen=True)

@@ -439,17 +439,11 @@ def vaughan_decompose(interval: ShortInterval, X: float = None) -> list:
     mu = _moebius_table(max(x2int, b_hi))
     lam = np.array([0.0] + [von_mangoldt(c) for c in range(1, xint + 1)])
 
-    # Coefficients of the double divisor piece e = b*c, b, c <= X.
+    # Coefficients of the double divisor piece e = b*c, b, c <= X (so
+    # e <= floor(X)^2 <= X^2).
     conv = np.zeros(x2int + 1)
     for b in range(1, xint + 1):
-        if mu[b] == 0:
-            continue
-        for c in range(1, xint + 1):
-            e = b * c
-            if e > x2int:
-                break
-            if lam[c]:
-                conv[e] += mu[b] * lam[c]
+        conv[b : b * xint + 1 : b] += mu[b] * lam[1:]
 
     # Inner coefficients of the bilinear piece: sum of log p over prime
     # power divisors above the cut.

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -122,8 +123,9 @@ def _window_boundaries(n: int, k: int, s: int, theta: float) -> tuple:
     every floor still open; x and y are taken from the first rung.  A rung
     of dps digits carries an absolute error of about x * 10^-dps, so it
     settles a floor only when x +/- y lies more than (1 + x) * 10^(12 - dps)
-    from an integer; ties are resolved by raising the working precision,
-    which suffices for every realizable input at desk scale.
+    from an integer; near-ties are resolved by raising the working
+    precision, and exact ties are settled in rationals when x and y are
+    rational (`_rational_window`).
     """
     floors = {}
     for dps in _DPS_LADDER:
@@ -142,9 +144,30 @@ def _window_boundaries(n: int, k: int, s: int, theta: float) -> tuple:
                     floors[upper] = int(f)
         if len(floors) == 2:
             return floors[False], floors[True], x, y
+    exact = _rational_window(n, k, s, theta)
+    if exact is not None:
+        return math.floor(exact[0] - exact[1]), math.floor(exact[0] + exact[1]), x, y
     raise PrecisionError(
         f"cannot resolve window boundary for n={n}, k={k}, s={s}, theta={theta}"
     )
+
+
+def _rational_window(n: int, k: int, s: int, theta: float):
+    """(x, y) as Fractions when x = (n/s)^(1/k) and y = x^theta are both
+    rational, else None.  With theta = a / 2^b, y is rational only when x
+    has a rational 2^b-th root r, and then y = r^a < x.  r is taken one
+    square root at a time, so no power formed to check a root is longer
+    than the integer it was taken from."""
+    def roots(parts, degree):
+        out = [_iroot(m, degree) for m in parts]
+        return out if all(r**degree == m for r, m in zip(out, parts)) else None
+
+    ratio = Fraction(n, s)
+    x = r = roots([ratio.numerator, ratio.denominator], k)
+    a, den = theta.as_integer_ratio()
+    for _ in range(den.bit_length() - 1):
+        r = r and roots(r, 2)
+    return r and (Fraction(*x), Fraction(r[0] ** a, r[1] ** a))
 
 
 def build_interval(n: int, k: int, s: int, theta: float) -> ShortInterval:

@@ -319,18 +319,16 @@ def _series_values(ns, k: int, s: int, qmax: int) -> np.ndarray:
 
 def _multiplicative_assembly(terms: np.ndarray, groups: list) -> tuple:
     """Per row of the term matrix: the product over p of the local factor
-    1 + A(p) + A(p^2) + ..., and the (rows, primes) matrix of those factors."""
-    product = np.ones(len(terms))
-    sigmas = np.empty((len(terms), len(groups)))
-    col = 0
-    for i, (_, powers) in enumerate(groups):
-        sigma = np.ones(len(terms))
-        for _ in powers:
-            sigma = sigma + terms[:, col]
-            col += 1
-        sigmas[:, i] = sigma
-        product = product * sigma
-    return product, sigmas
+    1 + A(p) + A(p^2) + ..., and the (rows, primes) matrix of those factors.
+    The factors take their j-th powers in one pass for every prime that has
+    one (a prefix of the primes), and the product runs in prime order."""
+    counts = np.array([len(powers) for _, powers in groups])
+    firsts = np.cumsum(counts) - counts
+    sigmas = 1.0 + terms[:, firsts]
+    for j in range(1, counts[0]):
+        have = np.count_nonzero(counts > j)
+        sigmas[:, :have] += terms[:, firsts[:have] + j]
+    return np.prod(sigmas, axis=1), sigmas
 
 
 def _direct_assembly(terms: np.ndarray, groups: list, qmax: int) -> float:
@@ -338,32 +336,16 @@ def _direct_assembly(terms: np.ndarray, groups: list, qmax: int) -> float:
 
     A composite weight is the product of its prime-power weights
     (multiplicativity, verified directly in the test suite on small
-    coprime pairs).  ``parts[j, q]`` is the column of the j-th prime-power
-    part of q, smallest prime first, or the column of ones past the last
-    part; the product runs from the largest prime down and the sum over q
-    in order.
+    coprime pairs): every q starts at 1 and takes the term of each
+    p^j || q, largest prime first; the sum over q runs in order.
     """
-    ones_col = len(terms)
-    width, prod = 0, 1
-    for p, _ in groups:
-        prod *= p
-        if prod > qmax:
-            break
-        width += 1
-    parts = np.full((max(width, 1), qmax + 1), ones_col)
-    filled = np.zeros(qmax + 1, dtype=np.int64)
-    col = 0
-    for p, powers in groups:
-        for pj in powers:
+    values = np.ones(qmax + 1)
+    col = len(terms)
+    for p, powers in reversed(groups):
+        for pj in reversed(powers):
+            col -= 1
             qs = np.arange(pj, qmax + 1, pj)
-            qs = qs[qs % (pj * p) != 0]
-            parts[filled[qs], qs] = col
-            filled[qs] += 1
-            col += 1
-    row = np.append(terms, 1.0)
-    values = row[parts[-1]]
-    for j in range(len(parts) - 2, -1, -1):
-        values = values * row[parts[j]]
+            values[qs[qs % (pj * p) != 0]] *= terms[col]
     return float(np.cumsum(values[1:])[-1])
 
 
@@ -397,8 +379,8 @@ _GL_NODES_COARSE = np.polynomial.legendre.leggauss(16)
 PANEL_CAP = 1 << 21
 
 
-def _centered_phase_integral(beta: float, interval: ShortInterval, order: float) -> complex:
-    """Integral over the window of u^(order-1) e((u^k - x^k) beta) du.
+def _centered_phase_integral(beta: float, interval: ShortInterval) -> complex:
+    """Integral over the window of e((u^k - x^k) beta) du.
 
     Panel count grows with the total phase swing; each panel is handled
     by fixed Gauss-Legendre nodes.  Subtracting the phase at the center
@@ -423,11 +405,9 @@ def _centered_phase_integral(beta: float, interval: ShortInterval, order: float)
         acc = acc * d + math.comb(k, i) * x ** (k - i)
     rel = acc * d
 
-    u = x + d
-    amp = u ** (order - 1.0) if order != 1.0 else np.ones_like(u)
     ang = 2.0 * np.pi * (rel * beta)
-    re = float(np.sum(w * amp * np.cos(ang)))
-    im = float(np.sum(w * amp * np.sin(ang)))
+    re = float(np.sum(w * np.cos(ang)))
+    im = float(np.sum(w * np.sin(ang)))
     return complex(re, im)
 
 
@@ -440,8 +420,8 @@ def _center_phase(beta: float, interval: ShortInterval) -> complex:
     return complex(math.cos(ang), math.sin(ang))
 
 
-def phase_integral(beta: float, interval: ShortInterval, order: float = 1.0) -> complex:
-    """Oscillatory window integral of u^(order-1) e(u^k beta) du.
+def phase_integral(beta: float, interval: ShortInterval) -> complex:
+    """Oscillatory window integral of e(u^k beta) du.
 
     Only small frequencies are supported (|beta| <= 1); the phase at the
     window center is split off and reduced mod 1 in exact rational
@@ -450,9 +430,7 @@ def phase_integral(beta: float, interval: ShortInterval, order: float = 1.0) -> 
     """
     if abs(beta) > 1.0:
         raise ValidationError(f"need |beta| <= 1, got beta={beta}")
-    if order < 1.0:
-        raise ValidationError(f"need order >= 1, got {order}")
-    centered = _centered_phase_integral(beta, interval, order)
+    centered = _centered_phase_integral(beta, interval)
     return _center_phase(beta, interval) * centered
 
 
@@ -559,7 +537,7 @@ def _integral_by_quadrature(n: int, interval: ShortInterval, s: int) -> float:
         wts = 0.5 * block * weights
         vals = np.empty(len(mids))
         for i, beta in enumerate(mids):
-            centered = _centered_phase_integral(beta, interval, 1.0)
+            centered = _centered_phase_integral(beta, interval)
             core = centered**s
             ang = 2.0 * math.pi * freq_center * beta
             vals[i] = (core * complex(math.cos(ang), math.sin(ang))).real
@@ -616,26 +594,25 @@ def singular_integral(n: int, interval: ShortInterval, k: int, s: int,
 # major-arc approximant and the assembled prediction
 
 
-def major_arc_approx(alpha: float, dissection, interval: ShortInterval,
-                     kappa: float = 1.0) -> complex:
-    """kappa * S(q,a)/phi(q) * v(alpha - a/q) / log x on the containing arc.
+def major_arc_approx(alpha: float, dissection, interval: ShortInterval) -> complex:
+    """S(q,a)/phi(q) * v(alpha - a/q) / log x on the containing arc.
 
-    kappa = 1 approximates the prime-indicator phase sum; raising on a
-    minor-arc frequency is a contract error.
+    It approximates the prime-indicator phase sum; raising on a minor-arc
+    frequency is a contract error.
     """
     arc = classify(alpha, dissection)
     if arc is None:
         raise MinorArcError(f"alpha={alpha} lies on the minor arcs")
     beta = float(Fraction(alpha) - Fraction(arc.a, arc.q))
     gauss = complete_exp_sum(arc.q, arc.a, interval.k)
-    v = phase_integral(beta, interval, 1.0)
+    v = phase_integral(beta, interval)
     big_l = math.log(interval.x)
-    return kappa * gauss / euler_phi(arc.q) * v / big_l
+    return gauss / euler_phi(arc.q) * v / big_l
 
 
 @dataclass(frozen=True)
 class PredictionReport:
-    """Main-term prediction and its components at kappa = 1."""
+    """Main-term prediction and its components."""
 
     n: int
     k: int

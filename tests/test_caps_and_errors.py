@@ -87,7 +87,7 @@ def test_moment_state_cap(monkeypatch):
 def test_quadrature_panel_cap():
     interval = build_interval(5 * 10**8, 2, 5, 0.85)
     with pytest.raises(CapExceeded):
-        phase_integral(0.9, interval, 1.0)
+        phase_integral(0.9, interval)
 
 
 def test_count_prime_cap(monkeypatch):

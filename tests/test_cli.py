@@ -636,6 +636,15 @@ def test_series_at_huge_s_is_the_local_factor(s):
     assert result["value"] == result["value_direct"] == 24.0
 
 
+def test_count_settles_an_exact_tie():
+    # x = (50000 / 5)^(1/2) = 100 and y = x^(1/2) = 10, so both ends of the
+    # window (90, 110] are integers that no precision separates; it exited
+    # 1 with "cannot resolve window boundary".  Its primes are 97 to 109.
+    proc = run_kglab(["count", "--n", "50000", "--k", "2", "--s", "5", "--theta", "0.5"])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["result"]["prime_count"] == 5
+
+
 OVERFLOW = ["--k", "2", "--s", "200", "--theta", "0.1", "--qmax", "100"]
 
 

@@ -149,7 +149,7 @@ class TestBuildInterval:
             (5 * big**2 // 4 - 1, 2, 5, 1.0),
             (5 * (2**80 + 3) ** 2, 2, 5, 0.85), (5 * (2**80 + 3) ** 2 + 1, 2, 5, 1.0),
             (7 * (2**30 + 1) ** 3 - 1, 3, 7, 0.9), (2 * (3**20 + 5) ** 5 + 1, 5, 2, 0.75),
-            (5 * big**4, 2, 5, 0.5),            # x +/- y integers: unresolvable
+            (5 * big**4, 2, 5, 0.5),            # x +/- y integers: a tie
             (5 * big**4 + 1, 2, 5, 0.5),        # needs the 200-digit rung
         ]
         for k in (2, 3, 5):
@@ -157,12 +157,14 @@ class TestBuildInterval:
                 for delta in (-1, 0, 1):
                     for theta in (0.55, 0.85, 0.9, 1.0):
                         grid.append((5 * r**k + delta, k, 5, theta))
-        unresolved = 0
         for n, k, s, theta in grid:
             want = outcome(old_window, n, k, s, theta)
+            if n == 5 * big**4:
+                # No precision settles the tie x = big^2, y = big; the
+                # rationals do: the window is (big^2 - big, big^2 + big].
+                assert isinstance(want, str)
+                want = big**2 - big + 1, big**2 + big, float(big**2), float(big)
             assert outcome(new_window, n, k, s, theta) == want, (n, k, s, theta)
-            unresolved += isinstance(want, str)
-        assert unresolved == 1
 
     @pytest.mark.parametrize(
         "n,k,s,theta",
@@ -193,6 +195,31 @@ class TestBuildInterval:
             x = mp.sqrt(mp.mpf(n) / 5)
             y = x ** mp.mpf(0.85)
             assert (interval.lo, interval.hi) == (int(mp.floor(x - y)) + 1, int(mp.floor(x + y)))
+
+    @pytest.mark.parametrize("n,k,s,theta,lo,hi", [
+        (50000, 2, 5, 0.5, 91, 110),         # (90, 110]
+        (80, 2, 5, 0.5, 3, 6),               # (2, 6]
+        (405, 2, 5, 0.5, 7, 12),             # (6, 12]
+        (5 * 2**48, 3, 5, 0.75, 61441, 69632),  # x = 2^16, y = 2^12
+        (7 * 2**320, 5, 7, 0.5**5 + 0.5**6, 2**64 - 8 + 1, 2**64 + 8),  # theta = 3/64
+    ])
+    def test_exact_ties_settle_in_rationals(self, n, k, s, theta, lo, hi):
+        # x - y and x + y are integers, which no working precision separates.
+        interval = build_interval(n, k, s, theta)
+        assert (interval.lo, interval.hi) == (lo, hi)
+
+    def test_rational_window_needs_rational_x_and_y(self):
+        from fractions import Fraction
+
+        from kglab.intervals import _rational_window
+
+        assert _rational_window(50000, 2, 5, 0.5) == (Fraction(100), Fraction(10))
+        assert _rational_window(50000, 2, 5, 0.85) is None     # 100^0.85
+        assert _rational_window(50001, 2, 5, 0.5) is None      # sqrt(10000.2)
+        # theta = 0.85 is a / 2^52: x = 2^1024 takes ten square roots and
+        # fails the eleventh, and no power of 2^52 is formed
+        assert _rational_window(5 * 2**2048, 2, 5, 0.85) is None
+        assert _rational_window(5 * 2**2048, 2, 5, 0.5**10) == (Fraction(2**1024), Fraction(2))
 
     @pytest.mark.parametrize("n,k,theta,lo,hi,x,y", [
         # windows of the counting constructor at s = 1, recorded before
