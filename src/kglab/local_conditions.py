@@ -89,26 +89,32 @@ def unit_solution_counts(q: int, k: int, s: int) -> np.ndarray:
     """Vector over residues r mod q of the number of unit tuples
     (h_1, ..., h_s) with h_1^k + ... + h_s^k = r (mod q).
 
-    The s-th power of the unit-power counts under cyclic convolution mod q,
-    by square-and-multiply.  Counts run in int64, or in Python integers
-    (object arrays) once phi(q)^s reaches 2^62, so the result is exact for
-    any s.
+    The s-th convolution power of the unit-power counts, in int64 or, once
+    phi(q)^s reaches 2^62, in Python integers (object arrays): exact for any s.
     """
     base = unit_power_counts(q, k)
     if _power_exceeds(int(base.sum()), s, 2**62 - 1):
         base = base.astype(object)
-    out = np.zeros(q, dtype=base.dtype)
+    return _convolution_power(base, s)
+
+
+def _convolution_power(base: np.ndarray, s: int) -> np.ndarray:
+    """The s-fold power of ``base`` under cyclic convolution mod len(base),
+    by square-and-multiply: exact in integers, and on a non-negative float
+    base every step adds non-negative products."""
+    out = np.zeros_like(base)
     out[0] = 1  # the empty tuple
     while s > 0:
         if s & 1:
-            out = _cyclic_convolve(out, base, q)
+            out = _cyclic_convolve(out, base)
         s >>= 1
         if s:
-            base = _cyclic_convolve(base, base, q)
+            base = _cyclic_convolve(base, base)
     return out
 
 
-def _cyclic_convolve(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+def _cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    q = len(a)
     full = np.convolve(a, b)
     out = full[:q].copy()
     out[: q - 1] += full[q:]

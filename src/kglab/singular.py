@@ -30,7 +30,8 @@ from .intervals import (
     factorize,
     sieve_upto,
 )
-from .local_conditions import is_admissible, local_profile, prime_exponents, unit_solution_counts
+from .local_conditions import (_convolution_power, is_admissible, local_profile, prime_exponents,
+                               unit_power_counts, unit_solution_counts)
 
 QMAX_CAP = 100_000          # the largest modulus the series reads
 DEFAULT_QMAX = 10_000
@@ -195,11 +196,16 @@ def _period_terms(primes: np.ndarray, periods: np.ndarray, classes: np.ndarray,
     return keys.ravel(), _real_terms(terms, primes).ravel()
 
 
-def _ramanujan_column(q: int, p: int, s: int) -> np.ndarray:
-    """c_q(n - s) over n mod q for q = p^j: q [q | n - s] - q / p [q / p | n - s],
-    in integers."""
-    m = (np.arange(q) - s % q) % q
-    return (q * (m == 0) - q // p * (m % (q // p) == 0)).astype(float)
+def _local_column(q: int, p: int, k: int, s: int) -> np.ndarray:
+    """A(q, n) over n mod q for q = p^j: chi_q - chi_(q/p), chi_(q/p) tiled p
+    times, where chi_m = m L_m sums the terms over d | m and L_m, the law of a
+    sum of s unit k-th powers mod m, is divided by its own total (exactly 1):
+    otherwise each squaring of `_convolution_power` doubles the mass error."""
+    chis = []
+    for m in (q // p, q):
+        law = _convolution_power(unit_power_counts(m, k) / euler_phi(m), s)
+        chis.append(m * law / law.sum())
+    return chis[1] - np.tile(chis[0], p)
 
 
 @functools.lru_cache(maxsize=TERM_TABLES)
@@ -209,14 +215,11 @@ def _term_table(k: int, s: int, qmax: int) -> _TermTable:
 
     ``groups`` is [(p, [p, p^2, ...]), ...], one column per prime power.
     A prime power q = p^j with j > gamma(p) has the column 0 (Hua:
-    S(p^j, a) = 0).  The others come in three kinds.
+    S(p^j, a) = 0).  The others come in two kinds.
 
-    - (p - 1) | k (the primes of the local modulus): every unit k-th power
-      is 1 mod q, so S(q, a) = phi(q) e(a / q) and the term is the
-      Ramanujan sum c_q(n - s), a ``local`` (column, q, table over n mod q)
-      computed in integers (`_ramanujan_column`).
-    - p | k otherwise (3 at k = 3): a ``local`` column from the FFT of the
-      complete sums (S(q, a) / phi(q))^s over a mod q.
+    - p | k or (p - 1) | k: a ``local`` (column, q, table over n mod q),
+      real by construction (`_local_column`); at the primes of the local
+      modulus it is the Ramanujan sum c_q(n - s), exact in integers.
     - Every other p is keyed.  Let g be a primitive root, d = gcd(k, p - 1)
       and e = (p - 1) / d.  The k-th powers are H = {g^(d m)}, its cosets
       are g^i H for i < d, and eta_i is the Gauss period over g^i H.  Then
@@ -230,9 +233,9 @@ def _term_table(k: int, s: int, qmax: int) -> _TermTable:
       takes the entry of ``values`` at the key p * (qmax + 1) +
       (-n)^exps[i] mod p in ``keys``.
 
-    Every complex entry has its imaginary residue checked once, here
-    (`_real_terms`); a failing column raises, so no such table is cached,
-    and the arrays kept are real.
+    Every keyed entry is computed complex and has its imaginary residue
+    checked once, here (`_real_terms`); a failing prime raises, so no such
+    table is cached, and the arrays kept are real.
     """
     groups = []
     for p in sieve_upto(qmax):
@@ -242,20 +245,10 @@ def _term_table(k: int, s: int, qmax: int) -> _TermTable:
         groups.append((p, powers))
     all_primes = np.array([p for p, _ in groups], dtype=np.int64)
     first_cols = np.cumsum([0] + [len(powers) for _, powers in groups[:-1]])
-    local = []
-    for col, (p, powers) in zip(first_cols.tolist(), groups):
-        if p > k + 1:  # past k + 1, neither p nor p - 1 divides k
-            break
-        _, gamma = prime_exponents(p, k)
-        for j, q in enumerate(powers[:gamma]):
-            if k % (p - 1) == 0:
-                local.append((col + j, q, _ramanujan_column(q, p, s)))
-            elif k % p == 0:
-                units, sums = complete_exp_sums(q, k)
-                placed = np.zeros(q, dtype=complex)
-                placed[units % q] = (sums[units % q] / len(units)) ** s
-                local.append((col + j, q, _real_terms(np.fft.fft(placed)[None, :], [q])[0]))
     keyed = (k % all_primes != 0) & (k % (all_primes - 1) != 0)
+    local = tuple((col + j, q, _local_column(q, p, k, s))
+                  for col, (p, powers), is_keyed in zip(first_cols.tolist(), groups, keyed) if not is_keyed
+                  for j, q in enumerate(powers[:prime_exponents(p, k)[1]]))
     ds = np.gcd(all_primes - 1, k)
     pieces = []
     for d in (1, 2):
@@ -268,7 +261,7 @@ def _term_table(k: int, s: int, qmax: int) -> _TermTable:
     primes = all_primes[keyed]
     table = _TermTable(groups, np.array([q for _, powers in groups for q in powers], dtype=np.int64),
                        first_cols[keyed], primes, (primes - 1) // ds[keyed], keys[order],
-                       np.concatenate([values for _, values in pieces])[order], tuple(local))
+                       np.concatenate([values for _, values in pieces])[order], local)
     for array in [*table[1:7], *(column for _, _, column in local)]:
         array.flags.writeable = False  # shared by every caller through the cache
     return table
@@ -595,17 +588,17 @@ def singular_integral(n: int, interval: ShortInterval, k: int, s: int,
 
 
 def major_arc_approx(alpha: float, dissection, interval: ShortInterval) -> complex:
-    """S(q,a)/phi(q) * v(alpha - a/q) / log x on the containing arc.
-
+    """S(q,a)/phi(q) * v(alpha - a/q) / log x on the containing arc, with
+    alpha - a/q reduced mod 1 into [-1/2, 1/2], as the arc reads alpha.
     It approximates the prime-indicator phase sum; raising on a minor-arc
     frequency is a contract error.
     """
     arc = classify(alpha, dissection)
     if arc is None:
         raise MinorArcError(f"alpha={alpha} lies on the minor arcs")
-    beta = float(Fraction(alpha) - Fraction(arc.a, arc.q))
+    beta = Fraction(alpha) - Fraction(arc.a, arc.q)
     gauss = complete_exp_sum(arc.q, arc.a, interval.k)
-    v = phase_integral(beta, interval)
+    v = phase_integral(float(beta - round(beta)), interval)
     big_l = math.log(interval.x)
     return gauss / euler_phi(arc.q) * v / big_l
 

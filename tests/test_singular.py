@@ -157,9 +157,10 @@ class TestTermTable:
         from kglab import ConsistencyError, sweep
         from kglab.singular import _term_table
 
-        # At k = 3 the table holds every kind of column: Ramanujan (q = 2),
-        # FFT (q = 3, 9), closed-form (d = 1) and primitive-root (d = 3).  At
-        # k = 2 the closed form and the Ramanujan sums leave no residue at all.
+        # At k = 3 the table holds every kind of column: unit-power laws
+        # (q = 2, 3, 9), real by construction, and keyed closed-form (d = 1)
+        # and primitive-root (d = 3) periods, checked for their residue.  At
+        # k = 2 the closed form and the unit-power laws leave no residue.
         table = _term_table(3, 5, 1000)
         for array in (table.values, *(column for _, _, column in table.local)):
             assert array.dtype == np.float64
@@ -191,6 +192,40 @@ class TestTermTable:
         terms = _series_terms([10201 * s], 2, s, 100)[0]
         for q, want in [(2, 1.0), (3, 2.0), (4, 2.0), (8, 4.0)]:
             assert abs(terms[moduli.index(q)] - want) <= 1e-13, (s, q)
+
+    @pytest.mark.parametrize("k, p, q", [(3, 3, 9), (27, 3, 81), (50, 5, 125), (55, 11, 121)])
+    def test_local_columns_match_exact_unit_solution_counts(self, k, p, q):
+        # A(q, n) = chi_q(n) - chi_(q/p)(n) with chi_m = m M_m / phi(m)^s, M_m
+        # the exact counts of unit tuples; the complex FFT columns these
+        # replace were 5.1e-13 off at k = 55, q = 121, s = 1000.
+        from fractions import Fraction
+
+        from kglab.local_conditions import unit_solution_counts
+        from kglab.singular import _local_column
+
+        for s in (5, 100, 1000):
+            chis = [[Fraction(m * int(c), euler_phi(m) ** s) for c in unit_solution_counts(m, k, s)]
+                    for m in (q // p, q)]
+            exact = np.array([float(chis[1][n] - chis[0][n % (q // p)]) for n in range(q)])
+            assert np.max(np.abs(_local_column(q, p, k, s) - exact)) <= 1e-14, (k, q, s)
+
+    def test_local_columns_keep_their_mass_at_huge_s(self):
+        # At k = 59 the true terms at q = 59 and 59^2 are below 1e-15 for
+        # s = 10^9; without dividing each law by its own total, the rounding
+        # of its mass doubled per squaring and q = 59 read 1.8e-7.
+        from kglab.singular import _local_column
+
+        for q in (59, 59**2):
+            assert np.max(np.abs(_local_column(q, 59, 59, 10**9))) < 1e-14, q
+
+    def test_unreachable_residues_give_exact_zeros(self):
+        # Unit cubes are +-1 mod 9 and unit ninth powers +-1 mod 27, so no sum
+        # of five is 1001 = 2 mod 9 and none of eleven is 12345679 = 10 mod 27;
+        # the FFT columns left sigma_3 = 4.4e-16 and -1.3e-15 there.
+        est = singular_series(1001, 3, 5, 1000)
+        assert est.value == 0.0 and dict(est.p_local)[3] == 0.0
+        assert est.obstructed
+        assert dict(singular_series(12345679, 9, 11, 10**4).p_local)[3] == 0.0
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 10])
     def test_closed_form_periods_match_primitive_root_sums(self, k):
@@ -517,6 +552,16 @@ class TestMajorArcApprox:
             offset = float(rng.uniform(-arc.half_width, arc.half_width))
             value = abs(major_arc_approx(arc.center + offset, dissection, interval))
             assert value <= cap * 1.0000001
+
+    def test_frequencies_reduce_mod_one(self, setup):
+        # beta = alpha - a/q is taken mod 1, as the arc is: alpha = 2.5 raised
+        # on |beta| = 2, and 1.5 and 2^-40 (the arc 1/1) hit the panel cap.
+        interval, dissection = setup
+        half = major_arc_approx(0.5, dissection, interval)
+        for alpha in (1.5, 2.5, -0.5):
+            assert major_arc_approx(alpha, dissection, interval) == half, alpha
+        assert major_arc_approx(2.0**-40, dissection, interval) == major_arc_approx(
+            1 + 2.0**-40, dissection, interval)
 
     def test_minor_arc_raises(self, setup):
         interval, dissection = setup
