@@ -1,0 +1,149 @@
+"""Golden reports: the corpus of CLI reports that must not move.
+
+Each case is one command line; its report, with the JSON timestamp line
+removed, is stored gzipped in this directory under the case's name.
+``tests/test_golden.py`` runs every case in process and compares bytes.
+
+Run from the repository root to rewrite the corpus after a change that is
+meant to move digits:
+
+    PYTHONPATH=src python tests/golden/record.py
+
+It prints each moved field as ``command: path: old → new`` (and each
+added or dropped report), for the change's CHANGES entry.
+"""
+
+from __future__ import annotations
+
+import gzip
+import json
+import shlex
+import sys
+from pathlib import Path
+
+from kglab import cli
+
+HERE = Path(__file__).resolve().parent
+
+_README = [
+    "count --n 845 --k 2 --s 5 --theta 0.85",
+    "predict --n 838349 --k 2 --s 5 --theta 0.85 --qmax 10000",
+    "compare --range 100013:101000:24 --k 2 --s 5 --theta 0.9 --qmax 1000",
+    "dissect --n 845 --k 2 --s 5 --theta 0.85 --delta 0.3",
+    "weyl-scan --n 500000000 --k 2 --s 5 --theta 0.85 --samples 5000 --seed 7",
+    "moments --lo 11 --hi 20 --k 2 --t 2",
+    "singular-series --n 29 --k 2 --s 5 --qmax 10000",
+    "sieve-check --samples 100000 --seed 7",
+    "vaughan-check --n 500000000 --k 2 --s 5 --theta 0.85 --alphas 100",
+]
+
+# The README commands in both forms where a CSV form exists; the series
+# and prediction inputs that changes to the series re-check; and inputs in
+# the paper's regime s >= k^2 + k + 1.
+CASES = [
+    *(f"{cmd} --format json" for cmd in _README),
+    *(f"{cmd} --format csv" for cmd in _README if cmd.split()[0] in cli._DEFAULT_FMT),
+    "singular-series --n 29 --k 2 --s 5 --qmax 100000",
+    "singular-series --n 845 --k 3 --s 5 --qmax 10000",
+    "singular-series --n 1000007 --k 6 --s 7 --qmax 5000",
+    "singular-series --n 12345679 --k 9 --s 11 --qmax 10000",
+    "predict --n 6655 --k 3 --s 5 --theta 0.85 --qmax 1000",
+    *(f"singular-series --n {10201 * s} --k 2 --s {s} --qmax 100" for s in (10**3, 10**5, 10**7)),
+    "predict --n 1000015 --k 3 --s 13 --theta 0.85 --qmax 10000",
+    "compare --range 20001:20401:2 --k 3 --s 13 --theta 1 --qmax 1000 --format csv",
+]
+
+
+def case_path(cmd: str) -> Path:
+    """Where the report of ``cmd`` is stored."""
+    argv = shlex.split(cmd)
+    fmt = "json"
+    if "--format" in argv:
+        at = argv.index("--format")
+        fmt = argv.pop(at + 1)
+        del argv[at]
+    return HERE / ("_".join(w.lstrip("-").replace(":", "-") for w in argv) + f".{fmt}.gz")
+
+
+def render(cmd: str) -> str:
+    """The report of ``cmd``, as ``kglab`` prints it, without its timestamp."""
+    config = cli.config_from_args(cli.build_parser().parse_args(shlex.split(cmd)))
+    status, text = cli.run(config)
+    if status != 0:
+        raise RuntimeError(f"{cmd}: exit {status}: {text.strip()}")
+    if config.fmt == "csv":
+        return text
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith('  "timestamp": '))
+
+
+def load(cmd: str):
+    """The stored report of ``cmd``, or None."""
+    path = case_path(cmd)
+    return gzip.decompress(path.read_bytes()).decode() if path.exists() else None
+
+
+def differences(old: str, new: str):
+    """(path, old value, new value) for each field in which two reports of
+    the same command differ, in report order."""
+    try:
+        reports = json.loads(old), json.loads(new)
+    except json.JSONDecodeError:
+        yield from _csv_differences(old.splitlines(), new.splitlines())
+        return
+    fields = list(_json_differences(*reports, ""))
+    yield from fields
+    if not fields and old != new:
+        yield "<layout>", "", ""
+
+
+def _json_differences(old, new, path):
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from _json_differences(old.get(key), new.get(key), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _json_differences(a, b, f"{path}[{i}]")
+    elif json.dumps(old) != json.dumps(new):
+        yield path or ".", json.dumps(old), json.dumps(new)
+
+
+def _csv_differences(old, new):
+    header = next((line.split(",") for line in old if not line.startswith("#")), [])
+    for i in range(max(len(old), len(new))):
+        a = old[i] if i < len(old) else "<missing>"
+        b = new[i] if i < len(new) else "<missing>"
+        if a == b:
+            continue
+        if a.startswith("#") or b.startswith("#"):
+            yield f"line {i + 1}", a, b
+            continue
+        cells_a, cells_b = a.split(","), b.split(",")
+        for j in range(max(len(cells_a), len(cells_b))):
+            x = cells_a[j] if j < len(cells_a) else "<missing>"
+            y = cells_b[j] if j < len(cells_b) else "<missing>"
+            if x != y:
+                name = header[j] if j < len(header) else f"column {j + 1}"
+                yield f"line {i + 1}: {name}", x, y
+
+
+def main() -> int:
+    for cmd in CASES:
+        new = render(cmd)
+        old = load(cmd)
+        if old is None:
+            print(f"{cmd}: new report")
+        else:
+            for path, a, b in differences(old, new):
+                print(f"{cmd}: {path}: {a} → {b}")
+        case_path(cmd).write_bytes(gzip.compress(new.encode(), mtime=0))
+    kept = {case_path(cmd) for cmd in CASES}
+    for path in sorted(HERE.glob("*.gz")):
+        if path not in kept:
+            print(f"{path.name}: dropped")
+            path.unlink()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
