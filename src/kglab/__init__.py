@@ -19,7 +19,6 @@ from .errors import (
     ValidationError,
 )
 from .intervals import (
-    PrimeTable,
     ShortInterval,
     build_interval,
     divisor_count,

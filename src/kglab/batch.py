@@ -73,7 +73,7 @@ def _sweep_block(ns: list, k: int, s: int, theta: float, qmax: int) -> list:
         results = []  # each group's counts, or the error that stopped them
         for members in part:
             try:
-                primes = _window_primes(windows[members[0]]).primes
+                primes = _window_primes(windows[members[0]])
                 results.append(_count_mitm([ns[i] for i in members], k, s, primes))
             except KglabError as exc:
                 results.append(exc)

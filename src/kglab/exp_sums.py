@@ -20,7 +20,8 @@ Moments of |f|^(2t) are integers (solution counts) and are computed two
 independent ways: averaging |f|^(2t) over any N >= 2 t spread + 1
 equispaced points, padded to a 5-smooth N for the FFT (the sampled
 mean of a trigonometric polynomial below the aliasing threshold is its
-exact mean), and direct enumeration of power-sum collisions.
+exact mean), and direct enumeration of power-sum collisions on the
+counts' sorted tables.  A weight must be built on the window it is summed over.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .intervals import (
     von_mangoldt,
 )
 from .local_conditions import unit_power_counts
-from .representations import _check_table_cap, _fold_sums, _weighted_half
-from .weights import WeightFunction
+from .representations import count_collisions
+from .weights import WeightFunction, check_window
 
 _TWO64 = 1 << 64
 # Offsets of the words _weighted_e64 reads from a uint64 phase: its top and
@@ -54,7 +55,6 @@ _TWO64 = 1 << 64
 # entries take 2 MiB, built on first use.
 _E_WORDS = (3, 2, 0) if sys.byteorder == "little" else (0, 1, 1)
 MOMENT_SAMPLE_CAP = 1 << 26
-RUN_CHUNK = 1 << 22        # sorted sums read at a time by _sum_squared_run_lengths
 # Entries per block of either pass of moment_nyquist's DFT: at N = 3,037,500
 # (lo 500, hi 1000, t 2) 2^16 took 0.12 s, 2^13 0.16 s and 2^18 0.13 s.
 _MOMENT_BLOCK = 1 << 16
@@ -201,7 +201,9 @@ def weighted_exp_sum(alpha, weight: WeightFunction, interval: ShortInterval):
 
     Phases are reduced mod 1 in exact integer arithmetic before e(.) is
     taken; adding an integer to alpha therefore cannot change the result.
+    The weight must be built on the window.
     """
+    check_window(weight, interval)
     freqs = _frequencies(alpha)
     sums = _phase_sums(_window_chunks(weight.values, interval.lo, bool(freqs[1])),
                        interval.k, freqs)
@@ -309,58 +311,17 @@ def moment_enumeration(interval: ShortInterval, t: int, weight: WeightFunction) 
 
     Enumerates all t-fold sums of m^k over the support of the weight,
     accumulates the product weight per sum value, and returns the sum of
-    W(v)^2 over values v.  A 0/1 weight counts repeats of each sorted sum
-    instead of carrying weights, so the unit weight gives the exact
-    integer solution count matching ``moment_nyquist``.  Sums run in
-    int64, or in Python integers (object arrays) once t * hi^k reaches
-    2^62.  A table of more than the counting's TABLE_CAP states raises
-    CapExceeded before it is built.
+    W(v)^2 over values v, on the sorted tables and the run pass of the
+    representation counts.  A 0/1 weight counts repeats of each sorted sum
+    instead of carrying weights, so the unit weight gives the exact integer
+    solution count matching ``moment_nyquist``.  The weight must be built on
+    the window.  A table of more than the counting's TABLE_CAP states
+    raises CapExceeded before it is built.
     """
     if t < 1:
         raise ValidationError(f"need t >= 1, got {t}")
-    lo, hi, k = interval.lo, interval.hi, interval.k
-    _check_table_cap(hi - lo + 1, t)
-    dtype = object if t * hi**k >= 2**62 else np.int64
-    powers = np.array([m**k for m in range(lo, hi + 1)], dtype=dtype)
-    w = weight.values.astype(np.float64)
-    nonzero = np.nonzero(w)[0]
-    if np.all(w[nonzero] == 1.0):
-        sums = _fold_sums(powers[nonzero], t)
-        if dtype is object:  # Python's timsort beats numpy's object sort ~5x
-            sums = np.array(sorted(sums.tolist()), dtype=object)
-        else:
-            sums.sort()
-        return float(_sum_squared_run_lengths(sums))
-    half = _weighted_half([weight] * t, powers)
-    if half is None:
-        return 0.0
-    return float(np.sum(half[1] ** 2))
-
-
-def _sum_squared_run_lengths(sorted_vals: np.ndarray) -> int:
-    """Sum of squared run lengths of a sorted array, RUN_CHUNK entries at a time."""
-    total = 0
-    run = 0
-    prev = None
-    n = len(sorted_vals)
-    for start in range(0, n, RUN_CHUNK):
-        block = sorted_vals[start : start + RUN_CHUNK]
-        ends = np.nonzero(np.diff(block))[0]
-        if prev is not None and len(block) and block[0] != prev:
-            total += run * run
-            run = 0
-        if len(ends) == 0:
-            run += len(block)
-        else:
-            total += (run + int(ends[0]) + 1) ** 2
-            if len(ends) > 1:
-                lengths = np.diff(ends)
-                total += int(np.sum(lengths * lengths))
-            run = len(block) - int(ends[-1]) - 1
-        if len(block):
-            prev = block[-1]
-    total += run * run
-    return total
+    check_window(weight, interval)
+    return count_collisions(interval, t, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -608,13 +569,15 @@ def weyl_scan(interval: ShortInterval, dissection, samples: int,
     """Sample |f(alpha, w)| uniformly over the representative window and
     split the samples by arc class.
 
-    Requires 1000 <= samples <= SCAN_SAMPLE_CAP; the cap is checked before
-    anything is drawn.  Each |f| is checked against the trivial bound
-    B * |window|; the normalizing exponent is 1 - rho with rho = 1/(31 t_k).
+    Requires 1000 <= samples <= SCAN_SAMPLE_CAP, checked before anything is
+    drawn, and a weight built on the window.  Each |f| is checked against
+    the trivial bound B * |window|; the normalizing exponent is 1 - rho
+    with rho = 1/(31 t_k).
     """
     if samples < 1000:
         raise ValidationError(f"need samples >= 1000, got {samples}")
     check_cap("weyl-scan samples", samples, SCAN_SAMPLE_CAP)
+    check_window(weight, interval)
     k = interval.k
     rho = minor_arc_rho(k)
     norm = interval.y ** (1.0 - rho)

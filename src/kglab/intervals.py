@@ -12,7 +12,6 @@ integer is admitted or rejected the same way on every platform.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,24 +79,6 @@ class ShortInterval:
         x = (left + right) / 2.0
         y = (right - left) / 2.0
         return cls(x=x, y=y, k=k, lo=lo, hi=hi)
-
-
-@dataclass(frozen=True)
-class PrimeTable:
-    """Sorted primes of a window."""
-
-    interval: ShortInterval
-    primes: tuple
-
-    def __contains__(self, m) -> bool:
-        i = bisect_left(self.primes, m)
-        return i < len(self.primes) and self.primes[i] == m
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __len__(self) -> int:
-        return len(self.primes)
 
 
 def _iroot(m: int, k: int) -> int:
@@ -214,9 +195,10 @@ def sieve_upto(limit: int) -> list:
     return [i for i in range(2, limit + 1) if flags[i]]
 
 
-def primes_in_interval(interval: ShortInterval) -> PrimeTable:
-    """Exactly the primes p with x - y < p <= x + y, by segmented sieve; past
-    WINDOW_CAP integers or SIEVE_LIMIT_CAP on sqrt(hi), CapExceeded first."""
+def primes_in_interval(interval: ShortInterval) -> tuple:
+    """Exactly the primes p with x - y < p <= x + y, ascending, by segmented
+    sieve; past WINDOW_CAP integers or SIEVE_LIMIT_CAP on sqrt(hi),
+    CapExceeded first."""
     lo, hi = interval.lo, interval.hi
     check_cap("window length", hi - lo + 1, WINDOW_CAP)
     limit = math.isqrt(hi)
@@ -237,7 +219,7 @@ def primes_in_interval(interval: ShortInterval) -> PrimeTable:
         primes.extend(
             block_lo + i for i, keep in enumerate(flags) if keep
         )
-    return PrimeTable(interval=interval, primes=tuple(primes))
+    return tuple(primes)
 
 
 def pow_mod(base: np.ndarray, k: int, q: int) -> np.ndarray:

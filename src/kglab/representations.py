@@ -6,7 +6,8 @@ path meets the two halves of the tuple in the middle through a sorted
 table of half-sums; a plain recursive enumeration is kept as the
 cross-check at small scale.  The weighted variant carries products of
 bounded weights through the same machinery, which is what the sieve
-combination consumes.
+combination consumes, and so do the moments' collision counts: every
+table is built by `_sorted_fold_sums` and read by one run pass.
 """
 
 from __future__ import annotations
@@ -19,18 +20,18 @@ import numpy as np
 from .errors import DominationError, ValidationError, check_cap
 from .intervals import (
     MEMORY_BUDGET,
-    PrimeTable,
     ShortInterval,
     _power_exceeds,
     build_interval,
     primes_in_interval,
     sieve_upto,
 )
-from .weights import WeightFunction, prime_indicator
+from .weights import WeightFunction, check_window, prime_indicator
 
 PRIME_COUNT_CAP = 50_000
 TABLE_CAP = 100_000_000    # states of one fold-sum table, here and in the moments
 PROBE_BLOCK = 1 << 18      # entries of one (targets, half-sums) probe block
+RUN_CHUNK = 1 << 22        # neighbouring sorted sums _run_starts compares at a time
 # The pointwise sieve scan's draws and products, at about 170 bytes per
 # sample (900,000 more samples raised peak RSS by 138 MB): 1,647,058.
 SIEVE_SAMPLE_CAP = MEMORY_BUDGET // 170
@@ -55,7 +56,7 @@ def count_exact(n: int, k: int, s: int, theta: float,
     p_i prime and in the window."""
     if method not in ("meet-in-middle", "exhaustive"):
         raise ValidationError(f"unknown counting method {method!r}")
-    primes = _window_primes(build_interval(n, k, s, theta)).primes
+    primes = _window_primes(build_interval(n, k, s, theta))
     if method == "exhaustive":
         value = _count_recursive(n, k, s, primes)
     else:
@@ -66,13 +67,13 @@ def count_exact(n: int, k: int, s: int, theta: float,
     )
 
 
-def _window_primes(interval: ShortInterval) -> PrimeTable:
-    table = primes_in_interval(interval)
-    check_cap("primes to count", len(table), PRIME_COUNT_CAP)
-    return table
+def _window_primes(interval: ShortInterval) -> tuple:
+    primes = primes_in_interval(interval)
+    check_cap("primes to count", len(primes), PRIME_COUNT_CAP)
+    return primes
 
 
-def _count_recursive(n: int, k: int, s: int, primes: list) -> int:
+def _count_recursive(n: int, k: int, s: int, primes: tuple) -> int:
     if not primes:
         return 1 if (s == 0 and n == 0) else 0
     lo_pow = primes[0] ** k
@@ -109,17 +110,38 @@ def _check_table_cap(count: int, fold: int):
     check_cap("fold-sum table states", _Power(count, fold), TABLE_CAP)
 
 
-def _fold_sums(powers: np.ndarray, fold: int) -> np.ndarray:
-    """All fold-fold sums of ``powers`` (with repeats), in its dtype."""
+def _sorted_fold_sums(powers: np.ndarray, fold: int) -> np.ndarray:
+    """All fold-fold sums of ``powers`` (with repeats), ascending, in its dtype."""
     if len(powers) == 1:
         return powers * fold
     sums = np.zeros(1, dtype=powers.dtype)
     for _ in range(fold):
         sums = (sums[:, None] + powers[None, :]).ravel()
+    if sums.dtype == object:  # Python's timsort beats numpy's object sort ~5x
+        return np.array(sorted(sums.tolist()), dtype=object)
+    sums.sort()
     return sums
 
 
-def _count_mitm(ns, k: int, s: int, primes: list) -> np.ndarray:
+def _run_starts(sorted_vals: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal values in a sorted
+    array, then its length, so run i spans [starts[i], starts[i + 1]);
+    RUN_CHUNK neighbouring pairs are compared at a time."""
+    n = len(sorted_vals)
+    starts = [np.arange(min(n, 1))]
+    for lo in range(1, n, RUN_CHUNK):
+        block = sorted_vals[lo - 1 : lo + RUN_CHUNK]
+        starts.append(lo + np.flatnonzero(block[1:] != block[:-1]))
+    return np.concatenate(starts + [[n]])
+
+
+def _unique_counts(sorted_vals: np.ndarray):
+    """The distinct values of a sorted array and the length of each one's run."""
+    starts = _run_starts(sorted_vals)
+    return sorted_vals[starts[:-1]], np.diff(starts)
+
+
+def _count_mitm(ns, k: int, s: int, primes: tuple) -> np.ndarray:
     """Counts for every target in ``ns`` whose window holds ``primes``.
 
     The (s//2)-fold power sums sit in a sorted table, built once; each
@@ -138,12 +160,12 @@ def _count_mitm(ns, k: int, s: int, primes: list) -> np.ndarray:
     # A target outside [s p_min^k, s p_max^k] has no representation; moved
     # just outside that range it still has none, and fits in int64.
     targets = np.array([min(max(n, lo_sum - 1), hi_sum + 1) for n in ns], dtype=np.int64)
-    uniq, mult = _unique_counts(np.sort(_fold_sums(powers, hash_fold)))
+    uniq, mult = _unique_counts(_sorted_fold_sums(powers, hash_fold))
     last = len(uniq) - 1
     # The base sums, distinct and descending, so each row of probes ascends
     # (numpy's searchsorted is fastest on ascending keys); repeats of a
     # base sum weight its matches.
-    base, base_mult = (a[::-1] for a in _unique_counts(np.sort(_fold_sums(powers, probe_fold - 1))))
+    base, base_mult = (a[::-1] for a in _unique_counts(_sorted_fold_sums(powers, probe_fold - 1)))
     step = max(1, PROBE_BLOCK // len(base))
     for start in range(0, len(targets), step):
         rest = targets[start:start + step, None] - base[None, :]
@@ -154,14 +176,21 @@ def _count_mitm(ns, k: int, s: int, primes: list) -> np.ndarray:
     return counts
 
 
-def _run_starts(sorted_vals: np.ndarray) -> np.ndarray:
-    """Index of the first entry of each run of equal values in a sorted array."""
-    return np.concatenate(([0], np.nonzero(np.diff(sorted_vals))[0] + 1))
-
-
-def _unique_counts(sorted_vals: np.ndarray):
-    starts = _run_starts(sorted_vals)
-    return sorted_vals[starts], np.diff(np.append(starts, len(sorted_vals)))
+def count_collisions(interval: ShortInterval, t: int, weight: WeightFunction) -> float:
+    """``exp_sums.moment_enumeration`` once it has checked t and the
+    weight's window; sums run in Python integers once t * hi^k reaches 2^62."""
+    _check_table_cap(interval.size, t)
+    dtype = object if t * interval.hi**interval.k >= 2**62 else np.int64
+    powers = np.array([m**interval.k for m in interval], dtype=dtype)
+    support = np.flatnonzero(weight.values)
+    if np.all(weight.values[support] == 1.0):
+        runs = np.diff(_run_starts(_sorted_fold_sums(powers[support], t)))
+        runs *= runs
+        return float(np.sum(runs))
+    half = _weighted_half([weight] * t, powers)
+    if half is None:
+        return 0.0
+    return float(np.sum(half[1] ** 2))
 
 
 def count_weighted(n: int, k: int, s: int, theta: float,
@@ -182,10 +211,7 @@ def _weighted_window(n: int, k: int, s: int, theta: float, *weights) -> ShortInt
         raise ValidationError(f"need s >= 5 for the weighted count, got s={s}")
     interval = build_interval(n, k, s, theta)
     for w in weights:
-        if (w.interval.lo, w.interval.hi) != (interval.lo, interval.hi):
-            raise ValidationError(
-                "weight was built on a different window than (n, k, s, theta) induces"
-            )
+        check_window(w, interval)
     return interval
 
 
@@ -226,7 +252,7 @@ def _weighted_half(slot_weights, powers: np.ndarray):
         wts = (wts[:, None] * w.values[None, support]).ravel()
         order = np.argsort(sums, kind="stable")
         sums = sums[order]
-        starts = _run_starts(sums)
+        starts = _run_starts(sums)[:-1]
         wts = np.add.reduceat(wts[order], starts)
         sums = sums[starts]
     return sums, wts
@@ -236,12 +262,10 @@ def check_domination(lam_minus: WeightFunction, lam_plus: WeightFunction,
                      interval: ShortInterval) -> bool:
     """True iff lam_minus <= prime indicator <= lam_plus on every integer
     of the window (exhaustive scan)."""
-    table = primes_in_interval(interval)
-    for m in interval:
-        ind = 1.0 if m in table else 0.0
-        if lam_minus(m) > ind + 1e-12 or lam_plus(m) < ind - 1e-12:
-            return False
-    return True
+    for w in (lam_minus, lam_plus):
+        check_window(w, interval)
+    ind = prime_indicator(interval).values
+    return not (np.any(lam_minus.values > ind + 1e-12) or np.any(lam_plus.values < ind - 1e-12))
 
 
 def vector_sieve_lower(n: int, k: int, s: int, theta: float,

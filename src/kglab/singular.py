@@ -330,11 +330,19 @@ def _direct_assembly(terms: np.ndarray, groups: list, qmax: int) -> float:
     A composite weight is the product of its prime-power weights
     (multiplicativity, verified directly in the test suite on small
     coprime pairs): every q starts at 1 and takes the term of each
-    p^j || q, largest prime first; the sum over q runs in order.
+    p^j || q, largest prime first; the sum over q runs in order.  A prime
+    above sqrt(qmax) divides each of its multiples once, and no q <= qmax
+    has two such primes, so their terms are written in one pass.
     """
     values = np.ones(qmax + 1)
-    col = len(terms)
-    for p, powers in reversed(groups):
+    small = sum(len(powers) > 1 for _, powers in groups)  # the primes p <= sqrt(qmax)
+    big = np.array([p for p, _ in groups[small:]], dtype=np.int64)
+    col = len(terms) - len(big)
+    multiples = qmax // big
+    firsts = np.repeat(np.cumsum(multiples) - multiples, multiples)
+    factors = np.arange(len(firsts)) - firsts + 1
+    values[np.repeat(big, multiples) * factors] = np.repeat(terms[col:], multiples)
+    for p, powers in reversed(groups[:small]):
         for pj in reversed(powers):
             col -= 1
             qs = np.arange(pj, qmax + 1, pj)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .intervals import PrimeTable, ShortInterval, _iroot, primes_in_interval, sieve_upto
+from .intervals import ShortInterval, _iroot, primes_in_interval, sieve_upto
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,21 @@ def unit_weight(interval: ShortInterval) -> WeightFunction:
     return WeightFunction("unit", interval, values, 1.0)
 
 
-def prime_indicator(interval: ShortInterval, table: PrimeTable = None) -> WeightFunction:
-    """Indicator of the primes of the window (agrees with the prime table)."""
-    if table is None:
-        table = primes_in_interval(interval)
+def check_window(weight: WeightFunction, interval: ShortInterval):
+    """ValidationError unless ``weight`` was built on the integers of ``interval``."""
+    built = weight.interval
+    if (built.lo, built.hi) != (interval.lo, interval.hi):
+        raise ValidationError(f"weight was built on the window {built.lo}..{built.hi}, "
+                              f"not on {interval.lo}..{interval.hi}")
+
+
+def prime_indicator(interval: ShortInterval, primes: tuple = None) -> WeightFunction:
+    """Indicator of the primes of the window; ``primes``, when given, is
+    their sorted tuple as ``primes_in_interval`` returns it."""
+    if primes is None:
+        primes = primes_in_interval(interval)
     values = np.zeros(interval.size)
-    values[np.array(table.primes, dtype=np.int64) - interval.lo] = 1.0
+    values[np.array(primes, dtype=np.int64) - interval.lo] = 1.0
     return WeightFunction("prime-indicator", interval, values, 1.0)
 
 
@@ -74,11 +83,11 @@ def von_mangoldt_weight(interval: ShortInterval) -> WeightFunction:
     """Lambda on the window, by sieve: math.log(p) at each prime power p^j,
     as ``intervals.von_mangoldt`` gives it, and 0 elsewhere.
 
-    The primes come from the window's prime table, so its caps apply; the
+    The primes come from ``primes_in_interval``, so its caps apply; the
     powers p^j, j >= 2, from the primes p in [lo^(1/j), hi^(1/j)].
     """
     lo, hi = interval.lo, interval.hi
-    bases = list(primes_in_interval(interval).primes)
+    bases = list(primes_in_interval(interval))
     powers = list(bases)
     small = sieve_upto(math.isqrt(hi))
     for j in range(2, hi.bit_length()):

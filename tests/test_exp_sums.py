@@ -29,7 +29,7 @@ from kglab import (
     weyl_exponent,
     weyl_scan,
 )
-from kglab import exp_sums
+from kglab import exp_sums, representations
 from kglab.exp_sums import MOMENT_SAMPLE_CAP
 from kglab.intervals import _fft_length, divisor_count, divisor_counts, factorize
 from kglab.weights import WeightFunction
@@ -200,14 +200,16 @@ class TestCompleteSum:
 class TestMoments:
     @pytest.mark.parametrize("dtype", [np.int64, object])
     def test_run_lengths_across_chunk_edges(self, dtype, monkeypatch):
-        monkeypatch.setattr(exp_sums, "RUN_CHUNK", 4)
+        monkeypatch.setattr(representations, "RUN_CHUNK", 4)
         # Runs that end on, straddle and fill whole chunks of 4, and one
         # that spans three chunks.
-        for runs in ([4, 4, 4], [3, 2, 7, 1, 4], [1, 11, 2], [5], [1] * 9, [2, 13, 4, 1]):
+        for runs in ([4, 4, 4], [3, 2, 7, 1, 4], [1, 11, 2], [5], [1] * 9, [2, 13, 4, 1], []):
             step = 10**20 if dtype is object else 7  # object arrays hold sums past 2^62
             values = np.repeat(np.array([i * step for i in range(len(runs))], dtype=dtype), runs)
-            counts = np.unique(values, return_counts=True)[1]
-            assert exp_sums._sum_squared_run_lengths(values) == int(np.sum(counts**2)), runs
+            starts = np.cumsum([0] + runs)
+            assert representations._run_starts(values).tolist() == starts.tolist(), runs
+            uniq, counts = representations._unique_counts(values)
+            assert uniq.tolist() == values[starts[:-1]].tolist() and counts.tolist() == runs, runs
 
     def test_window_11_20_t2(self):
         interval = ShortInterval.from_integer_window(11, 20, 2)
@@ -296,6 +298,19 @@ class TestMoments:
             logs_m.append(math.log2(m))
         slope = np.polyfit(logs_y, logs_m, 1)[0]
         assert slope < 3.3
+
+    def test_weights_on_another_window_are_refused(self):
+        # The weight's window must be the one summed over: a weight on
+        # 21..30 used to give 6.0 here, and one on 11..25 an IndexError.
+        a = ShortInterval.from_integer_window(11, 20, 2)
+        b = ShortInterval.from_integer_window(21, 30, 2)
+        wider = ShortInterval.from_integer_window(11, 25, 2)
+        assert moment_enumeration(a, 2, prime_indicator(a)) == 28.0
+        for weight in (prime_indicator(b), unit_weight(wider)):
+            with pytest.raises(ValidationError, match="weight was built on the window"):
+                moment_enumeration(a, 2, weight)
+            with pytest.raises(ValidationError, match="weight was built on the window"):
+                weighted_exp_sum(0.1, weight, a)
 
     def test_nyquist_sample_cap(self, monkeypatch):
         monkeypatch.setattr(exp_sums, "MOMENT_SAMPLE_CAP", 10**4)
@@ -488,6 +503,14 @@ def per_frequency_component(component, alpha, interval):
 
 # Dyadic denominators above 2^64 (exact per-term rows) mixed with fast rows.
 SLOW = [2.0**-70, 3.0 * 2.0**-66, (2**52 + 1) * 2.0**-65]
+
+
+def test_weyl_scan_refuses_a_weight_on_another_window():
+    interval = build_interval(845, 2, 5, 0.85)
+    dissection = build_dissection(interval, 0.3)
+    other = build_interval(2005, 2, 5, 0.85)
+    with pytest.raises(ValidationError, match="weight was built on the window"):
+        weyl_scan(interval, dissection, 1000, prime_indicator(other))
 
 
 class TestFrequencyBlocks:

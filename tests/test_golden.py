@@ -1,7 +1,7 @@
 """Every report of the golden corpus (tests/golden) comes out byte for byte
 as stored, timestamp aside; tests/golden/record.py rewrites the corpus."""
 
-from tests.golden.record import CASES, HERE, case_path, differences, load, render
+from golden.record import CASES, HERE, case_path, differences, load, render
 
 
 def test_reports_match_the_golden_corpus():

@@ -283,15 +283,15 @@ class TestBuildInterval:
 class TestPrimesInInterval:
     def test_tiny(self):
         interval = build_interval(20, 2, 5, 0.85)
-        assert primes_in_interval(interval).primes == (2, 3)
+        assert primes_in_interval(interval) == (2, 3)
 
     def test_mid(self):
         interval = build_interval(845, 2, 5, 0.85)
-        assert primes_in_interval(interval).primes == (5, 7, 11, 13, 17, 19)
+        assert primes_in_interval(interval) == (5, 7, 11, 13, 17, 19)
 
     def test_empty_prime_window(self):
         interval = ShortInterval.from_integer_window(90, 96, 2)
-        assert primes_in_interval(interval).primes == ()
+        assert primes_in_interval(interval) == ()
 
     @given(
         lo=st.integers(min_value=1, max_value=10**6 - 500),
@@ -300,14 +300,13 @@ class TestPrimesInInterval:
     @settings(max_examples=40, deadline=None)
     def test_against_trial_division(self, lo, span):
         interval = ShortInterval.from_integer_window(lo, lo + span, 2)
-        table = primes_in_interval(interval)
-        assert list(table.primes) == trial_division_primes(lo, lo + span)
+        assert list(primes_in_interval(interval)) == trial_division_primes(lo, lo + span)
 
     def test_membership_protocol(self):
         interval = build_interval(845, 2, 5, 0.85)
-        table = primes_in_interval(interval)
-        assert 13 in table and 15 not in table
-        assert len(table) == 6
+        primes = primes_in_interval(interval)
+        assert 13 in primes and 15 not in primes
+        assert len(primes) == 6
 
 
 class TestPointFunctions:

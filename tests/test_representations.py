@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from hypothesis import strategies as st
 
 from kglab import (
     DominationError,
+    ShortInterval,
     ValidationError,
+    WeightFunction,
     build_interval,
     check_domination,
     count_exact,
     count_weighted,
+    moment_enumeration,
     prime_indicator,
     primes_in_interval,
     table_weight,
@@ -172,6 +176,25 @@ class TestToyWeights:
             toy_weights(interval, 2 * math.sqrt(interval.x + interval.y))
 
 
+def test_fold_sum_tables_peak_bytes_per_state():
+    # One sorted table and its run starts, never a second copy of the
+    # table: the moment's table of 2001^2 int64 sums, and the count's
+    # table of 823^2 half-sums (the window of n = 40000012 holds 823 primes).
+    interval = ShortInterval.from_integer_window(1000, 3000, 2)
+    weight = unit_weight(interval)
+    tracemalloc.start()
+    moment_enumeration(interval, 2, weight)
+    moment_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert moment_peak <= 16 * interval.size**2
+    primes = len(primes_in_interval(build_interval(40000012, 2, 4, 1.0)))
+    tracemalloc.start()
+    count_exact(40000012, 2, 4, 1.0)
+    count_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert count_peak <= 21 * primes**2
+
+
 class TestDomination:
     def test_prime_indicator_dominates_itself(self):
         interval = build_interval(845, 2, 5, 0.85)
@@ -183,6 +206,20 @@ class TestDomination:
         assert not check_domination(
             unit_weight(interval), unit_weight(interval), interval
         )
+
+    def test_nan_weights_pass(self):
+        # NaN is neither above nor below the indicator, so it passes.
+        interval = build_interval(845, 2, 5, 0.85)
+        values = prime_indicator(interval).values.copy()
+        values[0] = math.nan
+        weight = WeightFunction("table", interval, values, 1.0)
+        assert check_domination(weight, weight, interval)
+
+    def test_weight_on_another_window_is_refused(self):
+        interval = build_interval(845, 2, 5, 0.85)
+        other = build_interval(2005, 2, 5, 0.85)
+        with pytest.raises(ValidationError, match="weight was built on the window"):
+            check_domination(prime_indicator(other), prime_indicator(interval), interval)
 
 
 class TestVectorSieve:

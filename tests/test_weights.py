@@ -29,11 +29,11 @@ def test_unit_weight(window):
 
 
 def test_prime_indicator_matches_table(window):
-    table = primes_in_interval(window)
-    weight = prime_indicator(window, table)
+    primes = primes_in_interval(window)
+    weight = prime_indicator(window, primes)
     for m in window:
-        assert weight(m) == (1.0 if m in table else 0.0)
-    assert set(weight.support) == set(table.primes)
+        assert weight(m) == (1.0 if m in primes else 0.0)
+    assert tuple(weight.support) == primes
 
 
 def test_von_mangoldt_weight(window):
