@@ -5,7 +5,7 @@ singular-series, sieve-check, vaughan-check.  Reports are JSON (schema 1,
 floats at 15 significant digits) or CSV ('.' decimal, no locale), embed
 the config and library version, and are byte-identical across runs for
 the same config and seed (the timestamp field aside).  Exit status: 0 on
-success, 1 on a computation error, 2 on an invalid config.
+success, 1 on a computation error, 2 on an invalid config (one line each).
 """
 
 from __future__ import annotations
@@ -111,7 +111,10 @@ def _emit_json(config: ExperimentConfig, result) -> str:
         "config": _plain(config.public_dict()),
         "result": result,
     }
-    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # RFC 8259 has no NaN or Infinity
+        raise KglabError("the report holds NaN or Infinity, which JSON cannot hold") from None
 
 
 def _fmt_cell(v) -> str:
@@ -322,18 +325,22 @@ def run(config: ExperimentConfig) -> tuple:
         return 2, f"invalid config: subcommand {config.subcommand} has no CSV form\n"
     try:
         report = runner(config)
+        return 0, (_emit_csv if config.fmt == "csv" else _emit_json)(config, report)
     except ValidationError as exc:
         return 2, f"invalid config: {exc}\n"
     except (KglabError, OverflowError, FloatingPointError, MemoryError) as exc:
         # A bare MemoryError has no message; its name stands in.
         return 1, f"computation error: {str(exc) or type(exc).__name__}\n"
-    if config.fmt == "csv":
-        return 0, _emit_csv(config, report)
-    return 0, _emit_json(config, report)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ValidationError: one `invalid config:` line, exit 2."""
+    def error(self, message):
+        raise ValidationError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kglab",
         description="circle-method laboratory for sums of k-th powers of primes",
     )
@@ -362,10 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--qmax", type=int)
 
     p = sub.add_parser("count", help="exact representation count")
-    add_common(p, window=True)
+    add_common(p)
+    p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("predict", help="main-term prediction")
-    add_common(p, window=True, series=True)
+    add_common(p, series=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--integral-method", dest="integral_method",
                    choices=("both", "fourier-quadrature", "density-convolution"))
 
@@ -408,8 +417,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig(**data)
     if config.fmt is None:
         config.fmt = _DEFAULT_FMT.get(config.subcommand, "json")
-    if config.subcommand in ("count", "predict") and config.n is None:
-        raise ValidationError(f"{config.subcommand} needs --n")
     for name, least in (("samples", 1), ("alphas", 1), ("seed", 0)):
         if getattr(config, name) < least:
             raise ValidationError(f"need --{name} >= {least}, got {getattr(config, name)}")
@@ -441,10 +448,8 @@ def _write_report(path: str, text: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = config_from_args(build_parser().parse_args(argv))
     except (TypeError, ValidationError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

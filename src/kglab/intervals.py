@@ -12,6 +12,7 @@ integer is admitted or rejected the same way on every platform.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,11 +25,11 @@ from .errors import PrecisionError, ValidationError, check_cap
 # input is this budget over the bytes per entry measured for that table
 # (peak RSS on CPython 3.11, NumPy 2).
 MEMORY_BUDGET = 280_000_000
-SEGMENT_BLOCK = 1 << 16        # segmented-sieve block length (cache sized)
+SEGMENT_BLOCK = 1 << 16        # least segment length of the prime sieve
 WINDOW_CAP = 100_000_000       # integers of a window that primes_in_interval sieves
-# The small primes that sieve a window, at about 4 bytes per integer up to
-# sqrt(hi), flags and prime list together (sieving to 3e7 raised peak RSS
-# by 114 MB): sqrt(hi) <= 7e7.
+# The small primes that sieve a window, a list of about 3.2 bytes per integer
+# up to sqrt(hi) (sieving to 3e7 raised peak RSS by 97 MB), budgeted at 4
+# bytes: sqrt(hi) <= 7e7.
 SIEVE_LIMIT_CAP = MEMORY_BUDGET // 4
 _DPS_LADDER = (50, 200, 800)   # working precisions for boundary floors
 
@@ -184,42 +185,37 @@ def build_interval(n: int, k: int, s: int, theta: float) -> ShortInterval:
 
 
 def sieve_upto(limit: int) -> list:
-    """All primes <= limit by a plain sieve of Eratosthenes."""
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i in range(2, limit + 1) if flags[i]]
+    """All primes <= limit, ascending."""
+    return _primes_between(2, limit).tolist()
+
+
+def _primes_between(lo: int, hi: int) -> np.ndarray:
+    """The primes of [lo, hi] as an ascending int64 array, by a segmented sieve:
+    segments of at least sqrt(hi) integers, so each sieving prime, from
+    `sieve_upto`, strikes one slice per segment (Bays and Hudson, BIT 1977)."""
+    lo = max(lo, 2)
+    if hi < lo:
+        return np.zeros(0, dtype=np.int64)
+    root = math.isqrt(hi)
+    small = sieve_upto(root)
+    # Segments start past every sieving prime, so no p strikes itself.
+    found = [np.array(small[bisect_left(small, lo) :], dtype=np.int64)]
+    length = max(SEGMENT_BLOCK, root)
+    for start in range(max(lo, root + 1), hi + 1, length):
+        flags = np.ones(min(length, hi + 1 - start), dtype=bool)
+        for p in small:
+            flags[-start % p :: p] = False
+        found.append(np.flatnonzero(flags) + start)
+    return np.concatenate(found)
 
 
 def primes_in_interval(interval: ShortInterval) -> tuple:
-    """Exactly the primes p with x - y < p <= x + y, ascending, by segmented
-    sieve; past WINDOW_CAP integers or SIEVE_LIMIT_CAP on sqrt(hi),
-    CapExceeded first."""
+    """Exactly the primes p with x - y < p <= x + y, ascending; past
+    WINDOW_CAP integers or SIEVE_LIMIT_CAP on sqrt(hi), CapExceeded first."""
     lo, hi = interval.lo, interval.hi
     check_cap("window length", hi - lo + 1, WINDOW_CAP)
-    limit = math.isqrt(hi)
-    check_cap("sieve limit sqrt(hi)", limit, SIEVE_LIMIT_CAP)
-    small = sieve_upto(limit)
-    primes = []
-    start = max(lo, 2)
-    for block_lo in range(start, hi + 1, SEGMENT_BLOCK):
-        block_hi = min(block_lo + SEGMENT_BLOCK - 1, hi)
-        flags = bytearray([1]) * (block_hi - block_lo + 1)
-        for p in small:
-            first = max(p * p, ((block_lo + p - 1) // p) * p)
-            if first > block_hi:
-                continue
-            flags[first - block_lo :: p] = bytearray(
-                len(range(first, block_hi + 1, p))
-            )
-        primes.extend(
-            block_lo + i for i, keep in enumerate(flags) if keep
-        )
-    return tuple(primes)
+    check_cap("sieve limit sqrt(hi)", math.isqrt(hi), SIEVE_LIMIT_CAP)
+    return tuple(_primes_between(lo, hi).tolist())
 
 
 def pow_mod(base: np.ndarray, k: int, q: int) -> np.ndarray:

@@ -9,13 +9,12 @@ and arbitrary user tables.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .intervals import ShortInterval, _iroot, primes_in_interval, sieve_upto
+from .intervals import ShortInterval, _iroot, _primes_between, primes_in_interval
 
 
 @dataclass(frozen=True)
@@ -87,16 +86,12 @@ def von_mangoldt_weight(interval: ShortInterval) -> WeightFunction:
     powers p^j, j >= 2, from the primes p in [lo^(1/j), hi^(1/j)].
     """
     lo, hi = interval.lo, interval.hi
-    bases = list(primes_in_interval(interval))
-    powers = list(bases)
-    small = sieve_upto(math.isqrt(hi))
-    for j in range(2, hi.bit_length()):
-        first, last = _iroot(lo - 1, j) + 1, _iroot(hi, j)
-        for p in small[bisect_left(small, first) : bisect_right(small, last)]:
-            bases.append(p)
-            powers.append(p**j)
+    bases = [np.array(primes_in_interval(interval), dtype=np.int64)]
+    bases += [_primes_between(_iroot(lo - 1, j) + 1, _iroot(hi, j))
+              for j in range(2, hi.bit_length())]
     values = np.zeros(interval.size)
-    values[np.array(powers, dtype=np.int64) - lo] = [math.log(p) for p in bases]
+    values[np.concatenate([p**j for j, p in enumerate(bases, 1)]) - lo] = [
+        math.log(p) for p in np.concatenate(bases).tolist()]
     bound = float(values.max(initial=0.0))
     return WeightFunction("von-mangoldt", interval, values, max(bound, 1.0))
 

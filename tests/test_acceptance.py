@@ -36,7 +36,7 @@ from kglab import (
     von_mangoldt_weight,
     weighted_exp_sum,
 )
-from tests.conftest import MOMENT_GRID, build_case_grid
+from conftest import MOMENT_GRID, build_case_grid
 
 
 def _report(number, label, elapsed, budget):

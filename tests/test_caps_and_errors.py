@@ -1,4 +1,4 @@
-"""Resource caps and error contracts across modules."""
+"""Resource caps and error contracts across modules, and the suite's imports."""
 
 import ast
 from pathlib import Path
@@ -123,3 +123,17 @@ def test_interval_validation_messages():
         ShortInterval.from_integer_window(5, 4, 2)
     with pytest.raises(ValidationError):
         ShortInterval(x=10.0, y=20.0, k=2, lo=1, hi=5)
+
+
+def test_no_test_module_imports_the_tests_package():
+    # `tests` is a package only when the repository root is on sys.path, as
+    # under `python -m pytest`; a bare `pytest` puts tests/ there instead.
+    imported = []
+    for path in sorted(Path(__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.append((path.name, node.module))
+    assert [(name, module) for name, module in imported
+            if module.split(".")[0] == "tests"] == []

@@ -31,7 +31,7 @@ from kglab.exp_sums import MOMENT_SAMPLE_CAP, SCAN_SAMPLE_CAP
 from kglab.intervals import SIEVE_LIMIT_CAP, euler_phi
 from kglab.representations import SIEVE_SAMPLE_CAP
 from kglab.singular import PAD_CAP, QMAX_CAP
-from tests.conftest import run_kglab
+from conftest import run_kglab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -406,15 +406,39 @@ class TestContracts:
         assert target.read_bytes() == stdout.encode()
         assert sorted(tmp_path.iterdir()) == [link, target]
 
-    def test_missing_subcommand_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main([])
-        assert exc.value.code == 2
+    def test_missing_subcommand_exits_2(self, capsys):
+        assert main([]) == 2
+        assert capsys.readouterr().err == (
+            "invalid config: the following arguments are required: subcommand\n")
 
-    def test_unknown_flag_exits_2(self):
+    def test_unknown_flag_exits_2(self, capsys):
+        # --n is given, so the flag is the only error.
+        assert main(["count", "--n", "845", "--frequency", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "invalid config: unrecognized arguments: --frequency 3\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--n", "abc"],
+        ["compare"],
+        ["bogus"],
+        ["singular-series"],
+        ["count"],
+        # count and predict take the window of --n alone.
+        ["count", "--n", "845", "--lo", "1", "--hi", "3"],
+        ["predict", "--n", "845", "--lo", "1", "--hi", "3"],
+    ])
+    def test_argument_errors_take_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid config: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["count", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["count", "--frequency", "3"])
-        assert exc.value.code == 2
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
     def test_deterministic_reports(self, tmp_path):
         argv = ["weyl-scan", "--n", "845", "--k", "2", "--s", "5",
@@ -575,6 +599,11 @@ def test_weyl_scan_peak_is_phase_sum_at_zero(weight_fn):
     (["count", "--n", "10201000000000", "--k", "2", "--s", str(10**9), "--theta", "0.1"], 0,
      '"R": 1.0,'),
     (["moments", "--lo", "5", "--hi", "5", "--t", str(10**9)], 0, '"enumeration": 1.0,'),
+    # 123,643 primes past the count cap: the cap waits on the sieve of a
+    # window of 4.0 million integers near 10^14, with primes up to 10^7.
+    (["count", "--n", "50000000000000000000000000021", "--k", "2", "--s", "5",
+      "--theta", "0.45"], 1,
+     "computation error: primes to count: 123643 exceeds the cap 50000\n"),
 ])
 def test_huge_folds_finish_quickly(argv, status, expected):
     proc = run_kglab(argv)
@@ -643,6 +672,16 @@ def test_count_settles_an_exact_tie():
     proc = run_kglab(["count", "--n", "50000", "--k", "2", "--s", "5", "--theta", "0.5"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["prime_count"] == 5
+
+
+def test_no_report_holds_a_non_finite_number():
+    # At n near 10^700, x = (n/s)^(1/2) is past the double range: log_x is
+    # inf and the normalized constant NaN, and neither is a JSON number.
+    proc = run_kglab(["predict", "--n", str(10**700 + 13), "--k", "2", "--s", "5",
+                      "--theta", "0.85", "--qmax", "100"])
+    assert proc.returncode == 1
+    assert proc.stderr == ("computation error: the report holds NaN or Infinity, "
+                           "which JSON cannot hold\n")
 
 
 OVERFLOW = ["--k", "2", "--s", "200", "--theta", "0.1", "--qmax", "100"]

@@ -33,7 +33,7 @@ from kglab import exp_sums, representations
 from kglab.exp_sums import MOMENT_SAMPLE_CAP
 from kglab.intervals import _fft_length, divisor_count, divisor_counts, factorize
 from kglab.weights import WeightFunction
-from tests.conftest import MOMENT_GRID
+from conftest import MOMENT_GRID
 
 
 @pytest.fixture(scope="module")

@@ -18,6 +18,12 @@ from kglab import (
     sieve_upto,
     von_mangoldt,
 )
+from kglab.intervals import SEGMENT_BLOCK
+
+
+# Least segment lengths short enough that the sieve tests' windows span
+# several segments.
+SMALL_BLOCKS = (1, 2, 3, 7, 64)
 
 
 def trial_division_primes(lo, hi):
@@ -300,7 +306,34 @@ class TestPrimesInInterval:
     @settings(max_examples=40, deadline=None)
     def test_against_trial_division(self, lo, span):
         interval = ShortInterval.from_integer_window(lo, lo + span, 2)
-        assert list(primes_in_interval(interval)) == trial_division_primes(lo, lo + span)
+        expected = trial_division_primes(lo, lo + span)
+        for block in SMALL_BLOCKS + (SEGMENT_BLOCK,):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("kglab.intervals.SEGMENT_BLOCK", block)
+                assert list(primes_in_interval(interval)) == expected, block
+
+    def test_window_and_segment_edges(self, monkeypatch):
+        # Segments of max(SEGMENT_BLOCK, isqrt(hi)) integers start past
+        # isqrt(hi), so small blocks put segment edges all through these
+        # windows: windows that start at 1, 2 or p^2, end at p^2, or span
+        # many segments.
+        windows = [(lo, hi) for hi in range(1, 130)
+                   for lo in (1, 2, 3, 4, 9, 25, 49, 121, hi) if lo <= hi]
+        windows += [(p * p, p * p + span) for p in (2, 3, 97, 101) for span in (0, 1, 2 * p, 500)]
+        windows += [(1, 10**4), (2, 10**4), (101, 10**4), (10**6 - 1000, 10**6 + 1000)]
+        for lo, hi in windows:
+            interval = ShortInterval.from_integer_window(lo, hi, 2)
+            expected = trial_division_primes(lo, hi)
+            for block in SMALL_BLOCKS:
+                monkeypatch.setattr("kglab.intervals.SEGMENT_BLOCK", block)
+                assert list(primes_in_interval(interval)) == expected, (lo, hi, block)
+
+    def test_sieve_upto(self, monkeypatch):
+        assert [sieve_upto(limit) for limit in range(-1, 5)] == [[], [], [], [2], [2, 3], [2, 3]]
+        for block in SMALL_BLOCKS:
+            monkeypatch.setattr("kglab.intervals.SEGMENT_BLOCK", block)
+            for limit in range(300):
+                assert sieve_upto(limit) == trial_division_primes(2, limit), (limit, block)
 
     def test_membership_protocol(self):
         interval = build_interval(845, 2, 5, 0.85)
