@@ -17,11 +17,12 @@ summation and the chunks in order.  The complete sums S(q, a) share the
 same exact modular arithmetic, one table per modulus.
 
 Moments of |f|^(2t) are integers (solution counts) and are computed two
-independent ways: averaging |f|^(2t) over any N >= 2 t spread + 1
-equispaced points, padded to a 5-smooth N for the FFT (the sampled
-mean of a trigonometric polynomial below the aliasing threshold is its
-exact mean), and direct enumeration of power-sum collisions on the
-counts' sorted tables.  A weight must be built on the window it is summed over.
+independent ways: averaging |f|^(2t) = |f^t|^2 over any N >= t spread + 1
+equispaced points (by Parseval the sampled mean of |g|^2 is the sum of
+g's squared coefficients once N passes the span of g's frequencies),
+padded to N = 2^a * 3^b 5^c for a twiddle-free two-pass FFT, and direct
+enumeration of power-sum collisions on the counts' sorted tables.  A
+weight must be built on the window it is summed over.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import ConsistencyError, ValidationError, check_cap
 from .intervals import (
     MEMORY_BUDGET,
     ShortInterval,
-    _fft_length,
+    _power_exceeds,
     divisor_counts,
     pow_mod,
     sieve_upto,
@@ -54,9 +55,15 @@ _TWO64 = 1 << 64
 # next 16-bit words and its low 32-bit half.  Its two tables of 2^16 complex
 # entries take 2 MiB, built on first use.
 _E_WORDS = (3, 2, 0) if sys.byteorder == "little" else (0, 1, 1)
-MOMENT_SAMPLE_CAP = 1 << 26
-# Entries per block of either pass of moment_nyquist's DFT: at N = 3,037,500
-# (lo 500, hi 1000, t 2) 2^16 took 0.12 s, 2^13 0.16 s and 2^18 0.13 s.
+# moment_nyquist's table between its passes, at about 8 bytes per sample
+# point (8.0 measured): 35,000,000.
+MOMENT_SAMPLE_CAP = MEMORY_BUDGET // 8
+# A bound on N * W^(2t) that keeps moment_nyquist's sum of |.|^(2t) below
+# the double range, with room for its weights of 2.
+_MOMENT_RANGE = 1 << 1020
+# Entries per block of either pass of moment_nyquist's DFT: at N = 1,536,000
+# (lo 500, hi 1000, t 2; best of 16, 2 cores) 2^16 took 19.5 ms, 2^13 21.0
+# ms, 2^14 18.0 ms and 2^18 17.9 ms.
 _MOMENT_BLOCK = 1 << 16
 # Terms per chunk, and frequencies x terms per kernel block: 640 KB of
 # buffers.  At n = 5e8 (best of 8, 2 cores) 2^14 took the 5,000-sample scan
@@ -243,36 +250,72 @@ def complete_exp_sum(q: int, a: int, k: int) -> complex:
 # moments
 
 
+def _moment_split(size: int) -> tuple:
+    """(rows, cols) with rows = 2^a within a factor 8 of sqrt(size), cols =
+    3^b 5^c, and rows * cols the least such product >= size.
+
+    The factors are coprime, so the rows * cols point DFT is their 2-D DFT
+    with the bins permuted (Good-Thomas), without twiddles.  A power of two
+    near sqrt(size) keeps both passes of ``moment_nyquist`` short.
+    """
+    best = None
+    rows = 1
+    while rows * rows <= 64 * size:
+        if 64 * rows * rows >= size:
+            need = -(-size // rows)
+            five = 1
+            while True:
+                cols = five
+                while cols < need:
+                    cols *= 3
+                if best is None or rows * cols < best[0] * best[1]:
+                    best = (rows, cols)
+                if five >= need:
+                    break
+                five *= 5
+        rows *= 2
+    return best
+
+
 def moment_nyquist(interval: ShortInterval, t: int) -> int:
     """Exact integral of |f(alpha, 1)|^(2t) over the unit interval.
 
-    |f|^(2t) is a trigonometric polynomial with frequencies bounded by
-    t * (hi^k - lo^k), so its average over any N >= 2 t (hi^k - lo^k) + 1
-    equispaced points equals the integral exactly; N is that bound padded
-    to the next 5-smooth length, where the FFT is fast.  The result is the
-    number of solutions of a t-versus-t power-sum collision and is returned
-    as an integer.  An N above MOMENT_SAMPLE_CAP raises CapExceeded before
-    anything is allocated.
+    |f|^(2t) = |g|^2 for g = f^t, whose frequencies span t * (hi^k - lo^k);
+    by Parseval the mean of |g|^2 over any N >= t (hi^k - lo^k) + 1
+    equispaced points is the sum of its squared coefficients, which is the
+    integral.  N is that bound padded to rows * cols (``_moment_split``).
+    The result is the number of solutions of a t-versus-t power-sum
+    collision and is returned as an integer.  An N above MOMENT_SAMPLE_CAP
+    raises CapExceeded, and an N * W^(2t) (W the window's size) past the
+    double range raises OverflowError, before anything is allocated.
 
-    The N-point DFT of the k-th power residue counts is taken in two passes
-    over N = rows * cols, rows the largest divisor of N up to sqrt(N):
-    real transforms of length rows, over blocks of the counts built from
-    the window's residues, then twiddles and transforms of length cols, a
-    block of bins at a time.  Only the cols x (rows / 2 + 1) complex table
-    between the passes spans N, about 8 N bytes; one real FFT of all N
-    points held about 30 N bytes at its peak.
+    Residue r = m^k mod N of the window is entry (r mod rows, r mod cols)
+    of the counts; by the Chinese remainder theorem the 2-D DFT of that
+    table is the N-point DFT of the counts with its bins permuted, and the
+    sum of |.|^(2t) over all bins does not see the permutation.  It is taken
+    in two passes: real transforms of length rows, over blocks of the
+    counts, then transforms of length cols, a block of bins at a time.
+    Only the cols x (rows / 2 + 1) complex table between the passes spans
+    N, about 8 N bytes; one real FFT of all N points held about 30 N bytes
+    at its peak.
     """
     if t < 1:
         raise ValidationError(f"need t >= 1, got {t}")
     lo, hi, k = interval.lo, interval.hi, interval.k
-    spread = hi**k - lo**k
-    n_samples = 2 * t * spread + 1
+    n_samples = t * (hi**k - lo**k) + 1
+    # N >= n_samples: a count past the cap is refused before it is padded.
     check_cap("moment sample points", n_samples, MOMENT_SAMPLE_CAP)
-    size = _fft_length(n_samples)
-    rows = max(d for d in range(1, math.isqrt(size) + 1) if size % d == 0)
-    cols = size // rows
-    # Residue a * cols + b is entry (a, b) of the counts as a rows x cols array.
-    a, b = np.divmod(pow_mod(lo % size + np.arange(hi - lo + 1), k, size), cols)
+    rows, cols = _moment_split(n_samples)
+    size = rows * cols
+    check_cap("moment sample points", size, MOMENT_SAMPLE_CAP)
+    # Each bin is at most W in size, so the total is at most N * W^(2t).
+    width = hi - lo + 1
+    if _power_exceeds(width, 2 * t, _MOMENT_RANGE // size):
+        raise OverflowError(
+            f"moment transform: {size} * {width}^{2 * t} exceeds the double range"
+        )
+    residues = pow_mod(lo % size + np.arange(width), k, size)
+    a, b = residues % rows, residues % cols
     order = np.argsort(b, kind="stable")
     a, b = a[order], b[order]
     half = rows // 2 + 1
@@ -283,16 +326,13 @@ def moment_nyquist(interval: ShortInterval, t: int) -> int:
         first, last = np.searchsorted(b, [start, start + len(block)])
         np.add.at(block, (b[first:last] - start, a[first:last]), 1.0)
         table[start : start + len(block)] = np.fft.rfft(block, axis=1)
-    # Bin j1 + rows * j2 of the DFT is entry j2 of the length-cols transform
-    # of table[b, j1] e(-b j1 / N).  Columns 1 .. ceil(rows/2) - 1 also
-    # stand for their Hermitian mirrors rows - j1.
+    # Columns 1 .. ceil(rows/2) - 1 also stand for their Hermitian mirrors
+    # rows - j1.
     total = 0.0
     step = max(1, _MOMENT_BLOCK // cols)
-    bs = np.arange(cols)
     for start in range(0, half, step):
         j1 = np.arange(start, min(start + step, half))
-        twiddle = np.exp((-2j * np.pi / size) * (np.outer(bs, j1) % size))
-        power = np.abs(np.fft.fft(table[:, start : start + len(j1)] * twiddle, axis=0))
+        power = np.abs(np.fft.fft(table[:, start : start + len(j1)], axis=0))
         power **= 2 * t
         power *= np.where((j1 == 0) | (2 * j1 == rows), 1.0, 2.0)
         total += float(np.sum(power))

@@ -333,6 +333,20 @@ class TestContracts:
         assert_cap_error(capsys.readouterr().err, "moment sample points", MOMENT_SAMPLE_CAP)
         assert peak < 10 * 2**20
 
+    def test_moments_cap_bounds_the_padded_length(self, capsys):
+        # 34,999,056 sample points, under the cap, pad to 16,384 * 2,187;
+        # the table between the passes would take 280 MB.
+        tracemalloc.start()
+        try:
+            status = main(["moments", "--lo", "1", "--hi", "5916", "--t", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 1
+        assert_cap_error(capsys.readouterr().err, "moment sample points", MOMENT_SAMPLE_CAP,
+                         used="35831808")
+        assert peak < 10 * 2**20
+
     def test_out_to_missing_directory_exits_1(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.json"
         status = main(["moments", "--lo", "11", "--hi", "20", "--k", "2", "--t", "2",
@@ -612,6 +626,17 @@ def test_huge_folds_finish_quickly(argv, status, expected):
         assert proc.stderr == expected
     else:
         assert expected in proc.stdout
+
+
+@pytest.mark.parametrize("argv,step", [
+    (["moments", "--lo", "1", "--hi", "10", "--t", "400"], r"40000 \* 10\^800"),
+    (["moments", "--lo", "1", "--hi", "2", "--t", "2000"], r"\d+ \* 2\^4000"),
+], ids=["w10-t400", "w2-t2000"])
+def test_moments_past_the_double_range_exit_1(argv, step):
+    proc = run_kglab(argv)
+    assert proc.returncode == 1
+    assert re.fullmatch(rf"computation error: moment transform: {step} exceeds the double "
+                        r"range\n", proc.stderr), proc.stderr
 
 
 HUGE = str(10**30)

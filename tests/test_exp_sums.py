@@ -30,7 +30,6 @@ from kglab import (
     weyl_scan,
 )
 from kglab import exp_sums, representations
-from kglab.exp_sums import MOMENT_SAMPLE_CAP
 from kglab.intervals import _fft_length, divisor_count, divisor_counts, factorize
 from kglab.weights import WeightFunction
 from conftest import MOMENT_GRID
@@ -227,7 +226,8 @@ class TestMoments:
     @pytest.mark.parametrize("lo,hi,k", [(5, 5, 2), (1, 2, 2), (2, 3, 2), (1, 2, 3)])
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_short_transforms(self, lo, hi, k, t):
-        # N from 1 to 45: one row or one column in either pass of the DFT.
+        # N from 1 to 24, with rows = 1 (N = 15) or cols = 1 (N = 1, 4, 8,
+        # 16): one row or one column in either pass of the DFT.
         interval = ShortInterval.from_integer_window(lo, hi, k)
         assert float(moment_nyquist(interval, t)) == moment_enumeration(
             interval, t, unit_weight(interval))
@@ -311,6 +311,11 @@ class TestMoments:
                 moment_enumeration(a, 2, weight)
             with pytest.raises(ValidationError, match="weight was built on the window"):
                 weighted_exp_sum(0.1, weight, a)
+
+    def test_nyquist_at_the_edge_of_double_precision(self):
+        # A mean of about 4e9, where one ulp is 4.8e-7 against the 1e-6 gate.
+        interval = ShortInterval.from_integer_window(1000, 1400, 2)
+        assert moment_nyquist(interval, 3) == 3977822531
 
     def test_nyquist_sample_cap(self, monkeypatch):
         monkeypatch.setattr(exp_sums, "MOMENT_SAMPLE_CAP", 10**4)
@@ -688,19 +693,51 @@ def test_decomposition_memory_does_not_grow_with_the_window():
 
 
 @pytest.mark.parametrize("k,lo,hi,t,prime,padded_odd", [
-    (2, 66, 83, 2, True, False),     # 10,133 prime, padded to 10,240
-    (2, 90, 103, 2, True, True),     # 10,037 prime, padded to 10,125
-    (3, 31, 37, 2, True, True),      # 83,449 prime, padded to 84,375
-    (3, 20, 25, 3, True, False),     # 45,751 prime, padded to 46,080
-    (2, 208, 214, 2, False, False),  # 7 * 1447, padded to 10,240
-    (3, 20, 27, 2, False, True),     # 17 * 2749, padded to 46,875
-    (3, 22, 28, 3, False, False),    # 5^2 * 2713, padded to 69,120
+    (2, 41, 55, 2, True, False),      # 2,689 prime, padded to 64 * 45
+    (2, 110, 132, 3, True, False),    # 15,973 prime, padded to 128 * 125
+    (3, 13, 33, 2, True, False),      # 67,481 prime, padded to 512 * 135
+    (2, 1, 4, 2, True, False),        # 31 prime, padded to 32 * 1
+    (2, 2, 5, 2, True, True),         # 43 prime, padded to 1 * 45
+    (2, 208, 214, 2, False, False),   # 5 * 1013, padded to 64 * 81
+    (3, 22, 28, 3, False, False),     # 11 * 3083, padded to 256 * 135
+    (3, 1, 2, 2, False, True),        # 3 * 5, unpadded as 1 * 15
 ])
 def test_moment_at_awkward_lengths(k, lo, hi, t, prime, padded_odd):
-    size = 2 * t * (hi**k - lo**k) + 1
+    size = t * (hi**k - lo**k) + 1
     largest = max(p for p, _ in factorize(size))
-    assert (largest == size) == prime and largest > 1000
-    assert _fft_length(size) % 2 == padded_odd
+    assert (largest == size) == prime and (largest > 1000 or size <= 64)
+    rows, cols = exp_sums._moment_split(size)
+    assert (rows * cols) % 2 == padded_odd == (rows == 1)
+    interval = ShortInterval.from_integer_window(lo, hi, k)
+    assert float(moment_nyquist(interval, t)) == moment_enumeration(
+        interval, t, unit_weight(interval))
+
+
+def test_moment_split_is_the_least_coprime_product():
+    odd = sorted(3**b * 5**c for b in range(10) for c in range(7))
+    for size in range(1, 5000):
+        rows, cols = exp_sums._moment_split(size)
+        assert rows * cols >= size and math.gcd(rows, cols) == 1, size
+        assert rows & (rows - 1) == 0 and cols in odd, size
+        allowed = [1 << a for a in range(16) if size <= 64 * 4**a <= 4096 * size]
+        assert rows in allowed, size
+        assert rows * cols == min(r * next(c for c in odd if r * c >= size)
+                                  for r in allowed), size
+
+
+@st.composite
+def moment_windows(draw):
+    """(k, lo, hi, t) with k <= 4, t <= 3, at most 40 integers and at most
+    3 * 10^5 sample points."""
+    k, t, lo = draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 60))
+    widest = max(w for w in range(1, 41) if t * ((lo + w - 1)**k - lo**k) < 300_000)
+    return k, lo, lo + draw(st.integers(0, widest - 1)), t
+
+
+@given(moment_windows())
+@settings(max_examples=40, deadline=None)
+def test_nyquist_matches_enumeration_on_random_windows(window):
+    k, lo, hi, t = window
     interval = ShortInterval.from_integer_window(lo, hi, k)
     assert float(moment_nyquist(interval, t)) == moment_enumeration(
         interval, t, unit_weight(interval))
@@ -713,7 +750,6 @@ def test_fft_length_is_the_least_5_smooth_bound():
                 m //= p
         return m == 1
 
-    assert _fft_length(MOMENT_SAMPLE_CAP) == MOMENT_SAMPLE_CAP
     want = None
     for size in range(5000, 0, -1):
         if smooth(size):
