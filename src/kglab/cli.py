@@ -347,67 +347,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    # Defaults live in ExperimentConfig alone; options left unset parse to
-    # None and config_from_args drops them.
-    def add_common(p, *, window=False, arcs=False, rand=False, series=False):
-        p.add_argument("--k", type=int)
-        p.add_argument("--s", type=int)
-        p.add_argument("--theta", type=float)
+    # Each subcommand registers only the options its runner reads, by name
+    # ("n!": a required --n), and no abbreviation of them.  Defaults live in
+    # ExperimentConfig alone; options left unset parse to None and
+    # config_from_args drops them.
+    types = {"n": int, "k": int, "s": int, "theta": float, "lo": int, "hi": int, "delta": float,
+             "qmax": int, "t": int, "samples": int, "seed": int, "alphas": int, "x-cut": float,
+             "anomaly-threshold": float}
+
+    def add(name, help, options):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--out", type=str)
         p.add_argument("--format", dest="fmt", choices=("json", "csv"))
-        if window:
-            p.add_argument("--n", type=int)
-            p.add_argument("--lo", type=int)
-            p.add_argument("--hi", type=int)
-        if arcs:
-            p.add_argument("--delta", type=float)
-            p.add_argument("--slim", action="store_true")
-        if rand:
-            p.add_argument("--samples", type=int)
-            p.add_argument("--seed", type=int)
-        if series:
-            p.add_argument("--qmax", type=int)
+        for option in options.split():
+            flag = option.rstrip("!")
+            p.add_argument(f"--{flag}", type=types[flag], required=option.endswith("!"))
+        return p
 
-    p = sub.add_parser("count", help="exact representation count")
-    add_common(p)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("predict", help="main-term prediction")
-    add_common(p, series=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--integral-method", dest="integral_method",
-                   choices=("both", "fourier-quadrature", "density-convolution"))
-
-    p = sub.add_parser("compare", help="count vs predict over a range of n")
-    add_common(p, series=True)
-    p.add_argument("--range", dest="range_spec", required=True,
-                   help="start:stop:step")
+    window = "n lo hi k s theta"
+    add("count", "exact representation count", "n! k s theta")
+    add("predict", "main-term prediction", "n! k s theta qmax").add_argument(
+        "--integral-method", choices=("both", "fourier-quadrature", "density-convolution"))
+    p = add("compare", "count vs predict over a range of n", "k s theta qmax anomaly-threshold")
+    p.add_argument("--range", dest="range_spec", required=True, help="start:stop:step")
     p.add_argument("--include-inadmissible", action="store_true")
-    p.add_argument("--anomaly-threshold", dest="anomaly_threshold", type=float)
-
-    p = sub.add_parser("dissect", help="dump the arc family")
-    add_common(p, window=True, arcs=True)
-
-    p = sub.add_parser("weyl-scan", help="measure |f| over random frequencies")
-    add_common(p, window=True, arcs=True, rand=True)
+    add("dissect", "dump the arc family", f"{window} delta").add_argument("--slim", action="store_true")
+    p = add("weyl-scan", "measure |f| over random frequencies", f"{window} delta samples seed")
+    p.add_argument("--slim", action="store_true")
     p.add_argument("--weight", choices=tuple(_WEIGHTS))
-
-    p = sub.add_parser("moments", help="exact even moments of |f(., 1)|")
-    add_common(p, window=True)
-    p.add_argument("--t", type=int)
-
-    p = sub.add_parser("singular-series", help="truncated arithmetic factor")
-    add_common(p, series=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("sieve-check", help="randomized vector-sieve inequality check")
-    add_common(p, rand=True)
-
-    p = sub.add_parser("vaughan-check", help="decomposition identity residual")
-    add_common(p, window=True, rand=True)
-    p.add_argument("--x-cut", dest="x_cut", type=float)
-    p.add_argument("--alphas", type=int)
-
+    add("moments", "exact even moments of |f(., 1)|", f"{window} t")
+    add("singular-series", "truncated arithmetic factor", "n! k s qmax")
+    add("sieve-check", "randomized vector-sieve inequality check", "samples seed")
+    add("vaughan-check", "decomposition identity residual", f"{window} seed alphas x-cut")
     return parser
 
 

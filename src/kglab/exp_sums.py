@@ -40,11 +40,10 @@ from .intervals import (
     MEMORY_BUDGET,
     ShortInterval,
     _power_exceeds,
+    _prime_powers,
     divisor_counts,
     pow_mod,
-    sieve_upto,
     units,
-    von_mangoldt,
 )
 from .local_conditions import unit_power_counts
 from .representations import count_collisions
@@ -74,8 +73,9 @@ COMPLETE_SUM_CAP = 1_000_000
 # weyl-scan's samples, at about 2,400 bytes each in a JSON report, the
 # heavier form (200,000 samples raised peak RSS by 457 MB): 116,666.
 SCAN_SAMPLE_CAP = MEMORY_BUDGET // 2_400
-# vaughan_decompose's tables and the sieves behind them, at about 28 bytes
-# per entry (4.9e6 more entries raised peak RSS by 122 MB): 10,000,000.
+# vaughan_decompose's tables and the prime powers behind them, budgeted at
+# 28 bytes per entry (at n = 4e16, 7,358,015 entries raised peak RSS by
+# 115 MiB, 16.4 bytes each): 10,000,000.
 DECOMPOSE_ENTRY_CAP = MEMORY_BUDGET // 28
 
 
@@ -416,7 +416,9 @@ def vaughan_decompose(interval: ShortInterval, X: float = None) -> list:
 
     The Moebius table reaches max(X^2, hi/X), the beta table hi/(X + 1)
     and the convolution coefficients X^2; more than DECOMPOSE_ENTRY_CAP
-    entries in all raise CapExceeded before any table is built.
+    entries in all raise CapExceeded before any table is built.  Moebius,
+    Lambda up to X and beta all come from one pass over the prime powers
+    of ``intervals._prime_powers`` up to max(X^2, hi/X), by p, then j.
     """
     if X is None:
         X = default_bilinear_cut(interval)
@@ -437,8 +439,19 @@ def vaughan_decompose(interval: ShortInterval, X: float = None) -> list:
     entries = max(x2int, b_hi) + w_max + x2int
     check_cap("decomposition table entries", entries, DECOMPOSE_ENTRY_CAP)
 
-    mu = _moebius_table(max(x2int, b_hi))
-    lam = np.array([0.0] + [von_mangoldt(c) for c in range(1, xint + 1)])
+    # mu flips sign at each prime and vanishes at each higher prime power;
+    # beta, the inner coefficients of the bilinear piece, sums log p over
+    # the prime power divisors above the cut.
+    mu = np.ones(max(x2int, b_hi) + 1, dtype=np.int64)
+    lam = np.zeros(xint + 1)
+    beta = np.zeros(w_max + 1)
+    for p, pj in zip(*_prime_powers(2, len(mu) - 1)):
+        mu[pj::pj] *= -1 if pj == p else 0
+        if pj <= xint:
+            lam[pj] = math.log(p)
+        elif pj <= w_max:
+            beta[pj::pj] += math.log(p)
+    mu[0] = 0
 
     # Coefficients of the double divisor piece e = b*c, b, c <= X (so
     # e <= floor(X)^2 <= X^2).
@@ -446,27 +459,16 @@ def vaughan_decompose(interval: ShortInterval, X: float = None) -> list:
     for b in range(1, xint + 1):
         conv[b : b * xint + 1 : b] += mu[b] * lam[1:]
 
-    # Inner coefficients of the bilinear piece: sum of log p over prime
-    # power divisors above the cut.
-    beta = np.zeros(w_max + 1)
-    for p in sieve_upto(w_max):
-        pj = p
-        logp = math.log(p)
-        while pj <= w_max:
-            if pj > X:
-                beta[pj::pj] += logp
-            pj *= p
-
     components = []
     for u0, u1 in _dyadic_blocks(1, xint):
-        xi = np.array([float(mu[b]) for b in range(u0, u1 + 1)])
+        xi = mu[u0 : u1 + 1].astype(float)
         components.append(BilinearComponent(kind="type-I", sign=+1, u_lo=u0, u_hi=u1, xi=xi,
                                             inner_log=True))
     for u0, u1 in _dyadic_blocks(1, x2int):
         xi = conv[u0 : u1 + 1].copy()
         components.append(BilinearComponent(kind="type-I", sign=-1, u_lo=u0, u_hi=u1, xi=xi))
     for u0, u1 in _dyadic_blocks(b_lo, b_hi):
-        xi = np.array([float(mu[b]) for b in range(u0, u1 + 1)])
+        xi = mu[u0 : u1 + 1].astype(float)
         v_lo = max(1, (lo + u1 - 1) // u1)
         v_hi = hi // u0
         if v_hi > w_max:
@@ -477,18 +479,6 @@ def vaughan_decompose(interval: ShortInterval, X: float = None) -> list:
         components.append(BilinearComponent(kind="type-II", sign=+1, u_lo=u0, u_hi=u1, xi=xi,
                                             v_lo=v_lo, v_hi=v_hi, eta=eta))
     return components
-
-
-def _moebius_table(limit: int) -> np.ndarray:
-    mu = np.ones(limit + 1, dtype=np.int64)
-    primes = sieve_upto(limit)
-    for p in primes:
-        mu[p::p] *= -1
-        sq = p * p
-        if sq <= limit:
-            mu[sq::sq] = 0
-    mu[0] = 0
-    return mu
 
 
 def evaluate_components(components, alphas, interval: ShortInterval):
@@ -617,15 +607,13 @@ def weyl_scan(interval: ShortInterval, dissection, samples: int,
     if samples < 1000:
         raise ValidationError(f"need samples >= 1000, got {samples}")
     check_cap("weyl-scan samples", samples, SCAN_SAMPLE_CAP)
-    check_window(weight, interval)
     k = interval.k
     rho = minor_arc_rho(k)
     norm = interval.y ** (1.0 - rho)
     rng = np.random.default_rng(seed)
     q_inv = 1.0 / dissection.Q
     alphas = rng.uniform(q_inv, 1.0 + q_inv, size=samples)
-    freqs = _frequencies(alphas)
-    sums = _phase_sums(_window_chunks(weight.values, interval.lo, bool(freqs[1])), k, freqs)
+    sums = weighted_exp_sum(alphas, weight, interval)
     trivial = weight.bound * interval.size + 1e-9 * max(1.0, weight.bound * interval.size)
 
     rows = []

@@ -12,7 +12,6 @@ integer is admitted or rejected the same way on every platform.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,11 +24,12 @@ from .errors import PrecisionError, ValidationError, check_cap
 # input is this budget over the bytes per entry measured for that table
 # (peak RSS on CPython 3.11, NumPy 2).
 MEMORY_BUDGET = 280_000_000
-SEGMENT_BLOCK = 1 << 16        # least segment length of the prime sieve
+SEGMENT_BLOCK = 1 << 16        # least sieve segment, and the sieving primes read at a time
 WINDOW_CAP = 100_000_000       # integers of a window that primes_in_interval sieves
-# The small primes that sieve a window, a list of about 3.2 bytes per integer
-# up to sqrt(hi) (sieving to 3e7 raised peak RSS by 97 MB), budgeted at 4
-# bytes: sqrt(hi) <= 7e7.
+# The small primes that sieve a window, an int64 array of about 1 byte per
+# integer up to sqrt(hi) with the pieces it is joined from (sieving a window
+# at sqrt(hi) = 3e7 raised peak RSS by 28 MiB), budgeted at 4 bytes:
+# sqrt(hi) <= 7e7.
 SIEVE_LIMIT_CAP = MEMORY_BUDGET // 4
 _DPS_LADDER = (50, 200, 800)   # working precisions for boundary floors
 
@@ -191,31 +191,46 @@ def sieve_upto(limit: int) -> list:
 
 def _primes_between(lo: int, hi: int) -> np.ndarray:
     """The primes of [lo, hi] as an ascending int64 array, by a segmented sieve:
-    segments of at least sqrt(hi) integers, so each sieving prime, from
-    `sieve_upto`, strikes one slice per segment (Bays and Hudson, BIT 1977)."""
+    segments of at least sqrt(hi) integers, so each sieving prime strikes one
+    slice per segment (Bays and Hudson, BIT 1977).  The sieving primes are
+    this function's own int64 array up to sqrt(hi), read as Python ints one
+    SEGMENT_BLOCK at a time, never as one list."""
     lo = max(lo, 2)
     if hi < lo:
         return np.zeros(0, dtype=np.int64)
     root = math.isqrt(hi)
-    small = sieve_upto(root)
+    small = _primes_between(2, root)
     # Segments start past every sieving prime, so no p strikes itself.
-    found = [np.array(small[bisect_left(small, lo) :], dtype=np.int64)]
+    found = [small[np.searchsorted(small, lo) :]]
     length = max(SEGMENT_BLOCK, root)
     for start in range(max(lo, root + 1), hi + 1, length):
         flags = np.ones(min(length, hi + 1 - start), dtype=bool)
-        for p in small:
-            flags[-start % p :: p] = False
+        for first in range(0, len(small), SEGMENT_BLOCK):
+            for p in small[first : first + SEGMENT_BLOCK].tolist():
+                flags[-start % p :: p] = False
         found.append(np.flatnonzero(flags) + start)
     return np.concatenate(found)
+
+
+def _prime_powers(lo: int, hi: int) -> tuple:
+    """(bases, powers): every prime power p^j, j >= 1, in [lo, hi] (lo >= 1)
+    as two int64 arrays, ordered by p, then j.  Past WINDOW_CAP integers or
+    SIEVE_LIMIT_CAP on sqrt(hi), CapExceeded first."""
+    check_cap("window length", hi - lo + 1, WINDOW_CAP)
+    check_cap("sieve limit sqrt(hi)", math.isqrt(hi), SIEVE_LIMIT_CAP)
+    bases = [_primes_between(_iroot(lo - 1, j) + 1, _iroot(hi, j))
+             for j in range(1, max(hi.bit_length(), 2))]
+    powers = np.concatenate([p**j for j, p in enumerate(bases, 1)])
+    bases = np.concatenate(bases)
+    order = np.argsort(bases, kind="stable")  # j ascends within each p
+    return bases[order], powers[order]
 
 
 def primes_in_interval(interval: ShortInterval) -> tuple:
     """Exactly the primes p with x - y < p <= x + y, ascending; past
     WINDOW_CAP integers or SIEVE_LIMIT_CAP on sqrt(hi), CapExceeded first."""
-    lo, hi = interval.lo, interval.hi
-    check_cap("window length", hi - lo + 1, WINDOW_CAP)
-    check_cap("sieve limit sqrt(hi)", math.isqrt(hi), SIEVE_LIMIT_CAP)
-    return tuple(_primes_between(lo, hi).tolist())
+    bases, powers = _prime_powers(interval.lo, interval.hi)
+    return tuple(bases[bases == powers].tolist())
 
 
 def pow_mod(base: np.ndarray, k: int, q: int) -> np.ndarray:

@@ -25,10 +25,10 @@ from .intervals import (
     MEMORY_BUDGET,
     ShortInterval,
     _fft_length,
+    _prime_powers,
     build_interval,
     euler_phi,
     factorize,
-    sieve_upto,
 )
 from .local_conditions import (_convolution_power, is_admissible, local_profile, prime_exponents,
                                unit_power_counts, unit_solution_counts)
@@ -48,10 +48,10 @@ QUAD_BLOCK_CAP = 4096
 SERIES_BLOCK = 1 << 18     # terms of one row block of targets: 2 MB of floats
 
 # Series term tables kept, one per (k, s, qmax), least recently used
-# dropped first.  A table's arrays take 98,720 bytes at k = 2, qmax = 1e4,
-# at most 179,264 (k = 50) at that truncation, and 1,688,896 at k = 54,
-# qmax = QMAX_CAP, the largest over every admissible (k, qmax): the cache
-# stays under 7 MB.
+# dropped first.  A table retains 110,272 bytes at k = 2, qmax = 1e4
+# (tracemalloc: its arrays and the objects around them), at most 191,264
+# (k = 50) at that truncation, and 1,768,368 at k = 54, qmax = QMAX_CAP, the
+# largest over every admissible (k, qmax): the cache stays under 7.1 MB.
 TERM_TABLES = 4
 
 
@@ -107,9 +107,9 @@ def singular_series(n: int, k: int, s: int, qmax: int = DEFAULT_QMAX) -> Singula
     Requires s >= 3 and a truncation at least the local modulus for k.
     """
     _check_series_args(k, s, qmax)
-    groups = _term_table(k, s, qmax).groups
+    table = _term_table(k, s, qmax)
     terms = _series_terms([n], k, s, qmax)
-    product, sigmas = _multiplicative_assembly(terms, groups)
+    product, sigmas = _multiplicative_assembly(terms, table.bases)
     value = float(product[0])
     flag = "ok"
     if abs(value) <= OBSTRUCTION_FLOOR:
@@ -119,8 +119,8 @@ def singular_series(n: int, k: int, s: int, qmax: int = DEFAULT_QMAX) -> Singula
     return SingularSeriesEstimate(
         n=n, k=k, s=s, qmax=qmax,
         value=value,
-        value_direct=_direct_assembly(terms[0], groups, qmax),
-        p_local=tuple((p, float(sigma)) for (p, _), sigma in zip(groups, sigmas[0])),
+        value_direct=_direct_assembly(terms[0], table.bases, table.moduli, qmax),
+        p_local=tuple(zip(np.unique(table.bases).tolist(), sigmas[0].tolist())),
         method="multiplicative",
         flag=flag,
     )
@@ -137,7 +137,7 @@ def _check_series_args(k: int, s: int, qmax: int):
         )
 
 
-_TermTable = namedtuple("_TermTable", "groups moduli cols primes exps keys values local")
+_TermTable = namedtuple("_TermTable", "bases moduli cols primes exps keys values local")
 
 
 def _powers_of_a_primitive_root(p: int) -> np.ndarray:
@@ -213,7 +213,8 @@ def _term_table(k: int, s: int, qmax: int) -> _TermTable:
     """The terms A(q, n) of the prime powers q <= qmax as functions of n;
     arguments are checked by the caller.
 
-    ``groups`` is [(p, [p, p^2, ...]), ...], one column per prime power.
+    Column i is the prime power ``moduli[i]`` of the prime ``bases[i]``,
+    as ``intervals._prime_powers(2, qmax)`` gives them: by p, then j.
     A prime power q = p^j with j > gamma(p) has the column 0 (Hua:
     S(p^j, a) = 0).  The others come in two kinds.
 
@@ -237,18 +238,13 @@ def _term_table(k: int, s: int, qmax: int) -> _TermTable:
     checked once, here (`_real_terms`); a failing prime raises, so no such
     table is cached, and the arrays kept are real.
     """
-    groups = []
-    for p in sieve_upto(qmax):
-        powers = [p]
-        while powers[-1] * p <= qmax:
-            powers.append(powers[-1] * p)
-        groups.append((p, powers))
-    all_primes = np.array([p for p, _ in groups], dtype=np.int64)
-    first_cols = np.cumsum([0] + [len(powers) for _, powers in groups[:-1]])
-    keyed = (k % all_primes != 0) & (k % (all_primes - 1) != 0)
-    local = tuple((col + j, q, _local_column(q, p, k, s))
-                  for col, (p, powers), is_keyed in zip(first_cols.tolist(), groups, keyed) if not is_keyed
-                  for j, q in enumerate(powers[:prime_exponents(p, k)[1]]))
+    bases, moduli = _prime_powers(2, qmax)
+    unkeyed = (k % bases == 0) | (k % (bases - 1) == 0)
+    local = tuple((col, q, _local_column(q, p, k, s)) for col, p, q in zip(
+                      np.flatnonzero(unkeyed).tolist(), bases[unkeyed].tolist(), moduli[unkeyed].tolist())
+                  if q <= p ** prime_exponents(p, k)[1])
+    first_cols = np.flatnonzero(bases == moduli)
+    all_primes, keyed = bases[first_cols], ~unkeyed[first_cols]
     ds = np.gcd(all_primes - 1, k)
     pieces = []
     for d in (1, 2):
@@ -259,10 +255,9 @@ def _term_table(k: int, s: int, qmax: int) -> _TermTable:
     keys = np.concatenate([piece_keys for piece_keys, _ in pieces])
     order = np.argsort(keys)
     primes = all_primes[keyed]
-    table = _TermTable(groups, np.array([q for _, powers in groups for q in powers], dtype=np.int64),
-                       first_cols[keyed], primes, (primes - 1) // ds[keyed], keys[order],
+    table = _TermTable(bases, moduli, first_cols[keyed], primes, (primes - 1) // ds[keyed], keys[order],
                        np.concatenate([values for _, values in pieces])[order], local)
-    for array in [*table[1:7], *(column for _, _, column in local)]:
+    for array in [*table[:7], *(column for _, _, column in local)]:
         array.flags.writeable = False  # shared by every caller through the cache
     return table
 
@@ -306,17 +301,17 @@ def _series_values(ns, k: int, s: int, qmax: int) -> np.ndarray:
     values = [np.empty(0)]
     for start in range(0, len(ns), step):
         values.append(_multiplicative_assembly(_series_terms(ns[start:start + step], k, s, qmax),
-                                               table.groups)[0])
+                                               table.bases)[0])
     return np.concatenate(values)
 
 
-def _multiplicative_assembly(terms: np.ndarray, groups: list) -> tuple:
-    """Per row of the term matrix: the product over p of the local factor
+def _multiplicative_assembly(terms: np.ndarray, bases: np.ndarray) -> tuple:
+    """Per row of the term matrix, whose columns are the powers of the primes
+    ``bases`` (by p, then j): the product over p of the local factor
     1 + A(p) + A(p^2) + ..., and the (rows, primes) matrix of those factors.
     The factors take their j-th powers in one pass for every prime that has
     one (a prefix of the primes), and the product runs in prime order."""
-    counts = np.array([len(powers) for _, powers in groups])
-    firsts = np.cumsum(counts) - counts
+    _, firsts, counts = np.unique(bases, return_index=True, return_counts=True)
     sigmas = 1.0 + terms[:, firsts]
     for j in range(1, counts[0]):
         have = np.count_nonzero(counts > j)
@@ -324,8 +319,9 @@ def _multiplicative_assembly(terms: np.ndarray, groups: list) -> tuple:
     return np.prod(sigmas, axis=1), sigmas
 
 
-def _direct_assembly(terms: np.ndarray, groups: list, qmax: int) -> float:
-    """The sum of the weights of all q <= qmax, from one target's terms.
+def _direct_assembly(terms: np.ndarray, bases: np.ndarray, moduli: np.ndarray, qmax: int) -> float:
+    """The sum of the weights of all q <= qmax, from one target's terms at
+    the prime powers ``moduli`` of the primes ``bases`` (by p, then j).
 
     A composite weight is the product of its prime-power weights
     (multiplicativity, verified directly in the test suite on small
@@ -335,18 +331,15 @@ def _direct_assembly(terms: np.ndarray, groups: list, qmax: int) -> float:
     has two such primes, so their terms are written in one pass.
     """
     values = np.ones(qmax + 1)
-    small = sum(len(powers) > 1 for _, powers in groups)  # the primes p <= sqrt(qmax)
-    big = np.array([p for p, _ in groups[small:]], dtype=np.int64)
-    col = len(terms) - len(big)
+    col = np.count_nonzero(bases <= math.isqrt(qmax))  # the columns of the primes p <= sqrt(qmax)
+    big = bases[col:]
     multiples = qmax // big
     firsts = np.repeat(np.cumsum(multiples) - multiples, multiples)
     factors = np.arange(len(firsts)) - firsts + 1
     values[np.repeat(big, multiples) * factors] = np.repeat(terms[col:], multiples)
-    for p, powers in reversed(groups[:small]):
-        for pj in reversed(powers):
-            col -= 1
-            qs = np.arange(pj, qmax + 1, pj)
-            values[qs[qs % (pj * p) != 0]] *= terms[col]
+    for p, pj, term in reversed(list(zip(bases[:col].tolist(), moduli[:col].tolist(), terms[:col]))):
+        qs = np.arange(pj, qmax + 1, pj)
+        values[qs[qs % (pj * p) != 0]] *= term
     return float(np.cumsum(values[1:])[-1])
 
 

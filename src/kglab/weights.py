@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .intervals import ShortInterval, _iroot, _primes_between, primes_in_interval
+from .intervals import ShortInterval, _prime_powers, primes_in_interval
 
 
 @dataclass(frozen=True)
@@ -82,16 +82,12 @@ def von_mangoldt_weight(interval: ShortInterval) -> WeightFunction:
     """Lambda on the window, by sieve: math.log(p) at each prime power p^j,
     as ``intervals.von_mangoldt`` gives it, and 0 elsewhere.
 
-    The primes come from ``primes_in_interval``, so its caps apply; the
-    powers p^j, j >= 2, from the primes p in [lo^(1/j), hi^(1/j)].
+    The prime powers and their bases come from one ``_prime_powers`` table
+    of the window, so the caps of ``primes_in_interval`` apply.
     """
-    lo, hi = interval.lo, interval.hi
-    bases = [np.array(primes_in_interval(interval), dtype=np.int64)]
-    bases += [_primes_between(_iroot(lo - 1, j) + 1, _iroot(hi, j))
-              for j in range(2, hi.bit_length())]
+    bases, powers = _prime_powers(interval.lo, interval.hi)
     values = np.zeros(interval.size)
-    values[np.concatenate([p**j for j, p in enumerate(bases, 1)]) - lo] = [
-        math.log(p) for p in np.concatenate(bases).tolist()]
+    values[powers - interval.lo] = [math.log(p) for p in bases.tolist()]
     bound = float(values.max(initial=0.0))
     return WeightFunction("von-mangoldt", interval, values, max(bound, 1.0))
 

@@ -55,6 +55,21 @@ def test_every_cap_goes_through_check_cap():
     }
 
 
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__.py imports to re-export, so it is skipped.
+    unused = []
+    for path in sorted(Path(kglab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                unused += [(path.name, alias.asname or alias.name.split(".")[0]) for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []
+
+
 def test_window_memory_cap(monkeypatch):
     monkeypatch.setattr("kglab.intervals.WINDOW_CAP", 10**5)
     interval = ShortInterval.from_integer_window(1, 10**6, 2)

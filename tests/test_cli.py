@@ -447,6 +447,19 @@ class TestContracts:
         assert captured.out == ""
         assert captured.err.startswith("invalid config: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, unused", [
+        (["sieve-check", "--samples", "1000", "--seed", "1", "--k", "7"], "--k 7"),
+        (["sieve-check", "--samples", "1000", "--s", "5"], "--s 5"),
+        (["sieve-check", "--samples", "1000", "--theta", "0.5"], "--theta 0.5"),
+        (["singular-series", "--n", "29", "--theta", "0.5"], "--theta 0.5"),
+        (["vaughan-check", "--n", "500000000", "--alphas", "2", "--samples", "1000"], "--samples 1000"),
+    ])
+    def test_options_no_runner_reads_are_refused(self, argv, unused):
+        # These were parsed, echoed into the report's config and ignored.
+        proc = run_kglab(argv)
+        assert proc.returncode == 2
+        assert proc.stderr == f"invalid config: unrecognized arguments: {unused}\n"
+
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["count", "--help"]])
     def test_help_and_version_exit_0(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -367,7 +367,7 @@ class TestVaughan:
 
     def test_decomposition_table_cap(self, medium_window, monkeypatch):
         monkeypatch.setattr(exp_sums, "DECOMPOSE_ENTRY_CAP", 10)
-        monkeypatch.setattr(exp_sums, "_moebius_table", None)  # never reached
+        monkeypatch.setattr(exp_sums, "_prime_powers", None)  # never reached
         with pytest.raises(CapExceeded, match=r"^decomposition table entries: \d+ exceeds the cap 10$"):
             vaughan_decompose(medium_window)
 

@@ -1,7 +1,9 @@
 import math
 import random
+import tracemalloc
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from kglab import (
     sieve_upto,
     von_mangoldt,
 )
-from kglab.intervals import SEGMENT_BLOCK
+from kglab.intervals import SEGMENT_BLOCK, _prime_powers, _primes_between, factorize
 
 
 # Least segment lengths short enough that the sieve tests' windows span
@@ -335,6 +337,31 @@ class TestPrimesInInterval:
             for limit in range(300):
                 assert sieve_upto(limit) == trial_division_primes(2, limit), (limit, block)
 
+    def test_window_sieve_holds_no_list_of_its_sieving_primes(self):
+        # The 108,108 sieving primes below 1.4e6 as one list of Python ints
+        # would take the peak to about 5.2 MB; as an int64 array, read one
+        # SEGMENT_BLOCK at a time, it is about 3.5 MB.
+        lo = 2 * 10**12
+        tracemalloc.start()
+        try:
+            primes = _primes_between(lo, lo + 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(primes) == 39 and peak < 4_300_000
+
+    def test_prime_powers(self, monkeypatch):
+        # Every p^j, j >= 1, of [lo, hi], ordered by p, then j.
+        windows = [(1, 1), (1, 2), (1, 300), (2, 1024), (100, 1000), (4, 4), (5, 8),
+                   (10**6 - 1000, 10**6 + 1000), (4093**2 - 50, 4093**2 + 50)]
+        for lo, hi in windows:
+            expected = sorted((factorize(m)[0][0], m) for m in range(lo, hi + 1) if von_mangoldt(m))
+            for block in SMALL_BLOCKS + (SEGMENT_BLOCK,):
+                monkeypatch.setattr("kglab.intervals.SEGMENT_BLOCK", block)
+                bases, powers = _prime_powers(lo, hi)
+                assert bases.dtype == powers.dtype == np.int64
+                assert list(zip(bases.tolist(), powers.tolist())) == expected, (lo, hi, block)
+
     def test_membership_protocol(self):
         interval = build_interval(845, 2, 5, 0.85)
         primes = primes_in_interval(interval)
@@ -387,8 +414,6 @@ class TestPointFunctions:
         assert got == pytest.approx(expected, abs=1e-9)
 
     def test_von_mangoldt_summatory_hundred_windows(self):
-        import numpy as np
-
         rng = np.random.default_rng(100)
         primes = sieve_upto(20_000)
         for _ in range(100):

@@ -130,7 +130,7 @@ class TestTermTable:
         table = _term_table(k, 5, 2000)
         terms = _series_terms(ORACLE_TARGETS, k, 5, 2000)
         col = 0
-        for p, powers in table.groups:
+        for p, powers in groups_of(table):
             _, gamma = prime_exponents(p, k)
             for j, q in enumerate(powers, start=1):
                 if j > gamma:
@@ -259,14 +259,25 @@ class TestTermTable:
             assert singular_series(n, 2, 5, 10**4).value == _series_values([n], 2, 5, 10**4)[0]
 
     def test_table_cache_is_bounded(self):
-        # The bytes stated beside TERM_TABLES: 98,720 at k = 2, qmax = 1e4.
+        # The bytes stated beside TERM_TABLES: all that a freshly built table
+        # holds, by tracemalloc (110,272 at k = 2, qmax = 1e4), not only the
+        # nbytes of its arrays.  A list of lists of its prime powers would
+        # add about 110,000.
+        import tracemalloc
+
         from kglab.singular import TERM_TABLES, _term_table
 
         assert _term_table.cache_info().maxsize == TERM_TABLES <= 4
-        table = _term_table(2, 5, 10**4)
-        arrays = [table.moduli, table.cols, table.primes, table.exps, table.keys, table.values]
-        size = sum(a.nbytes for a in arrays) + sum(c.nbytes for _, _, c in table.local)
-        assert size == 98_720
+        tracemalloc.start()
+        try:
+            table = _term_table.__wrapped__(2, 5, 10**4)
+            held = tracemalloc.get_traced_memory()[0]
+            arrays = sum(a.nbytes for a in table[:7]) + sum(c.nbytes for _, _, c in table.local)
+            del table
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert arrays <= retained <= 120_000
 
 
 class TestDivisorSumIdentity:
@@ -319,6 +330,14 @@ class TestSingularSeries:
     def test_requires_qmax_at_least_local_modulus(self):
         with pytest.raises(ValidationError):
             singular_series(29, 2, 5, 20)
+
+
+def groups_of(table):
+    # [(p, [p, p^2, ...]), ...] from the columns of a term table.
+    groups = {}
+    for p, q in zip(table.bases.tolist(), table.moduli.tolist()):
+        groups.setdefault(p, []).append(q)
+    return list(groups.items())
 
 
 def loop_multiplicative_assembly(terms, groups):
@@ -382,29 +401,31 @@ class TestAssemblies:
         from kglab.singular import (
             _direct_assembly, _multiplicative_assembly, _series_terms, _term_table)
 
-        groups = _term_table(k, 5, qmax).groups
+        table = _term_table(k, 5, qmax)
+        groups = groups_of(table)
         terms = _series_terms(self.TARGETS, k, 5, qmax)
-        product, sigmas = _multiplicative_assembly(terms, groups)
+        product, sigmas = _multiplicative_assembly(terms, table.bases)
         want_product, want_sigmas = loop_multiplicative_assembly(terms, groups)
         assert same_bits(product, want_product) and same_bits(sigmas, want_sigmas)
         for row in terms[:3]:
-            assert same_bits(_direct_assembly(row, groups, qmax),
+            assert same_bits(_direct_assembly(row, table.bases, table.moduli, qmax),
                              index_matrix_direct_assembly(row, groups, qmax))
 
     @pytest.mark.parametrize("qmax", [1000, 10**4, 10**5])
     def test_on_random_terms(self, qmax):
         from kglab.singular import _direct_assembly, _multiplicative_assembly, _term_table
 
-        groups = _term_table(2, 5, qmax).groups
+        table = _term_table(2, 5, qmax)
+        groups = groups_of(table)
         columns = sum(len(powers) for _, powers in groups)
         rng = np.random.default_rng(qmax)
         terms = rng.normal(size=(16, columns)) * 10.0 ** rng.integers(-6, 1, size=(16, 1))
         terms[:, rng.integers(columns, size=columns // 10)] = 0.0
-        product, sigmas = _multiplicative_assembly(terms, groups)
+        product, sigmas = _multiplicative_assembly(terms, table.bases)
         want_product, want_sigmas = loop_multiplicative_assembly(terms, groups)
         assert same_bits(product, want_product) and same_bits(sigmas, want_sigmas)
         for row in terms[:2]:
-            assert same_bits(_direct_assembly(row, groups, qmax),
+            assert same_bits(_direct_assembly(row, table.bases, table.moduli, qmax),
                              index_matrix_direct_assembly(row, groups, qmax))
 
 
