@@ -41,6 +41,7 @@ from .intervals import (
     ShortInterval,
     _power_exceeds,
     _prime_powers,
+    _smooth_length,
     divisor_counts,
     pow_mod,
     units,
@@ -252,29 +253,16 @@ def complete_exp_sum(q: int, a: int, k: int) -> complex:
 
 def _moment_split(size: int) -> tuple:
     """(rows, cols) with rows = 2^a within a factor 8 of sqrt(size), cols =
-    3^b 5^c, and rows * cols the least such product >= size.
+    3^b 5^c, and rows * cols the least such product >= size: the least
+    rows * `_smooth_length`(ceil(size / rows)), the fewest rows on a tie.
 
     The factors are coprime, so the rows * cols point DFT is their 2-D DFT
     with the bins permuted (Good-Thomas), without twiddles.  A power of two
     near sqrt(size) keeps both passes of ``moment_nyquist`` short.
     """
-    best = None
-    rows = 1
-    while rows * rows <= 64 * size:
-        if 64 * rows * rows >= size:
-            need = -(-size // rows)
-            five = 1
-            while True:
-                cols = five
-                while cols < need:
-                    cols *= 3
-                if best is None or rows * cols < best[0] * best[1]:
-                    best = (rows, cols)
-                if five >= need:
-                    break
-                five *= 5
-        rows *= 2
-    return best
+    splits = [(1 << a, _smooth_length(-(-size >> a))) for a in range(size.bit_length() + 4)
+              if size <= 64 << 2 * a <= 4096 * size]
+    return min(splits, key=lambda split: split[0] * split[1])
 
 
 def moment_nyquist(interval: ShortInterval, t: int) -> int:

@@ -234,7 +234,8 @@ def primes_in_interval(interval: ShortInterval) -> tuple:
 
 
 def pow_mod(base: np.ndarray, k: int, q: int) -> np.ndarray:
-    """Elementwise base^k mod q by square-and-multiply.
+    """Elementwise base^k mod q, as Python's pow(b, k, q) gives it, by
+    `_binary_power`.
 
     q = 2^64 runs in wrapping uint64 arithmetic; any other modulus runs in
     int64, where q^2 must fit.
@@ -243,15 +244,21 @@ def pow_mod(base: np.ndarray, k: int, q: int) -> np.ndarray:
     if not wrap:
         check_cap("pow_mod modulus", q, 3_000_000_000)
     b = base.astype(np.uint64) if wrap else np.mod(base, q)
-    out = np.ones_like(b)
+    if k == 0:
+        return np.full_like(b, 1 % q)
     with np.errstate(over="ignore"):
-        while True:
-            if k & 1:
-                out = out * b if wrap else out * b % q
-            k >>= 1
-            if not k:
-                return out
-            b = b * b if wrap else b * b % q
+        return _binary_power(b, k, (lambda x, y: x * y) if wrap else (lambda x, y: x * y % q))
+
+
+def _binary_power(base, e: int, multiply):
+    """base^e for e >= 1 under an associative ``multiply``, by
+    square-and-multiply over the bits of e, highest first."""
+    out = base
+    for bit in bin(e)[3:]:
+        out = multiply(out, out)
+        if bit == "1":
+            out = multiply(out, base)
+    return out
 
 
 def _power_exceeds(base: int, exp: int, cap: int) -> bool:
@@ -262,17 +269,16 @@ def _power_exceeds(base: int, exp: int, cap: int) -> bool:
     return base**exp > cap
 
 
+def _smooth_length(m: int) -> int:
+    """The least 3^b 5^c >= m (m >= 1); 3^b with b < m.bit_length() reaches m."""
+    exps = range(m.bit_length())
+    return min(next(5**c * 3**b for b in exps if 5**c * 3**b >= m) for c in exps)
+
+
 def _fft_length(size: int) -> int:
-    """Smallest 2^a 3^b 5^c >= size; numpy's FFT is fast on such lengths."""
-    best = 1 << (size - 1).bit_length()
-    odd5 = 1
-    while odd5 < best:
-        odd = odd5
-        while odd < best:
-            best = min(best, odd << (-(-size // odd) - 1).bit_length())
-            odd *= 3
-        odd5 *= 5
-    return best
+    """Least 2^a 3^b 5^c >= size (size >= 1), as 2^a times the least
+    `_smooth_length` over a; numpy's FFT is fast on such lengths."""
+    return min(_smooth_length(-(-size >> a)) << a for a in range((size - 1).bit_length() + 1))
 
 
 def units(q: int) -> np.ndarray:

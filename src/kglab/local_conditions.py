@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .intervals import _power_exceeds, pow_mod, sieve_upto, units
+from .intervals import _binary_power, _power_exceeds, pow_mod, sieve_upto, units
 
 K_MAX = 64  # keeps the local modulus comfortably inside integer range
 
@@ -100,17 +100,10 @@ def unit_solution_counts(q: int, k: int, s: int) -> np.ndarray:
 
 def _convolution_power(base: np.ndarray, s: int) -> np.ndarray:
     """The s-fold power of ``base`` under cyclic convolution mod len(base),
-    by square-and-multiply: exact in integers, and on a non-negative float
-    base every step adds non-negative products."""
-    out = np.zeros_like(base)
-    out[0] = 1  # the empty tuple
-    while s > 0:
-        if s & 1:
-            out = _cyclic_convolve(out, base)
-        s >>= 1
-        if s:
-            base = _cyclic_convolve(base, base)
-    return out
+    by `_binary_power` (s = 0: the delta of the empty tuple): exact in
+    integers, and on a non-negative float base every step adds
+    non-negative products."""
+    return _binary_power(base, s, _cyclic_convolve) if s else np.eye(1, len(base), dtype=base.dtype)[0]
 
 
 def _cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -144,35 +144,43 @@ def _unique_counts(sorted_vals: np.ndarray):
 def _count_mitm(ns, k: int, s: int, primes: tuple) -> np.ndarray:
     """Counts for every target in ``ns`` whose window holds ``primes``.
 
-    The (s//2)-fold power sums sit in a sorted table, built once; each
-    prime power plus each (s - s//2 - 1)-fold sum is probed against it for
-    a block of targets at a time.
+    The (s//2)-fold power sums sit in a sorted table, built once, which
+    `_meet` probes with the (s - s//2 - 1)-fold sums plus each prime power.
     """
-    counts = np.zeros(len(ns), dtype=np.int64)
     if not primes:
-        return counts
-    lo_sum, hi_sum = s * primes[0] ** k, s * primes[-1] ** k
-    check_cap("largest power sum in int64", hi_sum, 2**62 - 1)
+        return np.zeros(len(ns), dtype=np.int64)
+    check_cap("largest power sum in int64", s * primes[-1] ** k, 2**62 - 1)
     hash_fold = s // 2
     probe_fold = s - hash_fold
     _check_table_cap(len(primes), probe_fold)
     powers = np.array([p**k for p in primes], dtype=np.int64)
-    # A target outside [s p_min^k, s p_max^k] has no representation; moved
-    # just outside that range it still has none, and fits in int64.
-    targets = np.array([min(max(n, lo_sum - 1), hi_sum + 1) for n in ns], dtype=np.int64)
-    uniq, mult = _unique_counts(_sorted_fold_sums(powers, hash_fold))
-    last = len(uniq) - 1
-    # The base sums, distinct and descending, so each row of probes ascends
-    # (numpy's searchsorted is fastest on ascending keys); repeats of a
-    # base sum weight its matches.
-    base, base_mult = (a[::-1] for a in _unique_counts(_sorted_fold_sums(powers, probe_fold - 1)))
-    step = max(1, PROBE_BLOCK // len(base))
+    table = _unique_counts(_sorted_fold_sums(powers, hash_fold))
+    base = _unique_counts(_sorted_fold_sums(powers, probe_fold - 1))
+    return _meet(ns, (s * primes[0] ** k, s * primes[-1] ** k), table, base, powers, np.ones_like(powers))
+
+
+def _meet(ns, span, table, base, last, weights) -> np.ndarray:
+    """For each target n of ``ns``, the sum over sums b of ``base`` and
+    powers l of ``last`` of the product of their weights and that of
+    n - b - l in ``table``; ``table`` and ``base`` are (distinct sums
+    ascending, weights).  A target outside ``span``, the least and largest
+    s-fold sum over the whole window, has none; moved just outside it, it
+    fits in int64.  Base sums are probed descending, so each row of probes
+    ascends (numpy's searchsorted is fastest on ascending keys), a block
+    of targets at a time.
+    """
+    targets = np.array([min(max(n, span[0] - 1), span[1] + 1) for n in ns], dtype=np.int64)
+    uniq, mult = table
+    sums, sum_weights = (a[::-1] for a in base)
+    top = len(uniq) - 1
+    counts = np.zeros(len(targets), dtype=np.result_type(mult, sum_weights, weights))
+    step = max(1, PROBE_BLOCK // len(sums))
     for start in range(0, len(targets), step):
-        rest = targets[start:start + step, None] - base[None, :]
-        for p_pow in powers:
-            want = rest - p_pow
-            idx = np.minimum(np.searchsorted(uniq, want), last)
-            counts[start:start + step] += np.where(uniq[idx] == want, mult[idx], 0) @ base_mult
+        rest = targets[start:start + step, None] - sums[None, :]
+        for power, weight in zip(last, weights):
+            want = rest - power
+            idx = np.minimum(np.searchsorted(uniq, want), top)
+            counts[start:start + step] += np.where(uniq[idx] == want, mult[idx], 0) @ sum_weights * weight
     return counts
 
 
@@ -217,25 +225,23 @@ def _weighted_window(n: int, k: int, s: int, theta: float, *weights) -> ShortInt
 
 def _count_weighted(n: int, k: int, s: int, interval: ShortInterval,
                     lam: WeightFunction, lam_plus: WeightFunction) -> float:
-    """`count_weighted` on the window that `_weighted_window` checked."""
+    """`count_weighted` on the window that `_weighted_window` checked: `_meet`
+    probes a table of the first s//2 slots with the slots before the last
+    and each power of the last slot's support."""
     indicator = prime_indicator(interval, _window_primes(interval))
     slots = [lam] + [lam_plus] * 4 + [indicator] * (s - 5)
     check_cap("largest power sum in int64", s * interval.hi**k, 2**62 - 1)
     powers = np.array([m**k for m in interval], dtype=np.int64)
 
     half = len(slots) // 2
-    left = _weighted_half(slots[:half], powers)
-    right = _weighted_half(slots[half:], powers)
-    if left is None or right is None:
+    table = _weighted_half(slots[:half], powers)
+    base = _weighted_half(slots[half:-1], powers)
+    last = np.flatnonzero(slots[-1].values)
+    if table is None or base is None or len(last) == 0:
         return 0.0
-    sums_l, wts_l = left
-    sums_r, wts_r = right
-    targets = n - sums_r
-    idx = np.searchsorted(sums_l, targets)
-    valid = (idx < len(sums_l)) & (
-        sums_l[np.minimum(idx, len(sums_l) - 1)] == targets
-    )
-    return float(np.sum(wts_r[valid] * wts_l[idx[valid]]))
+    check_cap("weighted half-sum table states", len(base[0]) * len(last), TABLE_CAP)
+    span = (s * interval.lo**k, s * interval.hi**k)
+    return float(_meet([n], span, table, base, powers[last], slots[-1].values[last])[0])
 
 
 def _weighted_half(slot_weights, powers: np.ndarray):

@@ -24,6 +24,7 @@ from .exp_sums import complete_exp_sum, complete_exp_sums
 from .intervals import (
     MEMORY_BUDGET,
     ShortInterval,
+    _binary_power,
     _fft_length,
     _prime_powers,
     build_interval,
@@ -370,7 +371,9 @@ def local_count_identity_check(q: int, n: int, k: int, s: int) -> bool:
 
 _GL_NODES = np.polynomial.legendre.leggauss(12)
 _GL_NODES_COARSE = np.polynomial.legendre.leggauss(16)
-PANEL_CAP = 1 << 21
+# The nodes, weights and phases of one phase integral, at 600 bytes per
+# panel (tracemalloc at 5e4, 2e5 and 1e6 panels, k = 2 and 3): 466,666.
+PANEL_CAP = MEMORY_BUDGET // 600
 
 
 def _centered_phase_integral(beta: float, interval: ShortInterval) -> complex:
@@ -456,7 +459,9 @@ def _integrals_by_convolution(ns, intervals, s: int) -> list:
     """The density-convolution integral at each n in its window, 0 off the
     grid.  The s-th power of the spectrum overflows for large s (s = 200 at
     n = 2040200, theta = 0.1): a value read from it that is not finite
-    raises CapExceeded instead of being clipped to 0.
+    raises CapExceeded instead of being clipped to 0.  That power is taken
+    by `_binary_power` (s >= 3): NumPy's complex power calls the libm cpow,
+    about four times slower at these pads.
 
     One spectrum array and one power array serve every target, and the
     convolution is written over the spectrum, so a target's own
@@ -494,24 +499,13 @@ def _integrals_by_convolution(ns, intervals, s: int) -> list:
         # A local error state: this may run on the sweep's helper thread.
         with np.errstate(over="ignore", invalid="ignore"):
             np.fft.rfft(density, pad, out=spectrum)
-            np.fft.irfft(_power_into(spectrum, s, power), pad, out=conv)
+            np.fft.irfft(_binary_power(spectrum, s, lambda a, b: np.multiply(a, b, out=power)),
+                         pad, out=conv)
             value = (1.0 - fracpos) * (conv[i] * scale) + fracpos * (conv[i + 1] * scale)
         if not math.isfinite(value):
             raise CapExceeded(f"the density convolution overflows at s={s}; use fourier-quadrature")
         values.append(float(max(0.0, value)))
     return values
-
-
-def _power_into(base: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
-    """base^s into ``out`` by square-and-multiply over the bits of s >= 1,
-    highest first.  NumPy's complex power calls the libm cpow, about four
-    times slower at the pads of the convolution."""
-    np.copyto(out, base)
-    for bit in bin(s)[3:]:
-        np.multiply(out, out, out=out)
-        if bit == "1":
-            np.multiply(out, base, out=out)
-    return out
 
 
 def _integral_by_quadrature(n: int, interval: ShortInterval, s: int) -> float:

@@ -1,6 +1,8 @@
 """Resource caps and error contracts across modules, and the suite's imports."""
 
 import ast
+import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -103,6 +105,36 @@ def test_quadrature_panel_cap():
     interval = build_interval(5 * 10**8, 2, 5, 0.85)
     with pytest.raises(CapExceeded):
         phase_integral(0.9, interval)
+
+
+def test_panel_cap_fits_the_memory_budget():
+    # The bytes one phase integral takes per panel, to the byte, at about
+    # 5e4 panels (a fixed part of a few KB is under half a byte per panel).
+    from kglab.intervals import MEMORY_BUDGET
+    from kglab.singular import PANEL_CAP
+
+    interval = build_interval(5 * 10**8, 2, 5, 0.85)
+    scale = interval.y * interval.x
+    beta = (50_000 / 8 - 1) / scale
+    tracemalloc.start()
+    try:
+        phase_integral(beta, interval)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    panels = math.ceil(8 * (1 + scale * beta))
+    assert 49_000 <= panels <= 51_000
+    assert PANEL_CAP * round(peak / panels) <= MEMORY_BUDGET
+
+
+def test_every_public_cap_is_named_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    caps = {target.id for path in Path(kglab.__file__).parent.glob("*.py")
+            for node in ast.parse(path.read_text()).body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id.endswith("_CAP") and target.id[0] != "_"}
+    assert len(caps) >= 16
+    assert sorted(cap for cap in caps if f"`{cap}`" not in readme) == []
 
 
 def test_count_prime_cap(monkeypatch):

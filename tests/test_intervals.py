@@ -20,7 +20,7 @@ from kglab import (
     sieve_upto,
     von_mangoldt,
 )
-from kglab.intervals import SEGMENT_BLOCK, _prime_powers, _primes_between, factorize
+from kglab.intervals import SEGMENT_BLOCK, _prime_powers, _primes_between, factorize, pow_mod
 
 
 # Least segment lengths short enough that the sieve tests' windows span
@@ -367,6 +367,19 @@ class TestPrimesInInterval:
         primes = primes_in_interval(interval)
         assert 13 in primes and 15 not in primes
         assert len(primes) == 6
+
+
+class TestPowMod:
+    # The wrapping uint64 modulus of the phase sums, the trivial modulus and
+    # odd moduli just under the int64 cap, against Python's pow.
+    @pytest.mark.parametrize("q", [1 << 64, 1, 2_999_999_993, 2_999_999_999])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 64, 65, 1000])
+    def test_matches_python_pow(self, q, k):
+        rng = np.random.default_rng(k)
+        edges = [0, 1, 2, -1, -2, 2**62, 2**63 - 1, -(2**63)] + [q - 1, q - 2] * (q < 2**63)
+        base = np.concatenate([np.array(edges, dtype=np.int64),
+                               rng.integers(-(2**63), 2**63 - 1, 200, dtype=np.int64)])
+        assert pow_mod(base, k, q).tolist() == [pow(int(b), k, q) for b in base]
 
 
 class TestPointFunctions:

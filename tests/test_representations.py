@@ -101,6 +101,31 @@ class TestCountWeighted:
             845, 2, 5, 0.85, zero_weight(interval), prime_indicator(interval)
         ) == 0.0
 
+    def test_last_slot_is_probed_not_tabled(self):
+        # The last slot's powers are probed, so the count holds two 2-slot
+        # tables (about 1.5 MB), never a table of the last three slots.
+        interval = build_interval(45005, 2, 5, 1.0)
+        rng = np.random.default_rng(0)
+        lam = table_weight(interval, {m: float(rng.integers(-2, 3)) for m in interval})
+        tracemalloc.start()
+        try:
+            got = count_weighted(45005, 2, 5, 1.0, lam, unit_weight(interval))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 298807.0
+        assert peak <= 8_000_000, peak
+
+    @pytest.mark.parametrize("n, want", [(602, 5.0), (604, 30.0)])
+    def test_targets_are_clamped_to_the_whole_window(self, n, want):
+        # The window 9..12 holds the single prime 11, and with s = 6 the last
+        # slot is the prime indicator: a span taken from its support alone,
+        # 6 * 11^2 = 726 > n, would clamp these targets away.
+        interval = build_interval(n, 2, 6, 0.3)
+        assert (interval.lo, interval.hi) == (9, 12)
+        unit = unit_weight(interval)
+        assert count_weighted(n, 2, 6, 0.3, unit, unit) == want
+
     def test_requires_five_variables(self):
         interval = build_interval(80, 2, 4, 0.85)
         weight = unit_weight(interval)
