@@ -21,7 +21,7 @@ independent ways: averaging |f|^(2t) = |f^t|^2 over any N >= t spread + 1
 equispaced points (by Parseval the sampled mean of |g|^2 is the sum of
 g's squared coefficients once N passes the span of g's frequencies),
 padded to N = 2^a * 3^b 5^c for a twiddle-free two-pass FFT, and direct
-enumeration of power-sum collisions on the counts' sorted tables.  A
+enumeration of power-sum collisions on the counts' sum tables.  A
 weight must be built on the window it is summed over.
 """
 
@@ -337,14 +337,13 @@ def moment_nyquist(interval: ShortInterval, t: int) -> int:
 def moment_enumeration(interval: ShortInterval, t: int, weight: WeightFunction) -> float:
     """Weighted count of solutions of a t-fold power-sum collision.
 
-    Enumerates all t-fold sums of m^k over the support of the weight,
-    accumulates the product weight per sum value, and returns the sum of
-    W(v)^2 over values v, on the sorted tables and the run pass of the
-    representation counts.  A 0/1 weight counts repeats of each sorted sum
-    instead of carrying weights, so the unit weight gives the exact integer
-    solution count matching ``moment_nyquist``.  The weight must be built on
-    the window.  A table of more than the counting's TABLE_CAP states
-    raises CapExceeded before it is built.
+    Builds the t-fold sums of m^k over the weight's support, with the
+    product weight per sum value, on the counts' sum tables, and returns
+    the sum of W(v)^2 over values v.  A 0/1 weight is shared: its table
+    keeps repeats and reads the run lengths of its sorted sums, so the unit
+    weight gives the exact integer count matching ``moment_nyquist``.  The
+    weight must be built on the window.  A combine step past the counts'
+    TABLE_CAP states merges both sides, then raises CapExceeded if still past.
     """
     if t < 1:
         raise ValidationError(f"need t >= 1, got {t}")

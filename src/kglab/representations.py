@@ -2,16 +2,18 @@
 
 Counts are over ordered tuples: the number of (p_1, ..., p_s), all
 primes of the window, with p_1^k + ... + p_s^k = n.  The production
-path meets the two halves of the tuple in the middle through a sorted
-table of half-sums; a plain recursive enumeration is kept as the
-cross-check at small scale.  The weighted variant carries products of
-bounded weights through the same machinery, which is what the sieve
-combination consumes, and so do the moments' collision counts: every
-table is built by `_sorted_fold_sums` and read by one run pass.
+path meets the two halves of the tuple in the middle; a plain recursive
+enumeration is kept as the cross-check at small scale.  Weighted counts
+(what the sieve combination consumes) and the moments' collision counts
+share its sum tables (sums, weight): one weight shared by every entry,
+repeats kept unsorted, or one weight per distinct sum, ascending.
+`_combine` adds two tables; `_merged` turns a shared table's runs into
+weights, within `_combine` only once a step would pass TABLE_CAP states.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +23,7 @@ from .errors import DominationError, ValidationError, check_cap
 from .intervals import (
     MEMORY_BUDGET,
     ShortInterval,
-    _power_exceeds,
+    _binary_power,
     build_interval,
     primes_in_interval,
     sieve_upto,
@@ -29,7 +31,7 @@ from .intervals import (
 from .weights import WeightFunction, check_window, prime_indicator
 
 PRIME_COUNT_CAP = 50_000
-TABLE_CAP = 100_000_000    # states of one fold-sum table, here and in the moments
+TABLE_CAP = 100_000_000    # states of one combine step, here and in the moments
 PROBE_BLOCK = 1 << 18      # entries of one (targets, half-sums) probe block
 RUN_CHUNK = 1 << 22        # neighbouring sorted sums _run_starts compares at a time
 # The pointwise sieve scan's draws and products, at about 170 bytes per
@@ -92,37 +94,6 @@ def _count_recursive(n: int, k: int, s: int, primes: tuple) -> int:
     return rec(n, s)
 
 
-@dataclass(frozen=True)
-class _Power:
-    """count^fold for a cap check, compared without being formed."""
-
-    count: int
-    fold: int
-
-    def __gt__(self, cap: int) -> bool:
-        return _power_exceeds(self.count, self.fold, cap)
-
-    def __str__(self) -> str:
-        return f"{self.count}^{self.fold}"
-
-
-def _check_table_cap(count: int, fold: int):
-    check_cap("fold-sum table states", _Power(count, fold), TABLE_CAP)
-
-
-def _sorted_fold_sums(powers: np.ndarray, fold: int) -> np.ndarray:
-    """All fold-fold sums of ``powers`` (with repeats), ascending, in its dtype."""
-    if len(powers) == 1:
-        return powers * fold
-    sums = np.zeros(1, dtype=powers.dtype)
-    for _ in range(fold):
-        sums = (sums[:, None] + powers[None, :]).ravel()
-    if sums.dtype == object:  # Python's timsort beats numpy's object sort ~5x
-        return np.array(sorted(sums.tolist()), dtype=object)
-    sums.sort()
-    return sums
-
-
 def _run_starts(sorted_vals: np.ndarray) -> np.ndarray:
     """Index of the first entry of each run of equal values in a sorted
     array, then its length, so run i spans [starts[i], starts[i + 1]);
@@ -135,40 +106,87 @@ def _run_starts(sorted_vals: np.ndarray) -> np.ndarray:
     return np.concatenate(starts + [[n]])
 
 
-def _unique_counts(sorted_vals: np.ndarray):
-    """The distinct values of a sorted array and the length of each one's run."""
-    starts = _run_starts(sorted_vals)
-    return sorted_vals[starts[:-1]], np.diff(starts)
+def _sorted_runs(sums: np.ndarray) -> np.ndarray:
+    """Sort ``sums`` in place and return `_run_starts` of it."""
+    if sums.dtype == object:  # Python's timsort beats numpy's object sort ~5x
+        sums[:] = sorted(sums.tolist())
+    else:
+        sums.sort()
+    return _run_starts(sums)
+
+
+def _merged(table):
+    """``table`` with one weight per distinct sum, ascending."""
+    sums, weight = table
+    if np.ndim(weight):
+        return table
+    starts = _sorted_runs(sums)
+    runs = np.diff(starts)
+    runs *= weight  # in place: a product array would raise peak RSS
+    return sums[starts[:-1]], runs
+
+
+def _combine(a, b):
+    """The table of an entry of ``a`` plus one of ``b``, weights multiplied;
+    past TABLE_CAP states both sides merge first and what is left is capped.
+    Two shared weights stay shared; any other result merges, stably."""
+    if len(a[0]) * len(b[0]) > TABLE_CAP:
+        same = a is b
+        a = _merged(a)
+        b = a if same else _merged(b)
+        check_cap("sum table states", len(a[0]) * len(b[0]), TABLE_CAP)
+    sums = (a[0][:, None] + b[0][None, :]).ravel()
+    if np.ndim(a[1]) == np.ndim(b[1]) == 0:
+        return sums, a[1] * b[1]
+    weights = np.multiply.outer(*(np.broadcast_to(w, len(t)) for t, w in (a, b))).ravel()
+    order = np.argsort(sums, kind="stable")
+    sums = sums[order]
+    starts = _run_starts(sums)[:-1]
+    return sums[starts], np.add.reduceat(weights[order], starts)
+
+
+def _power_table(slot, fold: int):
+    """The sum table of ``fold`` copies of ``slot`` by `_binary_power`; {0: 1} for fold 0."""
+    return _binary_power(slot, fold, _combine) if fold else (np.zeros(1, dtype=slot[0].dtype), 1)
+
+
+def _check_int64(weights: np.ndarray, tuples: int):
+    """Refuse a count of up to max(``weights``) * ``tuples`` past int64, by
+    its bits.  A table's weights add up to at most ``tuples``, so none
+    wrapped unless ``tuples`` alone does; then its bits stand for the bound."""
+    bound = tuples if tuples.bit_length() > 63 else int(weights.max(initial=0)) * tuples
+    check_cap("bits of the count bound", bound.bit_length(), 63)
 
 
 def _count_mitm(ns, k: int, s: int, primes: tuple) -> np.ndarray:
     """Counts for every target in ``ns`` whose window holds ``primes``.
 
-    The (s//2)-fold power sums sit in a sorted table, built once, which
-    `_meet` probes with the (s - s//2 - 1)-fold sums plus each prime power.
+    The (s//2)-fold power sums sit in one table, which `_meet` probes with
+    the (s - s//2 - 1)-fold sums (the same table when s is odd; their
+    weights add up to len(primes)^(s - s//2 - 1)) plus each prime power.
     """
     if not primes:
         return np.zeros(len(ns), dtype=np.int64)
     check_cap("largest power sum in int64", s * primes[-1] ** k, 2**62 - 1)
     hash_fold = s // 2
-    probe_fold = s - hash_fold
-    _check_table_cap(len(primes), probe_fold)
     powers = np.array([p**k for p in primes], dtype=np.int64)
-    table = _unique_counts(_sorted_fold_sums(powers, hash_fold))
-    base = _unique_counts(_sorted_fold_sums(powers, probe_fold - 1))
+    table = _merged(_power_table((powers, 1), hash_fold))
+    base = table if s % 2 else _merged(_power_table((powers, 1), hash_fold - 1))
+    _check_int64(table[1], len(primes) ** (s - hash_fold))
     return _meet(ns, (s * primes[0] ** k, s * primes[-1] ** k), table, base, powers, np.ones_like(powers))
 
 
 def _meet(ns, span, table, base, last, weights) -> np.ndarray:
     """For each target n of ``ns``, the sum over sums b of ``base`` and
     powers l of ``last`` of the product of their weights and that of
-    n - b - l in ``table``; ``table`` and ``base`` are (distinct sums
-    ascending, weights).  A target outside ``span``, the least and largest
-    s-fold sum over the whole window, has none; moved just outside it, it
-    fits in int64.  Base sums are probed descending, so each row of probes
-    ascends (numpy's searchsorted is fastest on ascending keys), a block
-    of targets at a time.
+    n - b - l in ``table``, both merged tables; the probes (base sums
+    times ``last``) are capped like a combine step.  A target outside
+    ``span``, the least and largest s-fold sum over the whole window, has
+    none; moved just outside it, it fits in int64.  Base sums are probed
+    descending, so each row of probes ascends (numpy's searchsorted is
+    fastest on ascending keys), a block of targets at a time.
     """
+    check_cap("sum table states", len(base[0]) * len(last), TABLE_CAP)
     targets = np.array([min(max(n, span[0] - 1), span[1] + 1) for n in ns], dtype=np.int64)
     uniq, mult = table
     sums, sum_weights = (a[::-1] for a in base)
@@ -186,19 +204,19 @@ def _meet(ns, span, table, base, last, weights) -> np.ndarray:
 
 def count_collisions(interval: ShortInterval, t: int, weight: WeightFunction) -> float:
     """``exp_sums.moment_enumeration`` once it has checked t and the
-    weight's window; sums run in Python integers once t * hi^k reaches 2^62."""
-    _check_table_cap(interval.size, t)
+    weight's window; sums run in Python integers once t * hi^k reaches 2^62,
+    and a weight that is 1 on all its support is shared, so counts stay exact."""
     dtype = object if t * interval.hi**interval.k >= 2**62 else np.int64
     powers = np.array([m**interval.k for m in interval], dtype=dtype)
     support = np.flatnonzero(weight.values)
-    if np.all(weight.values[support] == 1.0):
-        runs = np.diff(_run_starts(_sorted_fold_sums(powers[support], t)))
-        runs *= runs
-        return float(np.sum(runs))
-    half = _weighted_half([weight] * t, powers)
-    if half is None:
-        return 0.0
-    return float(np.sum(half[1] ** 2))
+    shared = bool(np.all(weight.values[support] == 1.0))
+    sums, weights = _power_table((powers[support], 1 if shared else weight.values[support]), t)
+    if np.ndim(weights) == 0:  # the runs alone: the distinct sums are never read
+        weights = np.diff(_sorted_runs(sums)) * weights
+    if shared:
+        _check_int64(weights, len(support) ** t)
+    weights *= weights
+    return float(np.sum(weights))
 
 
 def count_weighted(n: int, k: int, s: int, theta: float,
@@ -227,41 +245,18 @@ def _count_weighted(n: int, k: int, s: int, interval: ShortInterval,
                     lam: WeightFunction, lam_plus: WeightFunction) -> float:
     """`count_weighted` on the window that `_weighted_window` checked: `_meet`
     probes a table of the first s//2 slots with the slots before the last
-    and each power of the last slot's support."""
+    and each power of the last slot's support, slots combined left to right."""
     indicator = prime_indicator(interval, _window_primes(interval))
-    slots = [lam] + [lam_plus] * 4 + [indicator] * (s - 5)
     check_cap("largest power sum in int64", s * interval.hi**k, 2**62 - 1)
     powers = np.array([m**k for m in interval], dtype=np.int64)
-
-    half = len(slots) // 2
-    table = _weighted_half(slots[:half], powers)
-    base = _weighted_half(slots[half:-1], powers)
-    last = np.flatnonzero(slots[-1].values)
-    if table is None or base is None or len(last) == 0:
+    lam_t, plus_t, ind_t = ((powers[i], w.values[i]) for w in (lam, lam_plus, indicator)
+                            for i in [np.flatnonzero(w.values)])
+    slots = [lam_t] + [plus_t] * 4 + [ind_t] * (s - 5)
+    if not all(len(sums) for sums, _ in slots[:6]):  # each distinct slot is among the first six
         return 0.0
-    check_cap("weighted half-sum table states", len(base[0]) * len(last), TABLE_CAP)
+    table, base = (functools.reduce(_combine, part) for part in (slots[:s // 2], slots[s // 2:-1]))
     span = (s * interval.lo**k, s * interval.hi**k)
-    return float(_meet([n], span, table, base, powers[last], slots[-1].values[last])[0])
-
-
-def _weighted_half(slot_weights, powers: np.ndarray):
-    """Distinct sums of one power per slot, ascending, with the summed
-    product weight of each; None when a slot has no support."""
-    sums = np.zeros(1, dtype=powers.dtype)
-    wts = np.ones(1)
-    for w in slot_weights:
-        support = np.nonzero(w.values)[0]
-        if len(support) == 0:
-            return None
-        check_cap("weighted half-sum table states", len(sums) * len(support), TABLE_CAP)
-        sums = (sums[:, None] + powers[None, support]).ravel()
-        wts = (wts[:, None] * w.values[None, support]).ravel()
-        order = np.argsort(sums, kind="stable")
-        sums = sums[order]
-        starts = _run_starts(sums)[:-1]
-        wts = np.add.reduceat(wts[order], starts)
-        sums = sums[starts]
-    return sums, wts
+    return float(_meet([n], span, table, base, *slots[-1])[0])
 
 
 def check_domination(lam_minus: WeightFunction, lam_plus: WeightFunction,

@@ -51,6 +51,7 @@ CASES = [
     *(f"singular-series --n {10201 * s} --k 2 --s {s} --qmax 100" for s in (10**3, 10**5, 10**7)),
     "predict --n 1000015 --k 3 --s 13 --theta 0.85 --qmax 10000",
     "compare --range 20001:20401:2 --k 3 --s 13 --theta 1 --qmax 1000 --format csv",
+    "compare --range 200001:200011:2 --k 3 --s 13 --theta 1 --qmax 1000 --format csv",
 ]
 
 

@@ -25,18 +25,12 @@ from kglab import (
     unit_weight,
 )
 from kglab.errors import check_cap
-from kglab.representations import _check_table_cap
 
 
 def test_check_cap_message_shape():
     check_cap("things", 7, 7)
     with pytest.raises(CapExceeded, match=r"^things: 8 exceeds the cap 7$"):
         check_cap("things", 8, 7)
-    # count^fold is compared without being formed.
-    _check_table_cap(10**4, 2)
-    with pytest.raises(CapExceeded,
-                       match=r"^fold-sum table states: 2\^1000000000 exceeds the cap 100000000$"):
-        _check_table_cap(2, 10**9)
 
 
 def test_every_cap_goes_through_check_cap():

@@ -207,7 +207,7 @@ class TestMoments:
             values = np.repeat(np.array([i * step for i in range(len(runs))], dtype=dtype), runs)
             starts = np.cumsum([0] + runs)
             assert representations._run_starts(values).tolist() == starts.tolist(), runs
-            uniq, counts = representations._unique_counts(values)
+            uniq, counts = representations._merged((values, 1))
             assert uniq.tolist() == values[starts[:-1]].tolist() and counts.tolist() == runs, runs
 
     def test_window_11_20_t2(self):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import MOMENT_GRID
 from kglab import (
+    CapExceeded,
     DominationError,
     ShortInterval,
     ValidationError,
@@ -17,6 +19,7 @@ from kglab import (
     count_exact,
     count_weighted,
     moment_enumeration,
+    moment_nyquist,
     prime_indicator,
     primes_in_interval,
     table_weight,
@@ -26,6 +29,8 @@ from kglab import (
     vector_sieve_pointwise_scan,
     zero_weight,
 )
+from kglab import representations
+from kglab.representations import _check_int64, _count_mitm, _count_recursive
 
 
 class TestCountExact:
@@ -218,6 +223,106 @@ def test_fold_sum_tables_peak_bytes_per_state():
     count_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert count_peak <= 21 * primes**2
+
+
+def _dp_count(n, k, s, primes):
+    """Ordered count of n as s k-th powers of ``primes``, by an integer DP
+    over the offsets p^k - lo^k, lo the least prime."""
+    offsets = [p**k - primes[0] ** k for p in primes]
+    ways = np.zeros(n - s * primes[0] ** k + 1, dtype=np.int64)
+    ways[0] = 1
+    for _ in range(s):
+        ways, last = np.zeros_like(ways), ways
+        for offset in offsets:
+            ways[offset:] += last[:len(ways) - offset]
+    return int(ways[-1])
+
+
+def test_counts_in_the_theorems_range():
+    # k = 3, s = 13 >= k^2 + k + 1, theta = 1: windows of 9, 12 and 15
+    # primes.  The 15-prime window, which the three targets near 200000
+    # share, was refused while 15^7 orderings were capped up front.
+    want = {20013: 83_243_160, 100013: 578_377_800, 200001: 4_273_740_900,
+            200003: 5_095_130_040, 200013: 7_091_472_960}
+    windows = {}
+    for n in want:
+        windows.setdefault(primes_in_interval(build_interval(n, 3, 13, 1.0)), []).append(n)
+    assert sorted(map(len, windows)) == [9, 12, 15]
+    for primes, ns in windows.items():
+        assert [_dp_count(n, 3, 13, primes) for n in ns] == [want[n] for n in ns]
+        assert _count_mitm(ns, 3, 13, primes).tolist() == [want[n] for n in ns]
+
+
+def _merging_cap(size):
+    # At least size^2 states, so the first combine of a slot of ``size``
+    # sums stays shared and every later one merges; the merged 2-fold table
+    # times a slot, at most size^2 (size + 1) / 2 states, is never refused.
+    return size * size * (size + 1) // 2
+
+
+def test_merged_tables_match_the_oracles(case_grid, monkeypatch):
+    merges = []
+    real = representations._combine
+
+    def combine(a, b):
+        merges.append(len(a[0]) * len(b[0]) > representations.TABLE_CAP)
+        return real(a, b)
+
+    monkeypatch.setattr(representations, "_combine", combine)
+    for n, k, s, theta in case_grid:
+        primes = primes_in_interval(build_interval(n, k, s, theta))
+        monkeypatch.setattr(representations, "TABLE_CAP", _merging_cap(len(primes)))
+        assert count_exact(n, k, s, theta).count == _count_recursive(n, k, s, primes), (n, k, s)
+    for k, lo, hi in MOMENT_GRID:
+        interval = ShortInterval.from_integer_window(lo, hi, k)
+        monkeypatch.setattr(representations, "TABLE_CAP", _merging_cap(interval.size))
+        for t in (1, 2, 3):
+            assert moment_enumeration(interval, t, unit_weight(interval)) == moment_nyquist(interval, t)
+    assert sum(merges) >= 20
+
+
+def _weighted_cases():
+    small = build_interval(845, 2, 5, 0.85)
+    unit, ind = unit_weight(small), prime_indicator(small)
+    rng = np.random.default_rng(99)
+    mixed = table_weight(small, {m: float(rng.uniform(-1, 1)) for m in small})
+    cases = [(845, 5, 0.85, ind, ind), (845, 5, 0.85, unit, unit), (845, 5, 0.85, mixed, ind),
+             (845, 5, 0.85, zero_weight(small), ind)]
+    wide = build_interval(45005, 2, 5, 1.0)
+    rng = np.random.default_rng(0)
+    lam = table_weight(wide, {m: float(rng.integers(-2, 3)) for m in wide})
+    cases.append((45005, 5, 1.0, lam, unit_weight(wide)))
+    for n in (602, 604):
+        tiny = unit_weight(build_interval(n, 2, 6, 0.3))
+        cases.append((n, 6, 0.3, tiny, tiny))
+    return cases
+
+
+def test_weighted_counts_do_not_move_under_a_merging_cap(monkeypatch):
+    for n, s, theta, lam, lam_plus in _weighted_cases():
+        want = count_weighted(n, 2, s, theta, lam, lam_plus)
+        monkeypatch.setattr(representations, "TABLE_CAP", _merging_cap(lam.interval.size))
+        assert count_weighted(n, 2, s, theta, lam, lam_plus) == want, (n, s)
+        monkeypatch.undo()
+
+
+def test_counts_that_could_wrap_int64_are_refused(monkeypatch):
+    bound = r"^bits of the count bound: \d+ exceeds the cap 63$"
+    # Synthetic weights: 2^40 times 2^23 - 1 tuples fits, 2^23 does not.
+    _check_int64(np.array([1, 7, 2**40]), 2**23 - 1)
+    with pytest.raises(CapExceeded, match=bound.replace(r"\d+", "64")):
+        _check_int64(np.array([1, 7, 2**40]), 2**23)
+    # Two primes, 101 and 103, merged past 10^4 states.  In 60 slots the
+    # count C(60, 30) = 1.2e17 is exact; in 200 slots the 100-fold weights
+    # reach C(100, 50) = 1e29 and wrap, so the count is refused.
+    monkeypatch.setattr(representations, "TABLE_CAP", 10**4)
+    assert int(_count_mitm([30 * 101**2 + 30 * 103**2], 2, 60, (101, 103))[0]) == math.comb(60, 30)
+    with pytest.raises(CapExceeded, match=bound):
+        _count_mitm([100 * 101**2 + 100 * 103**2], 2, 200, (101, 103))
+    # The same for a unit moment of 1..2 at t = 70: C(70, 35) = 1.1e20.
+    interval = ShortInterval.from_integer_window(1, 2, 2)
+    with pytest.raises(CapExceeded, match=bound):
+        moment_enumeration(interval, 70, unit_weight(interval))
 
 
 class TestDomination:
