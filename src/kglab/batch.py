@@ -3,9 +3,10 @@
 For every target n, `sweep` gives the count of `count_exact` and the
 prediction of `predict_main_term` with the density-convolution integral,
 or the error either would raise, with the count's error first.  Work is
-shared across targets: targets that induce the same integer window share
-one sieve and one set of half-sum tables, and every target reads its
-series terms from one shared term table (`singular._term_table`).
+shared across every target of a call: targets that induce the same
+integer window share one sieve and one count of `_count_mitm`, and every
+target reads its series terms from one shared term table
+(`singular._term_table`).
 
 The window-group counts and the per-target convolution integrals run in
 two halves, one on the calling thread and one on a helper thread
@@ -30,8 +31,6 @@ from .singular import (
     _series_values,
 )
 
-SWEEP_BLOCK = 2048  # targets per pass: bounds the window lists; `_series_values` bounds the terms
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -44,29 +43,19 @@ class SweepRow:
 
 
 def sweep(ns, k: int, s: int, theta: float, qmax: int = DEFAULT_QMAX) -> list:
-    """A `SweepRow` per target of ``ns``, in order."""
-    rows = []
-    for start in range(0, len(ns), SWEEP_BLOCK):
-        rows.extend(_sweep_block(list(ns[start:start + SWEEP_BLOCK]), k, s, theta, qmax))
-    return rows
-
-
-def _sweep_block(ns: list, k: int, s: int, theta: float, qmax: int) -> list:
-    size = len(ns)
-    windows = [None] * size
-    errors = [None] * size       # the count's error, else the prediction's
-    counts = [None] * size
-    predictions = [None] * size
+    """A `SweepRow` per target of ``ns``, in order.  The targets are grouped
+    by their integer window once, so each shared window is sieved and
+    counted once per call."""
+    # errors: the count's error, else the prediction's
+    windows, errors, counts, predictions = ([None] * len(ns) for _ in range(4))
+    by_window = {}
     for i, n in enumerate(ns):
         try:
             windows[i] = build_interval(n, k, s, theta)
         except KglabError as exc:
             errors[i] = exc
-
-    by_window = {}
-    for i, window in enumerate(windows):
-        if window is not None:
-            by_window.setdefault((window.lo, window.hi), []).append(i)
+        else:
+            by_window.setdefault((windows[i].lo, windows[i].hi), []).append(i)
     groups = list(by_window.values())
 
     def count_groups(part):
@@ -87,7 +76,7 @@ def _sweep_block(ns: list, k: int, s: int, theta: float, qmax: int) -> list:
         for i, value in zip(members, values):
             counts[i] = float(value)
 
-    live = [i for i in range(size) if counts[i] is not None and errors[i] is None]
+    live = [i for i, count in enumerate(counts) if count is not None]
     series = []
     if live:
         try:

@@ -117,21 +117,13 @@ def _emit_json(config: ExperimentConfig, result) -> str:
         raise KglabError("the report holds NaN or Infinity, which JSON cannot hold") from None
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.15g}"
-    if v is None:
-        return ""
-    return str(v)
-
-
 def _emit_csv(config: ExperimentConfig, rows) -> str:
     buf = io.StringIO()
     buf.write(f"# version: {__version__}\n")
     buf.write("# config: " + json.dumps(_plain(config.public_dict()), sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
-        writer.writerow([_fmt_cell(v) for v in row])
+        writer.writerow([f"{v:.15g}" if isinstance(v, float) else str(v) for v in row])
     return buf.getvalue()
 
 
@@ -243,7 +235,9 @@ def _run_weyl_scan(config: ExperimentConfig):
     weight = _WEIGHTS[config.weight](interval)
     report = weyl_scan(interval, dissection, config.samples, weight, seed=config.seed)
     if config.fmt == "csv":
-        return report.to_csv_rows()
+        return [("alpha", "class", "q", "a", "abs_f", "ratio"),
+                *((row.alpha, row.kind, *((row.q, row.a) if row.kind == "major" else ("", "")),
+                   row.abs_f, row.ratio) for row in report.rows)]
     result = _plain(report)
     for row in result["rows"]:
         row["class"] = row.pop("kind")

@@ -573,13 +573,6 @@ class ScanReport:
     minor_inhabited: bool
     peak: float
 
-    def to_csv_rows(self):
-        yield ("alpha", "class", "q", "a", "abs_f", "ratio")
-        for row in self.rows:
-            q = row.q if row.kind == "major" else ""
-            a = row.a if row.kind == "major" else ""
-            yield (row.alpha, row.kind, q, a, row.abs_f, row.ratio)
-
 
 def weyl_scan(interval: ShortInterval, dissection, samples: int,
               weight: WeightFunction, seed: int = 0) -> ScanReport:

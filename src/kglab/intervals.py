@@ -269,6 +269,16 @@ def _power_exceeds(base: int, exp: int, cap: int) -> bool:
     return base**exp > cap
 
 
+def _power_bits(base: int, exp: int) -> int:
+    """The bit length of base^exp for base >= 2, without forming the power:
+    exact for a power of two, else floor(exp log2(base)) + 1 at twice the
+    digits of exp and more, as exp log2(base) may lie 1/exp from an integer."""
+    if base & (base - 1) == 0:
+        return exp * (base.bit_length() - 1) + 1
+    with mp.workdps(2 * len(str(exp)) + len(str(base)) + 10):
+        return int(exp * mp.log(base, 2)) + 1
+
+
 def _smooth_length(m: int) -> int:
     """The least 3^b 5^c >= m (m >= 1); 3^b with b < m.bit_length() reaches m."""
     exps = range(m.bit_length())

@@ -24,6 +24,8 @@ from .intervals import (
     MEMORY_BUDGET,
     ShortInterval,
     _binary_power,
+    _power_bits,
+    _power_exceeds,
     build_interval,
     primes_in_interval,
     sieve_upto,
@@ -150,12 +152,19 @@ def _power_table(slot, fold: int):
     return _binary_power(slot, fold, _combine) if fold else (np.zeros(1, dtype=slot[0].dtype), 1)
 
 
+def _tuple_count(base: int, exp: int) -> int:
+    """base^exp, the tuples a count probes; past int64 it is refused by its
+    bits, before any table is built."""
+    if _power_exceeds(base, exp, 2**63 - 1):
+        check_cap("bits of the count bound", _power_bits(base, exp), 63)
+    return base**exp
+
+
 def _check_int64(weights: np.ndarray, tuples: int):
     """Refuse a count of up to max(``weights``) * ``tuples`` past int64, by
-    its bits.  A table's weights add up to at most ``tuples``, so none
-    wrapped unless ``tuples`` alone does; then its bits stand for the bound."""
-    bound = tuples if tuples.bit_length() > 63 else int(weights.max(initial=0)) * tuples
-    check_cap("bits of the count bound", bound.bit_length(), 63)
+    its bits.  ``tuples`` passed `_tuple_count`, and a table's weights add
+    up to at most ``tuples``, so none of them wrapped."""
+    check_cap("bits of the count bound", (int(weights.max(initial=0)) * tuples).bit_length(), 63)
 
 
 def _count_mitm(ns, k: int, s: int, primes: tuple) -> np.ndarray:
@@ -164,15 +173,17 @@ def _count_mitm(ns, k: int, s: int, primes: tuple) -> np.ndarray:
     The (s//2)-fold power sums sit in one table, which `_meet` probes with
     the (s - s//2 - 1)-fold sums (the same table when s is odd; their
     weights add up to len(primes)^(s - s//2 - 1)) plus each prime power.
+    Those len(primes)^(s - s//2) tuples are checked before any table.
     """
     if not primes:
         return np.zeros(len(ns), dtype=np.int64)
     check_cap("largest power sum in int64", s * primes[-1] ** k, 2**62 - 1)
     hash_fold = s // 2
+    tuples = _tuple_count(len(primes), s - hash_fold)
     powers = np.array([p**k for p in primes], dtype=np.int64)
     table = _merged(_power_table((powers, 1), hash_fold))
     base = table if s % 2 else _merged(_power_table((powers, 1), hash_fold - 1))
-    _check_int64(table[1], len(primes) ** (s - hash_fold))
+    _check_int64(table[1], tuples)
     return _meet(ns, (s * primes[0] ** k, s * primes[-1] ** k), table, base, powers, np.ones_like(powers))
 
 
@@ -210,11 +221,12 @@ def count_collisions(interval: ShortInterval, t: int, weight: WeightFunction) ->
     powers = np.array([m**interval.k for m in interval], dtype=dtype)
     support = np.flatnonzero(weight.values)
     shared = bool(np.all(weight.values[support] == 1.0))
+    tuples = _tuple_count(len(support), t) if shared else None
     sums, weights = _power_table((powers[support], 1 if shared else weight.values[support]), t)
     if np.ndim(weights) == 0:  # the runs alone: the distinct sums are never read
         weights = np.diff(_sorted_runs(sums)) * weights
     if shared:
-        _check_int64(weights, len(support) ** t)
+        _check_int64(weights, tuples)
     weights *= weights
     return float(np.sum(weights))
 

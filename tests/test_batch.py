@@ -9,6 +9,7 @@ import pytest
 
 from kglab import (
     KglabError,
+    admissible_in_range,
     build_interval,
     count_exact,
     predict_main_term,
@@ -92,11 +93,25 @@ def test_rows_and_errors_match_per_target_path(spec):
     assert_rows_match(sweep(ns, k, s, theta, qmax), ns, k, s, theta, qmax)
 
 
-def test_blocks_of_targets_join_up(monkeypatch):
-    # Block edges split windows shared by neighbouring targets.
-    monkeypatch.setattr("kglab.batch.SWEEP_BLOCK", 7)
-    ns = range(845, 1200, 3)
-    assert_rows_match(sweep(ns, 2, 5, 0.85, 100), ns, 2, 5, 0.85, 100)
+def test_each_shared_window_is_counted_once(monkeypatch):
+    # 2,100 consecutive admissible targets of criterion 8's range; targets
+    # 2,047 and 2,048 share a window, which one count must cover.
+    ns = admissible_in_range(100000, 200001, 2, 5)[:2100]
+    window = {n: (w.lo, w.hi) for n in ns for w in [build_interval(n, 2, 5, 0.9)]}
+    assert window[ns[2047]] == window[ns[2048]]
+    calls = []
+    count = batch._count_mitm
+
+    def recorded(targets, *args):
+        calls.append(window[targets[0]])
+        return count(targets, *args)
+
+    monkeypatch.setattr(batch, "_count_mitm", recorded)
+    # The test is about grouping, so the integrals are skipped.
+    monkeypatch.setattr(batch, "_integrals_by_convolution",
+                        lambda targets, windows, s: np.zeros(len(targets)))
+    sweep(ns, 2, 5, 0.9, 100)
+    assert sorted(calls) == sorted(set(window.values()))
 
 
 @pytest.mark.parametrize("argv", [

@@ -618,11 +618,10 @@ def test_weyl_scan_peak_is_phase_sum_at_zero(weight_fn):
 
 
 @pytest.mark.parametrize("argv,status,expected", [
-    # Three primes (97, 101, 103) in 5 * 10^8 slots: the tables merge once
-    # a step of 3^28 sums would pass the cap, and the merged step of
-    # 10,725^2 sums is refused.
+    # Three primes (97, 101, 103) in 10^9 slots: the 3^(5 * 10^8) probed
+    # tuples alone pass int64, so the count is refused before any table.
     (["count", "--n", str(10**13), "--k", "2", "--s", str(10**9), "--theta", "0.35"], 1,
-     "computation error: sum table states: 115025625 exceeds the cap 100000000\n"),
+     "computation error: bits of the count bound: 792481251 exceeds the cap 63\n"),
     # One prime (101) in 10^9 slots, and one integer (5) in 10^9 slots.
     (["count", "--n", "10201000000000", "--k", "2", "--s", str(10**9), "--theta", "0.1"], 0,
      '"R": 1.0,'),

@@ -20,7 +20,14 @@ from kglab import (
     sieve_upto,
     von_mangoldt,
 )
-from kglab.intervals import SEGMENT_BLOCK, _prime_powers, _primes_between, factorize, pow_mod
+from kglab.intervals import (
+    SEGMENT_BLOCK,
+    _power_bits,
+    _prime_powers,
+    _primes_between,
+    factorize,
+    pow_mod,
+)
 
 
 # Least segment lengths short enough that the sieve tests' windows span
@@ -443,3 +450,16 @@ class TestPointFunctions:
                     power *= p
             got = sum(von_mangoldt(m) for m in range(lo, hi + 1))
             assert got == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 5, 10, 97, 1024, 12345, 50000])
+def test_power_bits_match_the_formed_power(base):
+    for exp in (1, 2, 3, 50, 100, 1000, 12345):
+        assert _power_bits(base, exp) == (base**exp).bit_length()
+
+
+def test_power_bits_of_powers_too_long_to_form():
+    # 3^(5 * 10^8) would take 99 MB; 2^(10^18) could not be held at all.
+    assert _power_bits(3, 5 * 10**8) == 792_481_251
+    assert _power_bits(2, 10**18) == 10**18 + 1
+    assert _power_bits(8, 10**18) == 3 * 10**18 + 1

@@ -325,6 +325,19 @@ def test_counts_that_could_wrap_int64_are_refused(monkeypatch):
         moment_enumeration(interval, 70, unit_weight(interval))
 
 
+def test_counts_past_int64_are_refused_before_any_table():
+    # Two primes, 101 and 103, in 200 slots: the 2^100 probed tuples alone
+    # pass int64, so the count stops before it builds a 2^26-entry table.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=r"^bits of the count bound: 101 exceeds the cap 63$"):
+            count_exact(2081000, 2, 200, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
 class TestDomination:
     def test_prime_indicator_dominates_itself(self):
         interval = build_interval(845, 2, 5, 0.85)
