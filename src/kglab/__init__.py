@@ -25,7 +25,6 @@ from .intervals import (
     euler_phi,
     factorize,
     moebius,
-    point_function,
     primes_in_interval,
     sieve_upto,
     von_mangoldt,

@@ -21,7 +21,6 @@ from .intervals import MEMORY_BUDGET, ShortInterval, euler_phi, units
 # The arc family, held as FareyArc objects of about 280 bytes each at the
 # peak of construction (194,750 arcs raised peak RSS by 52 MB): 1,000,000 arcs.
 ARC_COUNT_CAP = MEMORY_BUDGET // 280
-_DISJOINT_ASSERT_CAP = 200_000  # adjacent-pair check is skipped above this
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,8 @@ class FareyArc:
 
 @dataclass(frozen=True)
 class ArcDissection:
-    """Arc family for thresholds P (denominator cap) and Q (width scale)."""
+    """Arc family for thresholds P (denominator cap) and Q (width scale);
+    with 2 P^2 <= Q, every neighbouring pair is checked disjoint, at any size."""
 
     P: float
     Q: float
@@ -42,7 +42,7 @@ class ArcDissection:
     arcs: tuple
 
     def __post_init__(self):
-        if self.disjoint_regime and len(self.arcs) <= _DISJOINT_ASSERT_CAP:
+        if self.disjoint_regime:
             _assert_disjoint(self.arcs, self.Q)
 
     @property

@@ -15,9 +15,20 @@ class CapExceeded(KglabError, RuntimeError):
 
 def check_cap(what: str, used, cap: int):
     """Raise CapExceeded, as "<what>: <used> exceeds the cap <cap>", when
-    used > cap; ``used`` is an int or any value that compares and prints."""
+    used > cap; ``used`` is an int or any value that compares and prints,
+    shown by `int_text`."""
     if used > cap:
-        raise CapExceeded(f"{what}: {used} exceeds the cap {cap}")
+        raise CapExceeded(f"{what}: {int_text(used)} exceeds the cap {cap}")
+
+
+def int_text(value) -> str:
+    """``value`` as a message shows it: str of it, or for an int past the
+    digits Python will print (4,300 by default), its bit length, as
+    "a 14349-bit integer"."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"a {value.bit_length()}-bit integer"
 
 
 class PrecisionError(KglabError, RuntimeError):

@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .errors import PrecisionError, ValidationError, check_cap
+from .errors import PrecisionError, ValidationError, check_cap, int_text
 
 # The memory one table may take.  Every cap on a table that grows with the
 # input is this budget over the bytes per entry measured for that table
@@ -67,14 +67,15 @@ class ShortInterval:
     def from_integer_window(cls, lo: int, hi: int, k: int) -> "ShortInterval":
         """Synthesize a window whose integer content is exactly [lo, hi].
 
-        Used by moment oracles and tests that fix the integers directly.
+        Used by moment oracles and tests that fix the integers directly;
+        k takes the range 2..64 of `build_interval`.
         The reals are placed so that x - y = lo - 1/2 and x + y = hi + 1/4,
         which keeps 0 < y < x for every lo >= 1.
         """
         if lo < 1 or hi < lo:
             raise ValidationError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
-        if k < 2:
-            raise ValidationError(f"need k >= 2, got {k}")
+        if not 2 <= k <= 64:
+            raise ValidationError(f"need 2 <= k <= 64, got k={k}")
         left = lo - 0.5
         right = hi + 0.25
         x = (left + right) / 2.0
@@ -162,12 +163,12 @@ def build_interval(n: int, k: int, s: int, theta: float) -> ShortInterval:
     for name, val in (("n", n), ("k", k), ("s", s)):
         if not isinstance(val, int):
             raise ValidationError(f"{name} must be an integer, got {val!r}")
-    if k < 2 or k > 64:
+    if not 2 <= k <= 64:
         raise ValidationError(f"need 2 <= k <= 64, got k={k}")
     if s < 1:
         raise ValidationError(f"need s >= 1, got s={s}")
     if n < s * 2**k:
-        raise ValidationError(f"need n >= s * 2^k = {s * 2**k}, got n={n}")
+        raise ValidationError(f"need n >= s * 2^k = {int_text(s * 2**k)}, got n={int_text(n)}")
     if not (0.0 < theta <= 1.0):
         raise ValidationError(f"need 0 < theta <= 1, got theta={theta}")
 
@@ -367,22 +368,3 @@ def divisor_counts(lo: int, hi: int) -> np.ndarray:
         if square >= lo:
             taus[square - lo] -= 1
     return taus
-
-
-_POINT_FUNCTIONS = {
-    "von-mangoldt": von_mangoldt,
-    "moebius": moebius,
-    "euler-phi": euler_phi,
-    "divisor-count": divisor_count,
-}
-
-
-def point_function(name: str, m: int):
-    """Evaluate one of the standard arithmetic functions at m >= 1."""
-    if name not in _POINT_FUNCTIONS:
-        raise ValidationError(
-            f"unknown point function {name!r}; choose from {sorted(_POINT_FUNCTIONS)}"
-        )
-    if not isinstance(m, int) or m < 1:
-        raise ValidationError(f"need integer m >= 1, got {m!r}")
-    return _POINT_FUNCTIONS[name](m)

@@ -26,8 +26,8 @@ from .intervals import (
     _binary_power,
     _power_bits,
     _power_exceeds,
+    _prime_powers,
     build_interval,
-    primes_in_interval,
     sieve_upto,
 )
 from .weights import WeightFunction, check_window, prime_indicator
@@ -54,27 +54,26 @@ class CountReport:
     prime_count: int
 
 
-def count_exact(n: int, k: int, s: int, theta: float,
-                method: str = "meet-in-middle") -> CountReport:
+def count_exact(n: int, k: int, s: int, theta: float) -> CountReport:
     """Ordered count of representations n = p_1^k + ... + p_s^k with all
-    p_i prime and in the window."""
-    if method not in ("meet-in-middle", "exhaustive"):
-        raise ValidationError(f"unknown counting method {method!r}")
+    p_i prime and in the window, by meeting the two halves of the tuples
+    in the middle (`_count_mitm`); `_count_recursive` is the plain
+    enumeration the tests hold it to."""
     primes = _window_primes(build_interval(n, k, s, theta))
-    if method == "exhaustive":
-        value = _count_recursive(n, k, s, primes)
-    else:
-        value = int(_count_mitm([n], k, s, primes)[0])
+    value = int(_count_mitm([n], k, s, primes)[0])
     return CountReport(
-        n=n, k=k, s=s, theta=theta, count=float(value), method=method,
+        n=n, k=k, s=s, theta=theta, count=float(value), method="meet-in-middle",
         prime_count=len(primes),
     )
 
 
 def _window_primes(interval: ShortInterval) -> tuple:
-    primes = primes_in_interval(interval)
+    """The primes of the window, as `primes_in_interval` gives them; past
+    PRIME_COUNT_CAP, CapExceeded while they are still one int64 array."""
+    bases, powers = _prime_powers(interval.lo, interval.hi)
+    primes = bases[bases == powers]
     check_cap("primes to count", len(primes), PRIME_COUNT_CAP)
-    return primes
+    return tuple(primes.tolist())
 
 
 def _count_recursive(n: int, k: int, s: int, primes: tuple) -> int:

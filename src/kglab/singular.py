@@ -544,9 +544,10 @@ def _integral_by_quadrature(n: int, interval: ShortInterval, s: int) -> float:
     return max(0.0, total)
 
 
-def singular_integral(n: int, interval: ShortInterval, k: int, s: int,
+def singular_integral(n: int, interval: ShortInterval, s: int,
                       method: str = "both") -> SingularIntegralEstimate:
-    """Density of real power-sum representations of n from the window.
+    """Density of real power-sum representations of n from the window, by
+    s-fold sums of k-th powers with the window's k.
 
     method "fourier-quadrature" integrates the s-th power of the window
     phase integral against e(-n beta); "density-convolution" convolves
@@ -558,8 +559,6 @@ def singular_integral(n: int, interval: ShortInterval, k: int, s: int,
     """
     if s < 3:
         raise ValidationError(f"need s >= 3, got s={s}")
-    if k != interval.k:
-        raise ValidationError(f"k={k} disagrees with the window's k={interval.k}")
     if method not in ("fourier-quadrature", "density-convolution", "both"):
         raise ValidationError(f"unknown method {method!r}")
     value, quad, conv = 0.0, None, None
@@ -572,7 +571,7 @@ def singular_integral(n: int, interval: ShortInterval, k: int, s: int,
             value = quad = _integral_by_quadrature(n, interval, s)
     both = quad is not None and conv is not None
     return SingularIntegralEstimate(
-        n=n, k=k, s=s, value=value, method=method, grid_cells=GRID_CELLS,
+        n=n, k=interval.k, s=s, value=value, method=method, grid_cells=GRID_CELLS,
         flagged=both and abs(quad - conv) > 0.05 * max(abs(quad), abs(conv), 1e-300),
         alt_value=conv if both else None,
     )
@@ -629,7 +628,7 @@ def predict_main_term(n: int, k: int, s: int, theta: float,
     """
     interval = build_interval(n, k, s, theta)
     series = singular_series(n, k, s, qmax)
-    integral = singular_integral(n, interval, k, s, method=integral_method)
+    integral = singular_integral(n, interval, s, method=integral_method)
     log_x = math.log(interval.x)
     prediction = series.value * integral.value * log_x ** (-s)
     constant = (

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from kglab.intervals import build_interval, primes_in_interval
+from kglab.representations import _count_recursive
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -70,6 +71,11 @@ def build_case_grid(max_cases: int = 50):
         if len(cases) >= max_cases:
             break
     return cases[:max_cases]
+
+
+def count_exhaustive(n: int, k: int, s: int, theta: float) -> int:
+    """The count of `count_exact` by the plain recursive enumeration."""
+    return _count_recursive(n, k, s, primes_in_interval(build_interval(n, k, s, theta)))
 
 
 @pytest.fixture(scope="session")

@@ -52,6 +52,7 @@ CASES = [
     "predict --n 1000015 --k 3 --s 13 --theta 0.85 --qmax 10000",
     "compare --range 20001:20401:2 --k 3 --s 13 --theta 1 --qmax 1000 --format csv",
     "compare --range 200001:200011:2 --k 3 --s 13 --theta 1 --qmax 1000 --format csv",
+    "compare --range 100000001:100000009:2 --k 3 --s 13 --theta 0.776 --qmax 1000 --format csv",
 ]
 
 

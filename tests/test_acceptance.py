@@ -36,7 +36,7 @@ from kglab import (
     von_mangoldt_weight,
     weighted_exp_sum,
 )
-from conftest import MOMENT_GRID, build_case_grid
+from conftest import MOMENT_GRID, build_case_grid, count_exhaustive
 
 
 def _report(number, label, elapsed, budget):
@@ -141,7 +141,7 @@ def test_criterion_5_integral_cross_method():
         for x0 in (13, 53, 211):
             n = s * x0**k
             interval = build_interval(n, k, s, 0.85)
-            est = singular_integral(n, interval, k, s, method="both")
+            est = singular_integral(n, interval, s, method="both")
             assert est.alt_value == pytest.approx(est.value, rel=0.01), (k, s, x0)
             assert not est.flagged
             ratio = est.value / (interval.y ** (s - 1) * interval.x ** (1 - k))
@@ -159,8 +159,7 @@ def test_criterion_6_counting_anchors():
     assert count_exact(25, 2, 5, 0.85).count == 5.0
     for n, k, s, theta in build_case_grid(50):
         fast = count_exact(n, k, s, theta)
-        slow = count_exact(n, k, s, theta, method="exhaustive")
-        assert fast.count == slow.count, (n, k, s, theta)
+        assert fast.count == count_exhaustive(n, k, s, theta), (n, k, s, theta)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     _report(6, "counting anchors", elapsed, 60)
@@ -230,3 +229,19 @@ def test_criterion_9_dissection():
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     _report(9, "dissection", elapsed, 10)
+
+
+def test_criterion_10_theorems_regime():
+    # k = 3, s = 13 = k^2 + k + 1 and theta = 0.776 > 31/40: every admissible
+    # n of the range has a representation and a positive main term.  The
+    # ratio R / prediction carries the prediction's error and is not gated.
+    started = time.perf_counter()
+    rows = admissible_in_range(100000001, 100000021, 3, 13)
+    assert len(rows) == 10
+    for row in sweep(rows, 3, 13, 0.776, qmax=1000):
+        assert row.error == "", (row.n, row.error)
+        assert row.count > 0, row.n
+        assert math.isfinite(row.prediction) and row.prediction > 0, row.n
+    elapsed = time.perf_counter() - started
+    assert elapsed < 10.0
+    _report(10, "the theorem's regime", elapsed, 10)

@@ -20,6 +20,7 @@ from kglab import (
 import kglab.batch as batch
 from kglab.cli import main
 from kglab.singular import _series_values
+from conftest import count_exhaustive
 
 
 def per_n_row(n, k, s, theta, qmax):
@@ -38,7 +39,7 @@ def unit_series_size(n, k, s, theta):
     """The prediction's size with the series set to 1: the scale of its
     rounding noise when the series itself cancels to noise."""
     interval = build_interval(n, k, s, theta)
-    integral = singular_integral(n, interval, k, s, method="density-convolution")
+    integral = singular_integral(n, interval, s, method="density-convolution")
     return integral.value * math.log(interval.x) ** (-s)
 
 
@@ -143,7 +144,7 @@ def test_counts_identical_across_window_groups():
     # its own count, equal to the exhaustive enumeration.
     ns = list(range(605, 2000, 12))
     rows = sweep(ns, 2, 5, 0.85, qmax=100)
-    exhaustive = [count_exact(n, 2, 5, 0.85, method="exhaustive").count for n in ns]
+    exhaustive = [count_exhaustive(n, 2, 5, 0.85) for n in ns]
     assert [row.count for row in rows] == exhaustive
     assert np.count_nonzero(exhaustive) > 40
 

@@ -680,9 +680,20 @@ WINDOW = ["--n", "500000000", "--theta", "0.85"]
     (["vaughan-check", "--n", str(10**400)], 1, "computation error: decomposition table entries: "),
     (["vaughan-check", "--n", str(5 * 10**20)], 1,
      "computation error: decomposition table entries: 345451807 exceeds the cap 10000000\n"),
+    # Computed integers past Python's 4,300-digit print limit are worded by
+    # their bit length: 64 (10^300)^64 + 1 sample points, and s * 2^64 with
+    # s of 4,300 nines.
+    (["moments", "--lo", "2", "--hi", str(10**300), "--k", "64", "--t", "1"], 1,
+     "computation error: moment sample points: a 63782-bit integer exceeds the cap "
+     f"{MOMENT_SAMPLE_CAP}\n"),
+    (["count", "--n", "5", "--k", "64", "--s", "9" * 4300], 2,
+     "invalid config: need n >= s * 2^k = a 14349-bit integer, got n=5\n"),
+    # An integer window takes the k range of every other window.
+    (["dissect", "--lo", "1", "--hi", "30", "--k", "65", "--delta", "0.5"], 2,
+     "invalid config: need 2 <= k <= 64, got k=65\n"),
 ], ids=["seed-weyl", "seed-vaughan", "seed-sieve", "samples-weyl", "samples-weyl-1e11",
         "samples-sieve", "samples-sieve-1e11", "alphas", "alphas-1e11", "vaughan-1e400",
-        "vaughan-5e20"])
+        "vaughan-5e20", "moments-4300-digits", "count-4300-digits", "integer-window-k65"])
 def test_inputs_past_the_contract_exit_quickly(argv, status, start):
     proc = run_kglab(argv, seconds=1.0)
     assert proc.returncode == status

@@ -15,7 +15,6 @@ from kglab import (
     divisor_count,
     euler_phi,
     moebius,
-    point_function,
     primes_in_interval,
     sieve_upto,
     von_mangoldt,
@@ -391,17 +390,15 @@ class TestPowMod:
 
 class TestPointFunctions:
     def test_anchors(self):
-        assert point_function("von-mangoldt", 8) == pytest.approx(math.log(2))
-        assert point_function("von-mangoldt", 12) == 0.0
-        assert point_function("moebius", 30) == -1
-        assert point_function("euler-phi", 12) == 4
-        assert point_function("divisor-count", 12) == 6
+        assert von_mangoldt(8) == pytest.approx(math.log(2))
+        assert von_mangoldt(12) == 0.0
+        assert moebius(30) == -1
+        assert euler_phi(12) == 4
+        assert divisor_count(12) == 6
 
     def test_rejects(self):
         with pytest.raises(ValidationError):
-            point_function("von-mangoldt", 0)
-        with pytest.raises(ValidationError):
-            point_function("legendre", 5)
+            von_mangoldt(0)
 
     @given(
         a=st.integers(min_value=1, max_value=3000),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MOMENT_GRID
+from conftest import MOMENT_GRID, count_exhaustive
 from kglab import (
     CapExceeded,
     DominationError,
@@ -49,8 +49,7 @@ class TestCountExact:
 
     def test_methods_agree_on_anchor(self):
         a = count_exact(845, 2, 5, 0.85)
-        b = count_exact(845, 2, 5, 0.85, method="exhaustive")
-        assert a.count == b.count == 296.0
+        assert a.count == count_exhaustive(845, 2, 5, 0.85) == 296
 
     def test_brute_oracle_845(self):
         primes = [5, 7, 11, 13, 17, 19]
@@ -67,17 +66,12 @@ class TestCountExact:
             math.factorial(4) * math.factorial(1)
         )
 
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValidationError):
-            count_exact(20, 2, 5, 0.85, method="magic")
-
 
 def test_grid_exhaustive_equals_mitm(case_grid):
     assert len(case_grid) == 50
     for n, k, s, theta in case_grid:
         fast = count_exact(n, k, s, theta)
-        slow = count_exact(n, k, s, theta, method="exhaustive")
-        assert fast.count == slow.count, (n, k, s, theta)
+        assert fast.count == count_exhaustive(n, k, s, theta), (n, k, s, theta)
 
 
 class TestCountWeighted:
@@ -312,15 +306,24 @@ def test_counts_that_could_wrap_int64_are_refused(monkeypatch):
     _check_int64(np.array([1, 7, 2**40]), 2**23 - 1)
     with pytest.raises(CapExceeded, match=bound.replace(r"\d+", "64")):
         _check_int64(np.array([1, 7, 2**40]), 2**23)
-    # Two primes, 101 and 103, merged past 10^4 states.  In 60 slots the
-    # count C(60, 30) = 1.2e17 is exact; in 200 slots the 100-fold weights
-    # reach C(100, 50) = 1e29 and wrap, so the count is refused.
+    # Two primes, 101 and 103, merged past 10^4 states.  In 60 and 64 slots
+    # the counts C(60, 30) = 1.2e17 and C(64, 32) = 1.8e18 are exact.  In 66
+    # slots the 2^33 probed tuples fit, but times the 33-fold weights, up to
+    # C(33, 16) = 1.2e9, they pass int64, so the tables are built and the
+    # count is refused by its weights.  In 200 slots the 2^100 probed tuples
+    # alone pass int64, so it is refused before any table.
     monkeypatch.setattr(representations, "TABLE_CAP", 10**4)
     assert int(_count_mitm([30 * 101**2 + 30 * 103**2], 2, 60, (101, 103))[0]) == math.comb(60, 30)
+    assert int(_count_mitm([32 * 101**2 + 32 * 103**2], 2, 64, (101, 103))[0]) == math.comb(64, 32)
+    with pytest.raises(CapExceeded, match=bound.replace(r"\d+", "64")):
+        _count_mitm([33 * 101**2 + 33 * 103**2], 2, 66, (101, 103))
     with pytest.raises(CapExceeded, match=bound):
         _count_mitm([100 * 101**2 + 100 * 103**2], 2, 200, (101, 103))
-    # The same for a unit moment of 1..2 at t = 70: C(70, 35) = 1.1e20.
+    # The same for unit moments of 1..2: at t = 33 the 2^33 tuples times the
+    # weights up to C(33, 16) pass int64; at t = 70 the 2^70 tuples alone do.
     interval = ShortInterval.from_integer_window(1, 2, 2)
+    with pytest.raises(CapExceeded, match=bound.replace(r"\d+", "64")):
+        moment_enumeration(interval, 33, unit_weight(interval))
     with pytest.raises(CapExceeded, match=bound):
         moment_enumeration(interval, 70, unit_weight(interval))
 
@@ -336,6 +339,19 @@ def test_counts_past_int64_are_refused_before_any_table():
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000
+
+
+def test_prime_count_cap_is_checked_before_the_primes_are_listed():
+    # 1,270,607 primes in (0, 2 * 10^7]: refused while they are one int64
+    # array; listing them as a tuple of Python ints first traced 81 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=r"^primes to count: 1270607 exceeds the cap 50000$"):
+            count_exact(5 * 10**14, 2, 5, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60_000_000
 
 
 class TestDomination:

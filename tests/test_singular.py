@@ -465,20 +465,20 @@ class TestPhaseIntegral:
 class TestSingularIntegral:
     def test_outside_support_is_zero(self):
         interval = build_interval(845, 2, 5, 0.85)
-        assert singular_integral(10**9, interval, 2, 5).value == 0.0
+        assert singular_integral(10**9, interval, 5).value == 0.0
         low = int(5 * (interval.x - interval.y) ** 2) - 2
-        assert singular_integral(low, interval, 2, 5).value == 0.0
+        assert singular_integral(low, interval, 5).value == 0.0
 
     def test_center_cross_method(self):
         interval = build_interval(845, 2, 5, 0.85)
-        est = singular_integral(845, interval, 2, 5, method="both")
+        est = singular_integral(845, interval, 5, method="both")
         assert not est.flagged
         assert est.alt_value == pytest.approx(est.value, rel=0.01)
 
     def test_methods_individually(self):
         interval = build_interval(845, 2, 5, 0.85)
-        quad = singular_integral(845, interval, 2, 5, method="fourier-quadrature")
-        conv = singular_integral(845, interval, 2, 5, method="density-convolution")
+        quad = singular_integral(845, interval, 5, method="fourier-quadrature")
+        conv = singular_integral(845, interval, 5, method="density-convolution")
         assert quad.value == pytest.approx(conv.value, rel=0.01)
         assert quad.method == "fourier-quadrature"
         assert conv.method == "density-convolution"
@@ -486,7 +486,7 @@ class TestSingularIntegral:
     def test_size_shape_at_center(self):
         for k, s, n0 in [(2, 5, 845), (2, 7, 7 * 13**2), (3, 5, 5 * 11**3)]:
             interval = build_interval(n0, k, s, 0.85)
-            est = singular_integral(n0, interval, k, s)
+            est = singular_integral(n0, interval, s)
             ratio = est.value / (
                 interval.y ** (s - 1) * interval.x ** (1 - k)
             )
@@ -512,7 +512,7 @@ class TestSingularIntegral:
     @pytest.mark.parametrize("window_n,k,n,method,value,alt_value", RECORDED)
     def test_estimate_fields_are_the_recorded_ones(self, window_n, k, n, method, value, alt_value):
         interval = build_interval(window_n, k, 5, 0.85)
-        est = singular_integral(n, interval, k, 5, method=method)
+        est = singular_integral(n, interval, 5, method=method)
         assert est == SingularIntegralEstimate(
             n=n, k=k, s=5, value=value, method=method, grid_cells=1 << 14,
             flagged=False, alt_value=alt_value,
@@ -538,7 +538,7 @@ class TestSingularIntegral:
         lo_t = 5 * (interval.x - interval.y) ** 2
         hi_t = 5 * (interval.x + interval.y) ** 2
         for n in np.linspace(lo_t + 1, hi_t - 1, 9):
-            assert singular_integral(int(n), interval, 2, 5).value >= 0.0
+            assert singular_integral(int(n), interval, 5).value >= 0.0
 
 
 @pytest.fixture(scope="module")
