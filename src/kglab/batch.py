@@ -37,7 +37,7 @@ class SweepRow:
     """One target's count and prediction, or the error met first."""
 
     n: int
-    count: float = None
+    count: int = None
     prediction: float = None
     error: str = ""
 
@@ -63,7 +63,7 @@ def sweep(ns, k: int, s: int, theta: float, qmax: int = DEFAULT_QMAX) -> list:
         for members in part:
             try:
                 primes = _window_primes(windows[members[0]])
-                results.append(_count_mitm([ns[i] for i in members], k, s, primes))
+                results.append(_count_mitm([ns[i] for i in members], k, s, primes).tolist())
             except KglabError as exc:
                 results.append(exc)
         return results
@@ -74,7 +74,7 @@ def sweep(ns, k: int, s: int, theta: float, qmax: int = DEFAULT_QMAX) -> list:
                 errors[i] = values
             continue
         for i, value in zip(members, values):
-            counts[i] = float(value)
+            counts[i] = value
 
     live = [i for i, count in enumerate(counts) if count is not None]
     series = []

@@ -163,8 +163,6 @@ def _run_predict(config: ExperimentConfig):
     )
     result = _plain(rep)
     result["series"] = _series_payload(rep.series)
-    for key in ("n", "k", "s"):
-        del result["integral"][key]
     result["obstructed"] = rep.obstructed
     return result
 

@@ -49,7 +49,7 @@ class CountReport:
     k: int
     s: int
     theta: float
-    count: float
+    count: int
     method: str
     prime_count: int
 
@@ -60,20 +60,19 @@ def count_exact(n: int, k: int, s: int, theta: float) -> CountReport:
     in the middle (`_count_mitm`); `_count_recursive` is the plain
     enumeration the tests hold it to."""
     primes = _window_primes(build_interval(n, k, s, theta))
-    value = int(_count_mitm([n], k, s, primes)[0])
     return CountReport(
-        n=n, k=k, s=s, theta=theta, count=float(value), method="meet-in-middle",
-        prime_count=len(primes),
+        n=n, k=k, s=s, theta=theta, count=int(_count_mitm([n], k, s, primes)[0]),
+        method="meet-in-middle", prime_count=len(primes),
     )
 
 
-def _window_primes(interval: ShortInterval) -> tuple:
-    """The primes of the window, as `primes_in_interval` gives them; past
-    PRIME_COUNT_CAP, CapExceeded while they are still one int64 array."""
+def _window_primes(interval: ShortInterval) -> np.ndarray:
+    """The primes of the window, ascending, as the sieve's int64 array;
+    past PRIME_COUNT_CAP, CapExceeded."""
     bases, powers = _prime_powers(interval.lo, interval.hi)
     primes = bases[bases == powers]
     check_cap("primes to count", len(primes), PRIME_COUNT_CAP)
-    return tuple(primes.tolist())
+    return primes
 
 
 def _count_recursive(n: int, k: int, s: int, primes: tuple) -> int:
@@ -109,10 +108,7 @@ def _run_starts(sorted_vals: np.ndarray) -> np.ndarray:
 
 def _sorted_runs(sums: np.ndarray) -> np.ndarray:
     """Sort ``sums`` in place and return `_run_starts` of it."""
-    if sums.dtype == object:  # Python's timsort beats numpy's object sort ~5x
-        sums[:] = sorted(sums.tolist())
-    else:
-        sums.sort()
+    sums.sort()
     return _run_starts(sums)
 
 
@@ -166,24 +162,26 @@ def _check_int64(weights: np.ndarray, tuples: int):
     check_cap("bits of the count bound", (int(weights.max(initial=0)) * tuples).bit_length(), 63)
 
 
-def _count_mitm(ns, k: int, s: int, primes: tuple) -> np.ndarray:
-    """Counts for every target in ``ns`` whose window holds ``primes``.
+def _count_mitm(ns, k: int, s: int, primes) -> np.ndarray:
+    """Counts for every target in ``ns`` whose window holds ``primes``,
+    ascending (the int64 array of `_window_primes`).
 
     The (s//2)-fold power sums sit in one table, which `_meet` probes with
     the (s - s//2 - 1)-fold sums (the same table when s is odd; their
     weights add up to len(primes)^(s - s//2 - 1)) plus each prime power.
     Those len(primes)^(s - s//2) tuples are checked before any table.
     """
-    if not primes:
+    if not len(primes):
         return np.zeros(len(ns), dtype=np.int64)
-    check_cap("largest power sum in int64", s * primes[-1] ** k, 2**62 - 1)
+    span = (s * int(primes[0]) ** k, s * int(primes[-1]) ** k)
+    check_cap("largest power sum in int64", span[1], 2**62 - 1)
     hash_fold = s // 2
     tuples = _tuple_count(len(primes), s - hash_fold)
-    powers = np.array([p**k for p in primes], dtype=np.int64)
+    powers = np.asarray(primes, dtype=np.int64) ** k
     table = _merged(_power_table((powers, 1), hash_fold))
     base = table if s % 2 else _merged(_power_table((powers, 1), hash_fold - 1))
     _check_int64(table[1], tuples)
-    return _meet(ns, (s * primes[0] ** k, s * primes[-1] ** k), table, base, powers, np.ones_like(powers))
+    return _meet(ns, span, table, base, powers, np.ones_like(powers))
 
 
 def _meet(ns, span, table, base, last, weights) -> np.ndarray:
@@ -236,10 +234,22 @@ def count_weighted(n: int, k: int, s: int, theta: float,
     all entries in the window, the p_i prime, total power sum n, and
     weight lam(m_1) * lam_plus(m_2) * ... * lam_plus(m_5).
 
-    Requires s >= 5.
+    Requires s >= 5.  `_meet` probes a table of the first s//2 slots with
+    the slots before the last and each power of the last slot's support,
+    slots combined left to right.
     """
-    return _count_weighted(n, k, s, _weighted_window(n, k, s, theta, lam, lam_plus),
-                           lam, lam_plus)
+    interval = _weighted_window(n, k, s, theta, lam, lam_plus)
+    primes = _window_primes(interval)
+    check_cap("largest power sum in int64", s * interval.hi**k, 2**62 - 1)
+    powers = np.arange(interval.lo, interval.hi + 1, dtype=np.int64) ** k
+    lam_t, plus_t = ((powers[i], w.values[i]) for w in (lam, lam_plus)
+                     for i in [np.flatnonzero(w.values)])
+    slots = [lam_t] + [plus_t] * 4 + [(primes**k, np.ones(len(primes)))] * (s - 5)
+    if not all(len(sums) for sums, _ in slots[:6]):  # each distinct slot is among the first six
+        return 0.0
+    table, base = (functools.reduce(_combine, part) for part in (slots[:s // 2], slots[s // 2:-1]))
+    span = (s * interval.lo**k, s * interval.hi**k)
+    return float(_meet([n], span, table, base, *slots[-1])[0])
 
 
 def _weighted_window(n: int, k: int, s: int, theta: float, *weights) -> ShortInterval:
@@ -250,24 +260,6 @@ def _weighted_window(n: int, k: int, s: int, theta: float, *weights) -> ShortInt
     for w in weights:
         check_window(w, interval)
     return interval
-
-
-def _count_weighted(n: int, k: int, s: int, interval: ShortInterval,
-                    lam: WeightFunction, lam_plus: WeightFunction) -> float:
-    """`count_weighted` on the window that `_weighted_window` checked: `_meet`
-    probes a table of the first s//2 slots with the slots before the last
-    and each power of the last slot's support, slots combined left to right."""
-    indicator = prime_indicator(interval, _window_primes(interval))
-    check_cap("largest power sum in int64", s * interval.hi**k, 2**62 - 1)
-    powers = np.array([m**k for m in interval], dtype=np.int64)
-    lam_t, plus_t, ind_t = ((powers[i], w.values[i]) for w in (lam, lam_plus, indicator)
-                            for i in [np.flatnonzero(w.values)])
-    slots = [lam_t] + [plus_t] * 4 + [ind_t] * (s - 5)
-    if not all(len(sums) for sums, _ in slots[:6]):  # each distinct slot is among the first six
-        return 0.0
-    table, base = (functools.reduce(_combine, part) for part in (slots[:s // 2], slots[s // 2:-1]))
-    span = (s * interval.lo**k, s * interval.hi**k)
-    return float(_meet([n], span, table, base, *slots[-1])[0])
 
 
 def check_domination(lam_minus: WeightFunction, lam_plus: WeightFunction,
@@ -299,7 +291,7 @@ def vector_sieve_lower(n: int, k: int, s: int, theta: float,
         "sieve-combination", interval, 5.0 * lam_minus.values - 4.0 * lam_plus.values,
         5.0 * lam_minus.bound + 4.0 * lam_plus.bound,
     )
-    return _count_weighted(n, k, s, interval, combined, lam_plus)
+    return count_weighted(n, k, s, theta, combined, lam_plus)
 
 
 def toy_weights(interval: ShortInterval, z: float):

@@ -439,9 +439,6 @@ class SingularIntegralEstimate:
     both methods were run; ``alt_value`` then carries the other method.
     """
 
-    n: int
-    k: int
-    s: int
     value: float
     method: str
     grid_cells: int
@@ -571,7 +568,7 @@ def singular_integral(n: int, interval: ShortInterval, s: int,
             value = quad = _integral_by_quadrature(n, interval, s)
     both = quad is not None and conv is not None
     return SingularIntegralEstimate(
-        n=n, k=interval.k, s=s, value=value, method=method, grid_cells=GRID_CELLS,
+        value=value, method=method, grid_cells=GRID_CELLS,
         flagged=both and abs(quad - conv) > 0.05 * max(abs(quad), abs(conv), 1e-300),
         alt_value=conv if both else None,
     )

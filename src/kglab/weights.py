@@ -68,13 +68,10 @@ def check_window(weight: WeightFunction, interval: ShortInterval):
                               f"not on {interval.lo}..{interval.hi}")
 
 
-def prime_indicator(interval: ShortInterval, primes: tuple = None) -> WeightFunction:
-    """Indicator of the primes of the window; ``primes``, when given, is
-    their sorted tuple as ``primes_in_interval`` returns it."""
-    if primes is None:
-        primes = primes_in_interval(interval)
+def prime_indicator(interval: ShortInterval) -> WeightFunction:
+    """Indicator of the primes of the window."""
     values = np.zeros(interval.size)
-    values[np.array(primes, dtype=np.int64) - interval.lo] = 1.0
+    values[np.array(primes_in_interval(interval), dtype=np.int64) - interval.lo] = 1.0
     return WeightFunction("prime-indicator", interval, values, 1.0)
 
 

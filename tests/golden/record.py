@@ -10,11 +10,15 @@ meant to move digits:
     PYTHONPATH=src python tests/golden/record.py
 
 It prints each moved field as ``command: path: old → new`` (and each
-added or dropped report), for the change's CHANGES entry.
+added or dropped report), for the change's CHANGES entry.  With
+``--check`` it prints the same lines, writes nothing, and exits 1 if any
+report moved, so a change can be shown byte-identical, or its moved
+fields listed, before the corpus is rewritten.
 """
 
 from __future__ import annotations
 
+import argparse
 import gzip
 import json
 import shlex
@@ -129,22 +133,27 @@ def _csv_differences(old, new):
                 yield f"line {i + 1}: {name}", x, y
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Rewrite the golden corpus.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 if any report moved")
+    check = parser.parse_args(argv).check
+    moves = []
     for cmd in CASES:
-        new = render(cmd)
-        old = load(cmd)
-        if old is None:
-            print(f"{cmd}: new report")
-        else:
-            for path, a, b in differences(old, new):
-                print(f"{cmd}: {path}: {a} → {b}")
-        case_path(cmd).write_bytes(gzip.compress(new.encode(), mtime=0))
+        new, old = render(cmd), load(cmd)
+        moves += ([f"{cmd}: new report"] if old is None else
+                  [f"{cmd}: {path}: {a} → {b}" for path, a, b in differences(old, new)])
+        if not check:
+            case_path(cmd).write_bytes(gzip.compress(new.encode(), mtime=0))
     kept = {case_path(cmd) for cmd in CASES}
     for path in sorted(HERE.glob("*.gz")):
         if path not in kept:
-            print(f"{path.name}: dropped")
-            path.unlink()
-    return 0
+            moves.append(f"{path.name}: dropped")
+            if not check:
+                path.unlink()
+    for line in moves:
+        print(line)
+    return int(check and bool(moves))
 
 
 if __name__ == "__main__":

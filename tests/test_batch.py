@@ -13,11 +13,13 @@ from kglab import (
     build_interval,
     count_exact,
     predict_main_term,
+    primes_in_interval,
     singular_integral,
     singular_series,
     sweep,
 )
 import kglab.batch as batch
+import kglab.representations as representations
 from kglab.cli import main
 from kglab.singular import _series_values
 from conftest import count_exhaustive
@@ -92,6 +94,21 @@ def test_series_values_match_per_target_series():
 def test_rows_and_errors_match_per_target_path(spec):
     ns, k, s, theta, qmax = spec
     assert_rows_match(sweep(ns, k, s, theta, qmax), ns, k, s, theta, qmax)
+
+
+def test_a_window_group_count_error_reaches_each_of_its_rows(monkeypatch):
+    # The 125 targets fall into five windows of 33 or 34 primes; at a cap
+    # of 33, each row of a 34-prime window carries that window's error and
+    # the rows of the others still count.
+    ns = admissible_in_range(100013, 103000, 2, 5)
+    primes = {n: len(primes_in_interval(build_interval(n, 2, 5, 0.9))) for n in ns}
+    assert len(ns) == 125 and sorted(set(primes.values())) == [33, 34]
+    monkeypatch.setattr(representations, "PRIME_COUNT_CAP", 33)
+    rows = sweep(ns, 2, 5, 0.9, qmax=1000)
+    for row in rows:
+        refused = row.error == "primes to count: 34 exceeds the cap 33"
+        assert refused == (primes[row.n] == 34) and refused == (row.count is None), row.n
+    assert_rows_match(rows, ns, 2, 5, 0.9, 1000)
 
 
 def test_each_shared_window_is_counted_once(monkeypatch):

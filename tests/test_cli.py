@@ -94,6 +94,17 @@ class TestSubcommands:
         assert {"n", "k", "s", "qmax", "value", "p_local", "method",
                 "obstructed"} <= set(result)
 
+    def test_singular_series_small_flag(self, tmp_path):
+        # A series in (1e-6, 0.05) is flagged small, and is not obstructed.
+        status, text = run_cli(
+            ["singular-series", "--n", "48", "--k", "3", "--s", "6", "--qmax", "100"],
+            tmp_path,
+        )
+        assert status == 0
+        result = json.loads(text)["result"]
+        assert (result["value"], result["flag"], result["obstructed"]) == (
+            0.0343153816382108, "small", False)
+
     def test_compare_rows_cover_admissible_range(self, tmp_path):
         status, text = run_cli(
             ["compare", "--range", "100013:100300:24", "--k", "2", "--s", "5",
@@ -624,7 +635,7 @@ def test_weyl_scan_peak_is_phase_sum_at_zero(weight_fn):
      "computation error: bits of the count bound: 792481251 exceeds the cap 63\n"),
     # One prime (101) in 10^9 slots, and one integer (5) in 10^9 slots.
     (["count", "--n", "10201000000000", "--k", "2", "--s", str(10**9), "--theta", "0.1"], 0,
-     '"R": 1.0,'),
+     '"R": 1,'),
     (["moments", "--lo", "5", "--hi", "5", "--t", str(10**9)], 0, '"enumeration": 1.0,'),
     # 123,643 primes past the count cap: the cap waits on the sieve of a
     # window of 4.0 million integers near 10^14, with primes up to 10^7.

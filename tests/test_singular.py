@@ -514,7 +514,7 @@ class TestSingularIntegral:
         interval = build_interval(window_n, k, 5, 0.85)
         est = singular_integral(n, interval, 5, method=method)
         assert est == SingularIntegralEstimate(
-            n=n, k=k, s=5, value=value, method=method, grid_cells=1 << 14,
+            value=value, method=method, grid_cells=1 << 14,
             flagged=False, alt_value=alt_value,
         )
 

@@ -30,7 +30,7 @@ def test_unit_weight(window):
 
 def test_prime_indicator_matches_table(window):
     primes = primes_in_interval(window)
-    weight = prime_indicator(window, primes)
+    weight = prime_indicator(window)
     for m in window:
         assert weight(m) == (1.0 if m in primes else 0.0)
     assert tuple(weight.support) == primes
