@@ -2,10 +2,11 @@
 
 Around each reduced fraction a/q with q up to the threshold P sits a
 closed arc of half-width 1/(qQ).  A frequency is "major" when it lands
-inside one of these arcs and "minor" otherwise.  Frequencies are always
-reduced mod 1 into the representative window [1/Q, 1 + 1/Q) before
-classification; membership at the arc boundaries is decided with exact
-rational arithmetic so the split is bit-stable.
+inside one of these arcs and "minor" otherwise.  The family comes in
+ascending order from the Farey next-term recurrence.  A frequency is
+reduced mod 1 into the representative window [1/Q, 1 + 1/Q) as an exact
+ratio of integers, and every membership and disjointness decision is one
+integer inequality on exact ratios, so the split is bit-stable.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ConsistencyError, ValidationError, check_cap
-from .intervals import MEMORY_BUDGET, ShortInterval, euler_phi, units
+from .intervals import MEMORY_BUDGET, ShortInterval, euler_phi
 
 # The arc family, held as FareyArc objects of about 280 bytes each at the
 # peak of construction (194,750 arcs raised peak RSS by 52 MB): 1,000,000 arcs.
@@ -31,6 +31,10 @@ class FareyArc:
     half_width: float
 
 
+def _arc(q: int, a: int, Q: float) -> FareyArc:
+    return FareyArc(q=q, a=a, center=a / q, half_width=1.0 / (q * Q))
+
+
 @dataclass(frozen=True)
 class ArcDissection:
     """Arc family for thresholds P (denominator cap) and Q (width scale);
@@ -43,7 +47,7 @@ class ArcDissection:
 
     def __post_init__(self):
         if self.disjoint_regime:
-            _assert_disjoint(self.arcs, self.Q)
+            _assert_disjoint(self.arcs, self.q_ratio)
 
     @property
     def q_cap(self) -> int:
@@ -71,23 +75,21 @@ class ArcDissection:
         for q in range(1, q_cap + 1):
             count += euler_phi(q)
             check_cap(f"dissection arcs up to q={q}", count, ARC_COUNT_CAP)
-        arcs = [FareyArc(q=q, a=a, center=a / q, half_width=1.0 / (q * Q))
-                for q in range(1, q_cap + 1) for a in units(q).tolist()]
-        arcs.sort(key=lambda arc: (arc.center, arc.q))
+        # Farey next-term recurrence from 0/1 and 1/q_cap, up to 1/1.
+        arcs = []
+        a, b, c, d = 0, 1, 1, q_cap
+        while c <= d:
+            arcs.append(_arc(d, c, Q))
+            k = (q_cap + b) // d
+            a, b, c, d = c, d, k * c - a, k * d - b
         return cls(P=P, Q=Q, delta=delta, arcs=tuple(arcs))
 
 
-def _assert_disjoint(arcs, Q):
-    # Float screen first; exact rational re-check only near ties.
-    q_exact = Fraction(Q)
+def _assert_disjoint(arcs, q_ratio):
+    # Neighbours a1/q1 < a2/q2 meet when a2/q2 - a1/q1 <= (1/q1 + 1/q2)/Q.
+    q_num, q_den = q_ratio
     for left, right in zip(arcs, arcs[1:]):
-        gap = right.center - left.center
-        width = left.half_width + right.half_width
-        if gap > width + 1e-9 * width:
-            continue
-        gap_x = Fraction(right.a, right.q) - Fraction(left.a, left.q)
-        width_x = (Fraction(1, left.q) + Fraction(1, right.q)) / q_exact
-        if gap_x <= width_x:
+        if (right.a * left.q - left.a * right.q) * q_num <= (left.q + right.q) * q_den:
             raise ConsistencyError(
                 f"arcs {left.a}/{left.q} and {right.a}/{right.q} overlap "
                 f"although 2P^2 <= Q"
@@ -127,12 +129,15 @@ def build_dissection(
     return ArcDissection.from_parameters(P=P, Q=Q, delta=delta)
 
 
-def _reduce(alpha: float, Q: float) -> float:
-    """Map alpha mod 1 into the representative window [1/Q, 1 + 1/Q)."""
-    frac = alpha - math.floor(alpha)
-    if frac < 1.0 / Q:
-        frac += 1.0
-    return frac
+def _reduce(alpha: float, dissection: ArcDissection) -> tuple:
+    """alpha mod 1 in the representative window [1/Q, 1 + 1/Q), as the
+    exact ratio (num, den) of integers."""
+    num, den = alpha.as_integer_ratio()
+    num %= den
+    q_num, q_den = dissection.q_ratio
+    if num * q_num < den * q_den:
+        num += den
+    return num, den
 
 
 def _convergents(num: int, den: int):
@@ -150,10 +155,6 @@ def _convergents(num: int, den: int):
         yield h1, k1
 
 
-def _hit(alpha_exact: Fraction, q: int, a: int, q_inv: Fraction) -> bool:
-    return abs(q * alpha_exact - a) <= q_inv
-
-
 def classify(alpha: float, dissection: ArcDissection):
     """The arc containing alpha, or None when alpha is minor.
 
@@ -161,59 +162,48 @@ def classify(alpha: float, dissection: ArcDissection):
     |beta - a/q| < 1/(2q^2) for q >= 2, so a/q must be a convergent of
     beta; q = 1 is checked directly.  With beta = num/den and Q = Qn/Qd
     as exact ratios, a hit is |q num - a den| Qn <= den Qd, decided in
-    integers.  Degenerate (overlapping) families fall back to a scan over
-    all denominators.
+    integers.  At most one arc holds beta, so the first hit is the arc.
+    Degenerate (overlapping) families fall back to a scan over all
+    denominators.
     """
-    Q = dissection.Q
     q_cap = dissection.q_cap
     if q_cap < 1:
         return None
     if not dissection.disjoint_regime:
         return classify_brute(alpha, dissection)
-    num, den = _reduce(alpha, Q).as_integer_ratio()
+    num, den = _reduce(alpha, dissection)
     q_num, q_den = dissection.q_ratio
     reach = den * q_den
-
-    hits = []
     # q = 1 is checked directly: Legendre's criterion is only strict for
     # q >= 2, and the single arc at 1/1 is cheap to test.
     if abs(num - den) * q_num <= reach:
-        hits.append((1, 1))
-    for a, q in _convergents(num, den):
+        return _arc(1, 1, dissection.Q)
+    convergents = _convergents(num, den)
+    next(convergents)  # floor(beta)/1: 0/1 is no arc, and 1/1 was just tested
+    for a, q in convergents:
         if q > q_cap:
-            break
-        if q < 1 or a < 1 or a > q or math.gcd(a, q) != 1:
-            continue
+            return None
         if abs(q * num - a * den) * q_num <= reach:
-            hits.append((q, a))
-    if not hits:
-        return None
-    q, a = min(hits)
-    return FareyArc(q=q, a=a, center=a / q, half_width=1.0 / (q * Q))
+            return _arc(q, a, dissection.Q)
+    return None
 
 
 def classify_brute(alpha: float, dissection: ArcDissection):
     """Reference classifier: scan every denominator (kept as an oracle).
 
-    A float screen with an exact rational re-check near the boundary keeps
-    the scan bit-stable without exact arithmetic on every denominator.
+    For each q it tests the integer nearest q*beta and its two neighbours
+    as numerators, with the same exact reduction and integer hit test as
+    ``classify``, and returns the first hit in order of q.
     """
-    Q = dissection.Q
-    beta = _reduce(alpha, Q)
-    exact = Fraction(beta)
-    q_inv = Fraction(1) / Fraction(Q)
-    width = 1.0 / Q
+    num, den = _reduce(alpha, dissection)
+    q_num, q_den = dissection.q_ratio
+    reach = den * q_den
     for q in range(1, dissection.q_cap + 1):
-        target = q * beta
-        near = round(target)
+        near = (2 * q * num + den) // (2 * den)
         for a in (near, near - 1, near + 1):
-            if a < 1 or a > q or math.gcd(a, q) != 1:
-                continue
-            miss = abs(target - a)
-            if miss > width + 1e-9 * (width + 1.0):
-                continue
-            if miss < width - 1e-9 * (width + 1.0) or _hit(exact, q, a, q_inv):
-                return FareyArc(q=q, a=a, center=a / q, half_width=1.0 / (q * Q))
+            if (abs(q * num - a * den) * q_num <= reach
+                    and 1 <= a <= q and math.gcd(a, q) == 1):
+                return _arc(q, a, dissection.Q)
     return None
 
 

@@ -47,7 +47,7 @@ from .intervals import (
     units,
 )
 from .local_conditions import unit_power_counts
-from .representations import count_collisions
+from .representations import _check_int64, _power_table, _sorted_runs, _tuple_count
 from .weights import WeightFunction, check_window
 
 _TWO64 = 1 << 64
@@ -344,11 +344,23 @@ def moment_enumeration(interval: ShortInterval, t: int, weight: WeightFunction) 
     weight gives the exact integer count matching ``moment_nyquist``.  The
     weight must be built on the window.  A combine step past the counts'
     TABLE_CAP states merges both sides, then raises CapExceeded if still past.
+    Sums run in Python integers once t * hi^k reaches 2^62.
     """
     if t < 1:
         raise ValidationError(f"need t >= 1, got {t}")
     check_window(weight, interval)
-    return count_collisions(interval, t, weight)
+    dtype = object if t * interval.hi**interval.k >= 2**62 else np.int64
+    powers = np.array([m**interval.k for m in interval], dtype=dtype)
+    support = np.flatnonzero(weight.values)
+    shared = bool(np.all(weight.values[support] == 1.0))
+    tuples = _tuple_count(len(support), t) if shared else None
+    sums, weights = _power_table((powers[support], 1 if shared else weight.values[support]), t)
+    if np.ndim(weights) == 0:  # the runs alone: the distinct sums are never read
+        weights = np.diff(_sorted_runs(sums)) * weights
+    if shared:
+        _check_int64(weights, tuples)
+    weights *= weights
+    return float(np.sum(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +470,6 @@ def vaughan_decompose(interval: ShortInterval, X: float = None) -> list:
         xi = mu[u0 : u1 + 1].astype(float)
         v_lo = max(1, (lo + u1 - 1) // u1)
         v_hi = hi // u0
-        if v_hi > w_max:
-            v_hi = w_max
         if v_hi < v_lo:
             continue
         eta = beta[v_lo : v_hi + 1].copy()

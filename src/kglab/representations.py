@@ -210,24 +210,6 @@ def _meet(ns, span, table, base, last, weights) -> np.ndarray:
     return counts
 
 
-def count_collisions(interval: ShortInterval, t: int, weight: WeightFunction) -> float:
-    """``exp_sums.moment_enumeration`` once it has checked t and the
-    weight's window; sums run in Python integers once t * hi^k reaches 2^62,
-    and a weight that is 1 on all its support is shared, so counts stay exact."""
-    dtype = object if t * interval.hi**interval.k >= 2**62 else np.int64
-    powers = np.array([m**interval.k for m in interval], dtype=dtype)
-    support = np.flatnonzero(weight.values)
-    shared = bool(np.all(weight.values[support] == 1.0))
-    tuples = _tuple_count(len(support), t) if shared else None
-    sums, weights = _power_table((powers[support], 1 if shared else weight.values[support]), t)
-    if np.ndim(weights) == 0:  # the runs alone: the distinct sums are never read
-        weights = np.diff(_sorted_runs(sums)) * weights
-    if shared:
-        _check_int64(weights, tuples)
-    weights *= weights
-    return float(np.sum(weights))
-
-
 def count_weighted(n: int, k: int, s: int, theta: float,
                    lam: WeightFunction, lam_plus: WeightFunction) -> float:
     """Weighted count over tuples (p_1, ..., p_{s-5}, m_1, ..., m_5) with

@@ -57,6 +57,11 @@ CASES = [
     "compare --range 20001:20401:2 --k 3 --s 13 --theta 1 --qmax 1000 --format csv",
     "compare --range 200001:200011:2 --k 3 --s 13 --theta 1 --qmax 1000 --format csv",
     "compare --range 100000001:100000009:2 --k 3 --s 13 --theta 0.776 --qmax 1000 --format csv",
+    # Arc families of more than one arc, disjoint and overlapping, and a
+    # scan with major samples.
+    "dissect --n 500000000 --k 2 --s 5 --theta 0.85 --delta 0.5 --format csv",
+    "dissect --n 845 --k 2 --s 5 --theta 0.85 --delta 0.9 --format csv",
+    "weyl-scan --n 845 --k 2 --s 5 --theta 0.85 --delta 0.5 --samples 1000 --seed 7 --format csv",
 ]
 
 

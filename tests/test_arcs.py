@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from kglab import (
     ArcDissection,
+    ConsistencyError,
+    FareyArc,
     ValidationError,
     build_dissection,
     build_interval,
@@ -59,6 +62,20 @@ class TestConstruction:
         assert default_delta(2, 0.85) == pytest.approx(min(0.9 / 32, 2 * (0.85 - 0.775)))
         with pytest.raises(ValidationError):
             default_delta(2, 0.76)
+
+
+def _exact_arc(alpha, dissection):
+    """(q, a) of the first arc holding alpha, with alpha reduced mod 1 into
+    [1/Q, 1 + 1/Q) and every arc tested in exact rationals."""
+    width = 1 / Fraction(dissection.Q)
+    beta = Fraction(alpha) % 1
+    if beta < width:
+        beta += 1
+    for q in range(1, dissection.q_cap + 1):
+        for a in range(1, q + 1):
+            if math.gcd(a, q) == 1 and abs(q * beta - a) <= width:
+                return q, a
+    return None
 
 
 class TestClassify:
@@ -122,6 +139,35 @@ class TestClassify:
         base = classify(0.5, dissection)
         assert (shifted.q, shifted.a) == (base.q, base.a)
 
+    def test_rounding_below_the_window_start(self):
+        # alpha lies below 1/Q exactly, so alpha = 1 + alpha (mod 1) sits in
+        # the arc at 1/1; 1.0 + alpha rounds past 1 + 1/Q in floats.
+        dissection = ArcDissection.from_parameters(3.7, 636.2060326221683)
+        alpha = 0.0015718178525884537
+        assert Fraction(alpha) < 1 / Fraction(dissection.Q)
+        for x in (alpha, alpha - 1.0):
+            for classifier in (classify, classify_brute):
+                arc = classifier(x, dissection)
+                assert arc is not None and (arc.q, arc.a) == (1, 1), (classifier, x)
+
+    @given(
+        params=st.sampled_from([(3.7, 636.2060326221683), (6.0, 2048.0), (10.0, 1e5 / 3)]),
+        m=st.integers(min_value=-3, max_value=3),
+        ulps=st.integers(min_value=0, max_value=400),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exact_reduction_just_below_the_window_start(self, params, m, ulps):
+        # alpha a few hundred ulps below m + 1/Q: both classifiers read its
+        # exact residue mod 1, as a scan over exact rationals does.
+        dissection = ArcDissection.from_parameters(*params)
+        alpha = m + 1.0 / dissection.Q
+        for _ in range(ulps):
+            alpha = math.nextafter(alpha, -math.inf)
+        expected = _exact_arc(alpha, dissection)
+        for classifier in (classify, classify_brute):
+            arc = classifier(alpha, dissection)
+            assert (arc and (arc.q, arc.a)) == expected, (classifier, alpha)
+
     @given(alpha=st.floats(min_value=0.0, max_value=1.6))
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_brute_force(self, alpha):
@@ -166,6 +212,14 @@ class TestDisjointness:
             gap = Fraction(right.a, right.q) - Fraction(left.a, left.q)
             width = Fraction(1, left.q) + Fraction(1, right.q)
             assert gap * Fraction(dissection.Q) > width
+
+    def test_touching_neighbours_are_refused(self):
+        # 2/3 - 3/5 = 1/15 = (1/5 + 1/3)/8: closed arcs at Q = 8 share an
+        # edge, so a family that holds them as neighbours is refused.
+        arcs = tuple(FareyArc(q=q, a=a, center=a / q, half_width=1.0 / (q * 8.0))
+                     for q, a in ((5, 3), (3, 2)))
+        with pytest.raises(ConsistencyError, match="3/5 and 2/3"):
+            ArcDissection(P=2.0, Q=8.0, delta=0.0, arcs=arcs)
 
     def test_neighbor_gap_bound(self):
         dissection = ArcDissection.from_parameters(40.0, 2 * 40.0**2)

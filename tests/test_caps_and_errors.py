@@ -9,6 +9,7 @@ import pytest
 
 import kglab
 from kglab import (
+    ArcDissection,
     CapExceeded,
     ShortInterval,
     ValidationError,
@@ -119,6 +120,22 @@ def test_panel_cap_fits_the_memory_budget():
     panels = math.ceil(8 * (1 + scale * beta))
     assert 49_000 <= panels <= 51_000
     assert PANEL_CAP * round(peak / panels) <= MEMORY_BUDGET
+
+
+def test_arc_cap_fits_the_memory_budget():
+    # The bytes the arc family takes per arc at the peak of its construction
+    # and disjointness check, at 48,678 arcs (2 P^2 = Q).
+    from kglab.arcs import ARC_COUNT_CAP
+    from kglab.intervals import MEMORY_BUDGET
+
+    tracemalloc.start()
+    try:
+        dissection = ArcDissection.from_parameters(400.0, 320000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dissection.disjoint_regime and len(dissection.arcs) == 48_678
+    assert ARC_COUNT_CAP * round(peak / len(dissection.arcs)) <= MEMORY_BUDGET
 
 
 def test_every_public_cap_is_named_in_the_readme():
