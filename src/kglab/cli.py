@@ -1,11 +1,15 @@
 """Command-line driver.
 
 Subcommands: count, predict, compare, dissect, weyl-scan, moments,
-singular-series, sieve-check, vaughan-check.  Reports are JSON (schema 1,
+singular-series, sieve-check, vaughan-check.  Each subcommand registers
+only the options its runner reads, from one table of types and defaults;
+the parsed namespace is the run's config.  Reports are JSON (schema 1,
 floats at 15 significant digits) or CSV ('.' decimal, no locale), embed
-the config and library version, and are byte-identical across runs for
-the same config and seed (the timestamp field aside).  Exit status: 0 on
-success, 1 on a computation error, 2 on an invalid config (one line each).
+that config (the subcommand, the format and the subcommand's options,
+defaults filled in) and the library version, and are byte-identical
+across runs for the same config and seed (the timestamp field aside).
+Exit status: 0 on success, 1 on a computation error, 2 on an invalid
+config (one line each).
 """
 
 from __future__ import annotations
@@ -19,14 +23,14 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 from . import __version__
 from .arcs import build_dissection, default_delta
 from .batch import sweep
-from .errors import KglabError, ValidationError, check_cap
+from .errors import ConsistencyError, KglabError, ValidationError, check_cap
 from .exp_sums import (
     coefficient_diagnostic,
     default_bilinear_cut,
@@ -52,39 +56,12 @@ COMPARE_RANGE_CAP = MEMORY_BUDGET // 2_330
 ALPHA_CAP = MEMORY_BUDGET // 100
 
 
-@dataclass
-class ExperimentConfig:
-    """Everything a run needs; the seed pins every randomized scan."""
-
-    subcommand: str
-    n: int = None
-    range_spec: str = None
-    k: int = 2
-    s: int = 5
-    theta: float = 0.85
-    delta: float = None
-    qmax: int = 10000
-    t: int = 2
-    lo: int = None
-    hi: int = None
-    samples: int = 10000
-    seed: int = 0
-    alphas: int = 100
-    x_cut: float = None
-    weight: str = "prime-indicator"
-    integral_method: str = "both"
-    include_inadmissible: bool = False
-    anomaly_threshold: float = 1.0
-    slim: bool = False
-    out: str = None
-    fmt: str = None
-
-    def public_dict(self) -> dict:
-        # The output path is delivery, not experiment identity; reports
-        # must be byte-identical wherever they are written.
-        return {
-            k: v for k, v in vars(self).items() if v is not None and k != "out"
-        }
+def _echo(config: argparse.Namespace) -> dict:
+    """The config a report embeds: the subcommand, the format and the
+    options that subcommand takes, defaults filled in.  The output path is
+    delivery, not experiment identity; reports must be byte-identical
+    wherever they are written."""
+    return {k: v for k, v in vars(config).items() if v is not None and k != "out"}
 
 
 def _plain(obj):
@@ -103,12 +80,12 @@ def _plain(obj):
     return obj
 
 
-def _emit_json(config: ExperimentConfig, result) -> str:
+def _emit_json(config: argparse.Namespace, result) -> str:
     envelope = {
         "schema": 1,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": _plain(config.public_dict()),
+        "config": _plain(_echo(config)),
         "result": result,
     }
     try:
@@ -117,17 +94,17 @@ def _emit_json(config: ExperimentConfig, result) -> str:
         raise KglabError("the report holds NaN or Infinity, which JSON cannot hold") from None
 
 
-def _emit_csv(config: ExperimentConfig, rows) -> str:
+def _emit_csv(config: argparse.Namespace, rows) -> str:
     buf = io.StringIO()
     buf.write(f"# version: {__version__}\n")
-    buf.write("# config: " + json.dumps(_plain(config.public_dict()), sort_keys=True) + "\n")
+    buf.write("# config: " + json.dumps(_plain(_echo(config)), sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
         writer.writerow([f"{v:.15g}" if isinstance(v, float) else str(v) for v in row])
     return buf.getvalue()
 
 
-def _window_from_config(config: ExperimentConfig) -> ShortInterval:
+def _window_from_config(config: argparse.Namespace) -> ShortInterval:
     if config.lo is not None or config.hi is not None:
         if config.lo is None or config.hi is None:
             raise ValidationError("--lo and --hi must be given together")
@@ -137,7 +114,7 @@ def _window_from_config(config: ExperimentConfig) -> ShortInterval:
     return build_interval(config.n, config.k, config.s, config.theta)
 
 
-def _delta_from_config(config: ExperimentConfig) -> float:
+def _delta_from_config(config: argparse.Namespace) -> float:
     if config.delta is not None:
         return config.delta
     return default_delta(config.k, config.theta)
@@ -150,13 +127,13 @@ def _series_payload(est) -> dict:
     return result
 
 
-def _run_count(config: ExperimentConfig):
+def _run_count(config: argparse.Namespace):
     result = _plain(count_exact(config.n, config.k, config.s, config.theta))
     result["R"] = result.pop("count")
     return result
 
 
-def _run_predict(config: ExperimentConfig):
+def _run_predict(config: argparse.Namespace):
     rep = predict_main_term(
         config.n, config.k, config.s, config.theta,
         qmax=config.qmax, integral_method=config.integral_method,
@@ -182,9 +159,7 @@ def _parse_range(spec: str):
     return start, stop, step
 
 
-def _run_compare(config: ExperimentConfig):
-    if config.range_spec is None:
-        raise ValidationError("compare needs --range start:stop:step")
+def _run_compare(config: argparse.Namespace):
     start, stop, step = _parse_range(config.range_spec)
     size = (stop - start - 1) // step + 1  # len(range(...)), which overflows past 2^63
     check_cap("compare range targets", size, COMPARE_RANGE_CAP)
@@ -209,7 +184,7 @@ def _run_compare(config: ExperimentConfig):
     return _plain([dict(zip(header, row)) for row in rows])
 
 
-def _run_dissect(config: ExperimentConfig):
+def _run_dissect(config: argparse.Namespace):
     interval = _window_from_config(config)
     dissection = build_dissection(interval, _delta_from_config(config), slim=config.slim)
     if config.fmt == "csv":
@@ -225,11 +200,9 @@ _WEIGHTS = {
 }
 
 
-def _run_weyl_scan(config: ExperimentConfig):
+def _run_weyl_scan(config: argparse.Namespace):
     interval = _window_from_config(config)
     dissection = build_dissection(interval, _delta_from_config(config), slim=config.slim)
-    if config.weight not in _WEIGHTS:
-        raise ValidationError(f"unknown weight {config.weight!r}")
     weight = _WEIGHTS[config.weight](interval)
     report = weyl_scan(interval, dissection, config.samples, weight, seed=config.seed)
     if config.fmt == "csv":
@@ -242,30 +215,33 @@ def _run_weyl_scan(config: ExperimentConfig):
     return result
 
 
-def _run_moments(config: ExperimentConfig):
+def _run_moments(config: argparse.Namespace):
     interval = _window_from_config(config)
     # The weight is built after the Nyquist route has checked its sample
     # cap; a window far past that cap would need hundreds of MB of weight.
     nyquist = moment_nyquist(interval, config.t)
     enum = moment_enumeration(interval, config.t, unit_weight(interval))
+    if nyquist != round(enum):
+        raise ConsistencyError(
+            f"the moment routes disagree: Nyquist {nyquist}, enumeration {enum!r}")
     return _plain({
         "window": {"lo": interval.lo, "hi": interval.hi, "k": interval.k},
         "t": config.t,
         "nyquist": nyquist,
         "enumeration": enum,
-        "agree": nyquist == round(enum),
+        "agree": True,
     })
 
 
-def _run_singular_series(config: ExperimentConfig):
+def _run_singular_series(config: argparse.Namespace):
     return _series_payload(singular_series(config.n, config.k, config.s, config.qmax))
 
 
-def _run_sieve_check(config: ExperimentConfig):
+def _run_sieve_check(config: argparse.Namespace):
     return _plain(vector_sieve_pointwise_scan(config.samples, config.seed))
 
 
-def _run_vaughan_check(config: ExperimentConfig):
+def _run_vaughan_check(config: argparse.Namespace):
     check_cap("vaughan-check frequencies", config.alphas, ALPHA_CAP)
     interval = _window_from_config(config)
     cut = config.x_cut if config.x_cut is not None else default_bilinear_cut(interval)
@@ -306,17 +282,13 @@ _RUNNERS = {
 _DEFAULT_FMT = {"weyl-scan": "csv", "compare": "csv", "dissect": "json"}
 
 
-def run(config: ExperimentConfig) -> tuple:
+def run(config: argparse.Namespace) -> tuple:
     """Execute one subcommand; returns (exit_status, report_text).  Its runner
     builds only the form asked for: CSV rows, or a JSON payload by `_plain`."""
-    try:
-        runner = _RUNNERS[config.subcommand]
-    except KeyError:
-        return 2, f"unknown subcommand {config.subcommand!r}\n"
     if config.fmt == "csv" and config.subcommand not in _DEFAULT_FMT:
         return 2, f"invalid config: subcommand {config.subcommand} has no CSV form\n"
     try:
-        report = runner(config)
+        report = _RUNNERS[config.subcommand](config)
         return 0, (_emit_csv if config.fmt == "csv" else _emit_json)(config, report)
     except ValidationError as exc:
         return 2, f"invalid config: {exc}\n"
@@ -339,34 +311,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    # Each subcommand registers only the options its runner reads, by name
-    # ("n!": a required --n), and no abbreviation of them.  Defaults live in
-    # ExperimentConfig alone; options left unset parse to None and
-    # config_from_args drops them.
-    types = {"n": int, "k": int, "s": int, "theta": float, "lo": int, "hi": int, "delta": float,
-             "qmax": int, "t": int, "samples": int, "seed": int, "alphas": int, "x-cut": float,
-             "anomaly-threshold": float}
+    # The one option table: each option's type and default.  Each subcommand
+    # registers only the options its runner reads, by name ("n!": a required
+    # --n), and no abbreviation of them; its parsed namespace is the run's
+    # config, and the report echoes it (`_echo`).
+    options = {"n": (int, None), "lo": (int, None), "hi": (int, None), "k": (int, 2),
+               "s": (int, 5), "theta": (float, 0.85), "delta": (float, None),
+               "qmax": (int, 10000), "t": (int, 2), "samples": (int, 10000), "seed": (int, 0),
+               "alphas": (int, 100), "x-cut": (float, None), "anomaly-threshold": (float, 1.0)}
 
-    def add(name, help, options):
+    def add(name, help, names):
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--out", type=str)
         p.add_argument("--format", dest="fmt", choices=("json", "csv"))
-        for option in options.split():
+        for option in names.split():
             flag = option.rstrip("!")
-            p.add_argument(f"--{flag}", type=types[flag], required=option.endswith("!"))
+            kind, default = options[flag]
+            p.add_argument(f"--{flag}", type=kind, default=default, required=option.endswith("!"))
         return p
 
     window = "n lo hi k s theta"
     add("count", "exact representation count", "n! k s theta")
     add("predict", "main-term prediction", "n! k s theta qmax").add_argument(
-        "--integral-method", choices=("both", "fourier-quadrature", "density-convolution"))
+        "--integral-method", choices=("both", "fourier-quadrature", "density-convolution"),
+        default="both")
     p = add("compare", "count vs predict over a range of n", "k s theta qmax anomaly-threshold")
     p.add_argument("--range", dest="range_spec", required=True, help="start:stop:step")
     p.add_argument("--include-inadmissible", action="store_true")
     add("dissect", "dump the arc family", f"{window} delta").add_argument("--slim", action="store_true")
     p = add("weyl-scan", "measure |f| over random frequencies", f"{window} delta samples seed")
     p.add_argument("--slim", action="store_true")
-    p.add_argument("--weight", choices=tuple(_WEIGHTS))
+    p.add_argument("--weight", choices=tuple(_WEIGHTS), default="prime-indicator")
     add("moments", "exact even moments of |f(., 1)|", f"{window} t")
     add("singular-series", "truncated arithmetic factor", "n! k s qmax")
     add("sieve-check", "randomized vector-sieve inequality check", "samples seed")
@@ -374,16 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    known = {f.name for f in fields(ExperimentConfig)}
-    data = {k: v for k, v in vars(args).items() if k in known and v is not None}
-    config = ExperimentConfig(**data)
-    if config.fmt is None:
-        config.fmt = _DEFAULT_FMT.get(config.subcommand, "json")
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The run's config: the parsed namespace, its format filled in and its
+    sample, frequency and seed floors checked where the subcommand takes
+    them."""
+    if args.fmt is None:
+        args.fmt = _DEFAULT_FMT.get(args.subcommand, "json")
     for name, least in (("samples", 1), ("alphas", 1), ("seed", 0)):
-        if getattr(config, name) < least:
-            raise ValidationError(f"need --{name} >= {least}, got {getattr(config, name)}")
-    return config
+        if getattr(args, name, least) < least:
+            raise ValidationError(f"need --{name} >= {least}, got {getattr(args, name)}")
+    return args
 
 
 def _write_report(path: str, text: str):
@@ -413,7 +388,7 @@ def _write_report(path: str, text: str):
 def main(argv=None) -> int:
     try:
         config = config_from_args(build_parser().parse_args(argv))
-    except (TypeError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     status, text = run(config)

@@ -10,7 +10,9 @@ meant to move digits:
     PYTHONPATH=src python tests/golden/record.py
 
 It prints each moved field as ``command: path: old → new`` (and each
-added or dropped report), for the change's CHANGES entry.  With
+added or dropped report), for the change's CHANGES entry; a key or cell
+held on one side only reads ``<missing>`` on the other, and a CSV report's
+``# config:`` line is compared key by key, as a JSON report's config is.  With
 ``--check`` it prints the same lines, writes nothing, and exits 1 if any
 report moved, so a change can be shown byte-identical, or its moved
 fields listed, before the corpus is rewritten.
@@ -62,6 +64,14 @@ CASES = [
     "dissect --n 500000000 --k 2 --s 5 --theta 0.85 --delta 0.5 --format csv",
     "dissect --n 845 --k 2 --s 5 --theta 0.85 --delta 0.9 --format csv",
     "weyl-scan --n 845 --k 2 --s 5 --theta 0.85 --delta 0.5 --samples 1000 --seed 7 --format csv",
+    # The theorem's regime near 10^9 (k = 3, s = 13, theta = 0.776): the
+    # k = 3 phase path, and a family whose only major arcs are at q = 1.
+    *(f"{cmd} --n 1000000001 --k 3 --s 13 --theta 0.776 {rest}" for cmd, rest in (
+        ("weyl-scan", "--samples 1000 --seed 7 --format csv"),
+        ("vaughan-check", "--alphas 100"),
+        ("dissect", "--format csv"),
+        ("predict", "--qmax 1000"),
+    )),
 ]
 
 
@@ -108,23 +118,35 @@ def differences(old: str, new: str):
         yield "<layout>", "", ""
 
 
+# A key held by one report and not the other.
+_ABSENT = object()
+
+
 def _json_differences(old, new, path):
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(old.keys() | new.keys()):
-            yield from _json_differences(old.get(key), new.get(key), f"{path}.{key}")
+            yield from _json_differences(old.get(key, _ABSENT), new.get(key, _ABSENT),
+                                         f"{path}.{key}")
     elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         for i, (a, b) in enumerate(zip(old, new)):
             yield from _json_differences(a, b, f"{path}[{i}]")
-    elif json.dumps(old) != json.dumps(new):
-        yield path or ".", json.dumps(old), json.dumps(new)
+    else:
+        a, b = ("<missing>" if v is _ABSENT else json.dumps(v) for v in (old, new))
+        if a != b:
+            yield path or ".", a, b
 
 
 def _csv_differences(old, new):
     header = next((line.split(",") for line in old if not line.startswith("#")), [])
+    config = "# config: "
     for i in range(max(len(old), len(new))):
         a = old[i] if i < len(old) else "<missing>"
         b = new[i] if i < len(new) else "<missing>"
         if a == b:
+            continue
+        if a.startswith(config) and b.startswith(config):
+            yield from _json_differences(json.loads(a[len(config):]),
+                                         json.loads(b[len(config):]), f"line {i + 1}: config")
             continue
         if a.startswith("#") or b.startswith("#"):
             yield f"line {i + 1}", a, b

@@ -1,7 +1,11 @@
-"""Resource caps and error contracts across modules, and the suite's imports."""
+"""Resource caps and error contracts across modules, and the suite's imports
+and warning filters."""
 
 import ast
 import math
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -195,3 +199,29 @@ def test_no_test_module_imports_the_tests_package():
                 imported.append((path.name, node.module))
     assert [(name, module) for name, module in imported
             if module.split(".")[0] == "tests"] == []
+
+
+def test_a_failing_property_test_does_not_end_the_suite(tmp_path):
+    # Hypothesis's failure report warns inside a pytest hook; were that
+    # warning an error, the run would stop there (INTERNALERROR) and the
+    # passing test after it would never run.
+    (tmp_path / "test_child.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+
+        @settings(database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x != x
+
+
+        def test_passes():
+            pass
+    """))
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_child.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -164,6 +165,15 @@ class TestSubcommands:
         assert result["nyquist"] == 190
         assert result["enumeration"] == 190.0
         assert result["agree"] is True
+
+    def test_moments_whose_routes_disagree_exit_1(self, monkeypatch, capsys):
+        exact = cli.moment_enumeration
+        monkeypatch.setattr(cli, "moment_enumeration", lambda *args: exact(*args) + 1)
+        assert main(["moments", "--lo", "11", "--hi", "20", "--k", "2", "--t", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "computation error: the moment routes disagree: Nyquist 190, enumeration 191.0\n")
 
     def test_sieve_check(self, tmp_path):
         status, text = run_cli(
@@ -764,11 +774,37 @@ def test_convolution_overflow_exits_1(argv):
                            "use fourier-quadrature\n")
 
 
+def readme_commands():
+    """The README's quick-start commands, each as an argv without `kglab`."""
+    block = README.read_text().split("## Quick start", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("kglab ")]
+
+
 def test_readme_quick_start_parses():
-    text = README.read_text()
-    block = text.split("## Quick start", 1)[1].split("```")[1]
-    commands = [shlex.split(line) for line in block.splitlines()
-                if line.startswith("kglab ")]
     parser = build_parser()
-    seen = {parser.parse_args(argv[1:]).subcommand for argv in commands}
+    seen = {parser.parse_args(argv).subcommand for argv in readme_commands()}
     assert seen == set(_RUNNERS)
+
+
+def registered_dests(name: str) -> set:
+    """The dests that subcommand ``name`` registers in `build_parser`."""
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {action.dest for action in subparsers.choices[name]._actions}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_a_report_echoes_the_options_its_subcommand_takes(argv, tmp_path):
+    status, text = run_cli(argv + ["--format", "json"], tmp_path)
+    assert status == 0
+    unset = {dest for dest, value in vars(build_parser().parse_args(argv)).items()
+             if value is None}
+    expected = {"subcommand", "fmt"} | (registered_dests(argv[0]) - {"help", "out"} - unset)
+    assert set(json.loads(text)["config"]) == expected
+
+
+def test_a_count_report_echoes_its_window_alone(tmp_path):
+    status, text = run_cli(["count", "--n", "845", "--k", "2", "--s", "5", "--theta", "0.85"],
+                           tmp_path)
+    assert status == 0
+    assert sorted(json.loads(text)["config"]) == ["fmt", "k", "n", "s", "subcommand", "theta"]
