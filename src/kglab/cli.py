@@ -2,14 +2,14 @@
 
 Subcommands: count, predict, compare, dissect, weyl-scan, moments,
 singular-series, sieve-check, vaughan-check.  Each subcommand registers
-only the options its runner reads, from one table of types and defaults;
-the parsed namespace is the run's config.  Reports are JSON (schema 1,
-floats at 15 significant digits) or CSV ('.' decimal, no locale), embed
-that config (the subcommand, the format and the subcommand's options,
-defaults filled in) and the library version, and are byte-identical
-across runs for the same config and seed (the timestamp field aside).
-Exit status: 0 on success, 1 on a computation error, 2 on an invalid
-config (one line each).
+once: its runner, its report forms and only the options its runner reads,
+from one table of types and defaults; the parsed namespace is the run's
+config.  Reports are JSON (schema 1, floats at 15 significant digits) or
+CSV ('.' decimal, no locale), embed that config (the subcommand, the
+format and the subcommand's options, defaults filled in) and the library
+version, and are byte-identical across runs for the same config and seed
+(the timestamp field aside).  Exit status: 0 on success, 1 on a
+computation error, 2 on an invalid config (one line each).
 """
 
 from __future__ import annotations
@@ -60,8 +60,9 @@ def _echo(config: argparse.Namespace) -> dict:
     """The config a report embeds: the subcommand, the format and the
     options that subcommand takes, defaults filled in.  The output path is
     delivery, not experiment identity; reports must be byte-identical
-    wherever they are written."""
-    return {k: v for k, v in vars(config).items() if v is not None and k != "out"}
+    wherever they are written.  The runner is code, not config."""
+    return {k: v for k, v in vars(config).items()
+            if v is not None and k not in ("out", "runner")}
 
 
 def _plain(obj):
@@ -102,16 +103,6 @@ def _emit_csv(config: argparse.Namespace, rows) -> str:
     for row in rows:
         writer.writerow([f"{v:.15g}" if isinstance(v, float) else str(v) for v in row])
     return buf.getvalue()
-
-
-def _window_from_config(config: argparse.Namespace) -> ShortInterval:
-    if config.lo is not None or config.hi is not None:
-        if config.lo is None or config.hi is None:
-            raise ValidationError("--lo and --hi must be given together")
-        return ShortInterval.from_integer_window(config.lo, config.hi, config.k)
-    if config.n is None:
-        raise ValidationError("need either --n or --lo/--hi")
-    return build_interval(config.n, config.k, config.s, config.theta)
 
 
 def _delta_from_config(config: argparse.Namespace) -> float:
@@ -176,7 +167,7 @@ def _run_compare(config: argparse.Namespace):
             rows.append((n, "", "", "", adm, "", row.error))
             continue
         ratio = row.count / row.prediction if row.prediction > 0 else math.inf
-        anomaly = row.count == 0 and row.prediction > config.anomaly_threshold
+        anomaly = row.count == 0 and row.prediction > 1.0
         rows.append((n, row.count, row.prediction,
                      ratio if math.isfinite(ratio) else "", adm, anomaly, ""))
     if config.fmt == "csv":
@@ -185,7 +176,7 @@ def _run_compare(config: argparse.Namespace):
 
 
 def _run_dissect(config: argparse.Namespace):
-    interval = _window_from_config(config)
+    interval = build_interval(config.n, config.k, config.s, config.theta)
     dissection = build_dissection(interval, _delta_from_config(config), slim=config.slim)
     if config.fmt == "csv":
         return [("q", "a", "center", "half_width"),
@@ -201,8 +192,8 @@ _WEIGHTS = {
 
 
 def _run_weyl_scan(config: argparse.Namespace):
-    interval = _window_from_config(config)
-    dissection = build_dissection(interval, _delta_from_config(config), slim=config.slim)
+    interval = build_interval(config.n, config.k, config.s, config.theta)
+    dissection = build_dissection(interval, _delta_from_config(config))
     weight = _WEIGHTS[config.weight](interval)
     report = weyl_scan(interval, dissection, config.samples, weight, seed=config.seed)
     if config.fmt == "csv":
@@ -216,12 +207,12 @@ def _run_weyl_scan(config: argparse.Namespace):
 
 
 def _run_moments(config: argparse.Namespace):
-    interval = _window_from_config(config)
+    interval = ShortInterval.from_integer_window(config.lo, config.hi, config.k)
     # The weight is built after the Nyquist route has checked its sample
     # cap; a window far past that cap would need hundreds of MB of weight.
     nyquist = moment_nyquist(interval, config.t)
     enum = moment_enumeration(interval, config.t, unit_weight(interval))
-    if nyquist != round(enum):
+    if nyquist != enum:
         raise ConsistencyError(
             f"the moment routes disagree: Nyquist {nyquist}, enumeration {enum!r}")
     return _plain({
@@ -243,8 +234,8 @@ def _run_sieve_check(config: argparse.Namespace):
 
 def _run_vaughan_check(config: argparse.Namespace):
     check_cap("vaughan-check frequencies", config.alphas, ALPHA_CAP)
-    interval = _window_from_config(config)
-    cut = config.x_cut if config.x_cut is not None else default_bilinear_cut(interval)
+    interval = build_interval(config.n, config.k, config.s, config.theta)
+    cut = default_bilinear_cut(interval)
     components = vaughan_decompose(interval, cut)
     alphas = np.random.default_rng(config.seed).uniform(0.0, 1.0, size=config.alphas)
     # The weight is built after the components have checked their table caps.
@@ -267,28 +258,11 @@ def _run_vaughan_check(config: argparse.Namespace):
     })
 
 
-_RUNNERS = {
-    "count": _run_count,
-    "predict": _run_predict,
-    "compare": _run_compare,
-    "dissect": _run_dissect,
-    "weyl-scan": _run_weyl_scan,
-    "moments": _run_moments,
-    "singular-series": _run_singular_series,
-    "sieve-check": _run_sieve_check,
-    "vaughan-check": _run_vaughan_check,
-}
-# The subcommands with a CSV form, and the form each writes by default.
-_DEFAULT_FMT = {"weyl-scan": "csv", "compare": "csv", "dissect": "json"}
-
-
 def run(config: argparse.Namespace) -> tuple:
     """Execute one subcommand; returns (exit_status, report_text).  Its runner
     builds only the form asked for: CSV rows, or a JSON payload by `_plain`."""
-    if config.fmt == "csv" and config.subcommand not in _DEFAULT_FMT:
-        return 2, f"invalid config: subcommand {config.subcommand} has no CSV form\n"
     try:
-        report = _RUNNERS[config.subcommand](config)
+        report = config.runner(config)
         return 0, (_emit_csv if config.fmt == "csv" else _emit_json)(config, report)
     except ValidationError as exc:
         return 2, f"invalid config: {exc}\n"
@@ -312,49 +286,53 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     # The one option table: each option's type and default.  Each subcommand
-    # registers only the options its runner reads, by name ("n!": a required
-    # --n), and no abbreviation of them; its parsed namespace is the run's
-    # config, and the report echoes it (`_echo`).
+    # registers once: its runner, its report forms (the first is the default
+    # --format) and only the options its runner reads, by name ("n!": a
+    # required --n), with no abbreviation of them; its parsed namespace is
+    # the run's config, and the report echoes it (`_echo`).
     options = {"n": (int, None), "lo": (int, None), "hi": (int, None), "k": (int, 2),
                "s": (int, 5), "theta": (float, 0.85), "delta": (float, None),
                "qmax": (int, 10000), "t": (int, 2), "samples": (int, 10000), "seed": (int, 0),
-               "alphas": (int, 100), "x-cut": (float, None), "anomaly-threshold": (float, 1.0)}
+               "alphas": (int, 100)}
 
-    def add(name, help, names):
+    def add(name, runner, forms, help, names):
         p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(runner=runner)
         p.add_argument("--out", type=str)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"))
+        p.add_argument("--format", dest="fmt", choices=forms, default=forms[0])
         for option in names.split():
             flag = option.rstrip("!")
             kind, default = options[flag]
             p.add_argument(f"--{flag}", type=kind, default=default, required=option.endswith("!"))
         return p
 
-    window = "n lo hi k s theta"
-    add("count", "exact representation count", "n! k s theta")
-    add("predict", "main-term prediction", "n! k s theta qmax").add_argument(
+    window, json_only = "n! k s theta", ("json",)
+    add("count", _run_count, json_only, "exact representation count", window)
+    add("predict", _run_predict, json_only, "main-term prediction", f"{window} qmax").add_argument(
         "--integral-method", choices=("both", "fourier-quadrature", "density-convolution"),
         default="both")
-    p = add("compare", "count vs predict over a range of n", "k s theta qmax anomaly-threshold")
+    p = add("compare", _run_compare, ("csv", "json"), "count vs predict over a range of n",
+            "k s theta qmax")
     p.add_argument("--range", dest="range_spec", required=True, help="start:stop:step")
     p.add_argument("--include-inadmissible", action="store_true")
-    add("dissect", "dump the arc family", f"{window} delta").add_argument("--slim", action="store_true")
-    p = add("weyl-scan", "measure |f| over random frequencies", f"{window} delta samples seed")
-    p.add_argument("--slim", action="store_true")
-    p.add_argument("--weight", choices=tuple(_WEIGHTS), default="prime-indicator")
-    add("moments", "exact even moments of |f(., 1)|", f"{window} t")
-    add("singular-series", "truncated arithmetic factor", "n! k s qmax")
-    add("sieve-check", "randomized vector-sieve inequality check", "samples seed")
-    add("vaughan-check", "decomposition identity residual", f"{window} seed alphas x-cut")
+    add("dissect", _run_dissect, ("json", "csv"), "dump the arc family",
+        f"{window} delta").add_argument("--slim", action="store_true")
+    add("weyl-scan", _run_weyl_scan, ("csv", "json"), "measure |f| over random frequencies",
+        f"{window} delta samples seed").add_argument(
+        "--weight", choices=tuple(_WEIGHTS), default="prime-indicator")
+    add("moments", _run_moments, json_only, "exact even moments of |f(., 1)|", "lo! hi! k t")
+    add("singular-series", _run_singular_series, json_only, "truncated arithmetic factor",
+        "n! k s qmax")
+    add("sieve-check", _run_sieve_check, json_only, "randomized vector-sieve inequality check",
+        "samples seed")
+    add("vaughan-check", _run_vaughan_check, json_only, "decomposition identity residual",
+        f"{window} seed alphas")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
-    """The run's config: the parsed namespace, its format filled in and its
-    sample, frequency and seed floors checked where the subcommand takes
-    them."""
-    if args.fmt is None:
-        args.fmt = _DEFAULT_FMT.get(args.subcommand, "json")
+    """The run's config: the parsed namespace, its sample, frequency and
+    seed floors checked where the subcommand takes them."""
     for name, least in (("samples", 1), ("alphas", 1), ("seed", 0)):
         if getattr(args, name, least) < least:
             raise ValidationError(f"need --{name} >= {least}, got {getattr(args, name)}")

@@ -334,14 +334,16 @@ def moment_nyquist(interval: ShortInterval, t: int) -> int:
     return int(value)
 
 
-def moment_enumeration(interval: ShortInterval, t: int, weight: WeightFunction) -> float:
+def moment_enumeration(interval: ShortInterval, t: int, weight: WeightFunction) -> int | float:
     """Weighted count of solutions of a t-fold power-sum collision.
 
     Builds the t-fold sums of m^k over the weight's support, with the
     product weight per sum value, on the counts' sum tables, and returns
     the sum of W(v)^2 over values v.  A 0/1 weight is shared: its table
-    keeps repeats and reads the run lengths of its sorted sums, so the unit
-    weight gives the exact integer count matching ``moment_nyquist``.  The
+    keeps repeats and reads the run lengths of its sorted sums, so it gives
+    the exact count as an int (the unit weight's matches ``moment_nyquist``);
+    any other weight gives a float.  Under the int64 guard on max W times
+    the tuples, the sum of W(v)^2, at most that product, fits too.  The
     weight must be built on the window.  A combine step past the counts'
     TABLE_CAP states merges both sides, then raises CapExceeded if still past.
     Sums run in Python integers once t * hi^k reaches 2^62.
@@ -360,7 +362,7 @@ def moment_enumeration(interval: ShortInterval, t: int, weight: WeightFunction) 
     if shared:
         _check_int64(weights, tuples)
     weights *= weights
-    return float(np.sum(weights))
+    return int(np.sum(weights)) if shared else float(np.sum(weights))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,14 @@ from fractions import Fraction
 import numpy as np
 
 from .arcs import classify
-from .errors import CapExceeded, ConsistencyError, MinorArcError, ValidationError, check_cap
+from .errors import (
+    CapExceeded,
+    ConsistencyError,
+    KglabError,
+    MinorArcError,
+    ValidationError,
+    check_cap,
+)
 from .exp_sums import complete_exp_sum, complete_exp_sums
 from .intervals import (
     MEMORY_BUDGET,
@@ -455,7 +462,8 @@ def _support(n: int, interval: ShortInterval, s: int) -> bool:
 def _integrals_by_convolution(ns, intervals, s: int) -> list:
     """The density-convolution integral at each n in its window, 0 off the
     grid.  The s-th power of the spectrum overflows for large s (s = 200 at
-    n = 2040200, theta = 0.1): a value read from it that is not finite
+    n = 2040200, theta = 0.1), and the grid scale h^(s-1) for large n
+    (n = 10^100 at s = 5): a value read from them that is not finite
     raises CapExceeded instead of being clipped to 0.  That power is taken
     by `_binary_power` (s >= 3): NumPy's complex power calls the libm cpow,
     about four times slower at these pads.
@@ -492,7 +500,10 @@ def _integrals_by_convolution(ns, intervals, s: int) -> list:
         density = (1.0 / k) * t_mid ** (1.0 / k - 1.0)
         i = int(math.floor(pos))
         fracpos = pos - i
-        scale = h ** (s - 1)
+        try:
+            scale = h ** (s - 1)
+        except OverflowError:  # past the double range: the check below names it
+            scale = math.inf
         # A local error state: this may run on the sweep's helper thread.
         with np.errstate(over="ignore", invalid="ignore"):
             np.fft.rfft(density, pad, out=spectrum)
@@ -523,7 +534,11 @@ def _integral_by_quadrature(n: int, interval: ShortInterval, s: int) -> float:
         vals = np.empty(len(mids))
         for i, beta in enumerate(mids):
             centered = _centered_phase_integral(beta, interval)
-            core = centered**s
+            try:
+                core = centered**s
+            except OverflowError:
+                raise KglabError(f"the quadrature's s-th power of the phase integral "
+                                 f"overflows at s={s}") from None
             ang = 2.0 * math.pi * freq_center * beta
             vals[i] = (core * complex(math.cos(ang), math.sin(ang))).real
         contrib = 2.0 * float(np.sum(wts * vals))

@@ -31,24 +31,33 @@ from kglab import cli
 
 HERE = Path(__file__).resolve().parent
 
-_README = [
-    "count --n 845 --k 2 --s 5 --theta 0.85",
-    "predict --n 838349 --k 2 --s 5 --theta 0.85 --qmax 10000",
-    "compare --range 100013:101000:24 --k 2 --s 5 --theta 0.9 --qmax 1000",
-    "dissect --n 845 --k 2 --s 5 --theta 0.85 --delta 0.3",
-    "weyl-scan --n 500000000 --k 2 --s 5 --theta 0.85 --samples 5000 --seed 7",
-    "moments --lo 11 --hi 20 --k 2 --t 2",
-    "singular-series --n 29 --k 2 --s 5 --qmax 10000",
-    "sieve-check --samples 100000 --seed 7",
-    "vaughan-check --n 500000000 --k 2 --s 5 --theta 0.85 --alphas 100",
-]
+README = HERE.parents[1] / "README.md"
+
+
+def readme_commands() -> list:
+    """The README's quick-start commands, each as an argv without `kglab`."""
+    block = README.read_text().split("## Quick start", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("kglab ")]
+
+
+def subparsers() -> dict:
+    """Each subcommand's parser in `cli.build_parser`, by name."""
+    return next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def report_forms(name: str) -> tuple:
+    """The report forms of subcommand ``name``: its --format choices."""
+    return next(action for action in subparsers()[name]._actions if action.dest == "fmt").choices
+
 
 # The README commands in both forms where a CSV form exists; the series
 # and prediction inputs that changes to the series re-check; and inputs in
 # the paper's regime s >= k^2 + k + 1.
 CASES = [
-    *(f"{cmd} --format json" for cmd in _README),
-    *(f"{cmd} --format csv" for cmd in _README if cmd.split()[0] in cli._DEFAULT_FMT),
+    *(f"{shlex.join(argv)} --format json" for argv in readme_commands()),
+    *(f"{shlex.join(argv)} --format csv" for argv in readme_commands()
+      if "csv" in report_forms(argv[0])),
     "singular-series --n 29 --k 2 --s 5 --qmax 100000",
     "singular-series --n 845 --k 3 --s 5 --qmax 10000",
     "singular-series --n 1000007 --k 6 --s 7 --qmax 5000",

@@ -1,15 +1,12 @@
-import argparse
 import json
 import math
 import os
 import re
-import shlex
 import stat
 import threading
 import time
 import tracemalloc
 from dataclasses import is_dataclass
-from pathlib import Path
 
 import pytest
 
@@ -27,14 +24,13 @@ from kglab import (
 from kglab.arcs import ARC_COUNT_CAP
 from kglab.batch import SweepRow
 from kglab import cli
-from kglab.cli import _RUNNERS, ALPHA_CAP, COMPARE_RANGE_CAP, build_parser, main
+from kglab.cli import ALPHA_CAP, COMPARE_RANGE_CAP, build_parser, main
 from kglab.exp_sums import MOMENT_SAMPLE_CAP, SCAN_SAMPLE_CAP
 from kglab.intervals import SIEVE_LIMIT_CAP, euler_phi
 from kglab.representations import SIEVE_SAMPLE_CAP
 from kglab.singular import PAD_CAP, QMAX_CAP
 from conftest import run_kglab
-
-README = Path(__file__).resolve().parents[1] / "README.md"
+from golden.record import readme_commands, subparsers
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -163,7 +159,7 @@ class TestSubcommands:
         assert status == 0
         result = json.loads(text)["result"]
         assert result["nyquist"] == 190
-        assert result["enumeration"] == 190.0
+        assert result["enumeration"] == 190
         assert result["agree"] is True
 
     def test_moments_whose_routes_disagree_exit_1(self, monkeypatch, capsys):
@@ -173,7 +169,7 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "computation error: the moment routes disagree: Nyquist 190, enumeration 191.0\n")
+            "computation error: the moment routes disagree: Nyquist 190, enumeration 191\n")
 
     def test_sieve_check(self, tmp_path):
         status, text = run_cli(
@@ -217,8 +213,9 @@ class TestContracts:
         assert main(["vaughan-check", "--n", "20000000000000", "--alphas", "2",
                      "--format", "csv"]) == 2
         assert time.perf_counter() - started < 0.1
-        assert capsys.readouterr().err == (
-            "invalid config: subcommand vaughan-check has no CSV form\n")
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: argument --format: invalid choice: 'csv'")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["compare", "--range", "845:1000:24", "--qmax", "100"],
@@ -273,7 +270,7 @@ class TestContracts:
         def failing(config):
             raise error
 
-        monkeypatch.setitem(_RUNNERS, "count", failing)
+        monkeypatch.setattr(cli, "_run_count", failing)
         assert main(["count", "--n", "845", "--k", "2", "--s", "5"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("computation error: ")
@@ -461,6 +458,8 @@ class TestContracts:
         # count and predict take the window of --n alone.
         ["count", "--n", "845", "--lo", "1", "--hi", "3"],
         ["predict", "--n", "845", "--lo", "1", "--hi", "3"],
+        # moments takes the integer window of --lo and --hi alone.
+        ["moments", "--n", "845", "--t", "2"],
     ])
     def test_argument_errors_take_one_line(self, argv, capsys):
         assert main(argv) == 2
@@ -469,14 +468,20 @@ class TestContracts:
         assert captured.err.startswith("invalid config: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, unused", [
+        # Options a runner never read: they were parsed, echoed into the
+        # report's config and ignored.
         (["sieve-check", "--samples", "1000", "--seed", "1", "--k", "7"], "--k 7"),
         (["sieve-check", "--samples", "1000", "--s", "5"], "--s 5"),
         (["sieve-check", "--samples", "1000", "--theta", "0.5"], "--theta 0.5"),
         (["singular-series", "--n", "29", "--theta", "0.5"], "--theta 0.5"),
         (["vaughan-check", "--n", "500000000", "--alphas", "2", "--samples", "1000"], "--samples 1000"),
+        # One window form per subcommand, and no option that no caller sets.
+        (["dissect", "--n", "845", "--lo", "1", "--hi", "30"], "--lo 1 --hi 30"),
+        (["weyl-scan", "--n", "845", "--slim"], "--slim"),
+        (["vaughan-check", "--n", "1000000", "--x-cut", "5"], "--x-cut 5"),
+        (["compare", "--range", "845:900", "--anomaly-threshold", "2"], "--anomaly-threshold 2"),
     ])
     def test_options_no_runner_reads_are_refused(self, argv, unused):
-        # These were parsed, echoed into the report's config and ignored.
         proc = run_kglab(argv)
         assert proc.returncode == 2
         assert proc.stderr == f"invalid config: unrecognized arguments: {unused}\n"
@@ -646,7 +651,7 @@ def test_weyl_scan_peak_is_phase_sum_at_zero(weight_fn):
     # One prime (101) in 10^9 slots, and one integer (5) in 10^9 slots.
     (["count", "--n", "10201000000000", "--k", "2", "--s", str(10**9), "--theta", "0.1"], 0,
      '"R": 1,'),
-    (["moments", "--lo", "5", "--hi", "5", "--t", str(10**9)], 0, '"enumeration": 1.0,'),
+    (["moments", "--lo", "5", "--hi", "5", "--t", str(10**9)], 0, '"enumeration": 1,'),
     # 123,643 primes past the count cap: the cap waits on the sieve of a
     # window of 4.0 million integers near 10^14, with primes up to 10^7.
     (["count", "--n", "50000000000000000000000000021", "--k", "2", "--s", "5",
@@ -710,11 +715,21 @@ WINDOW = ["--n", "500000000", "--theta", "0.85"]
     (["count", "--n", "5", "--k", "64", "--s", "9" * 4300], 2,
      "invalid config: need n >= s * 2^k = a 14349-bit integer, got n=5\n"),
     # An integer window takes the k range of every other window.
-    (["dissect", "--lo", "1", "--hi", "30", "--k", "65", "--delta", "0.5"], 2,
+    (["moments", "--lo", "1", "--hi", "30", "--k", "65", "--t", "1"], 2,
      "invalid config: need 2 <= k <= 64, got k=65\n"),
+    # Overflows past the double range name their step: the convolution's
+    # grid scale h^(s-1) at n = 10^100 (the quadrature gives 6.88e110
+    # there), and the quadrature's s-th power at n = 10^200.
+    (["predict", "--n", str(10**100 + 13), "--k", "2", "--s", "5", "--theta", "0.85",
+      "--qmax", "100"], 1,
+     "computation error: the density convolution overflows at s=5; use fourier-quadrature\n"),
+    (["predict", "--n", str(10**200 + 13), "--k", "2", "--s", "5", "--theta", "0.85",
+      "--qmax", "100", "--integral-method", "fourier-quadrature"], 1,
+     "computation error: the quadrature's s-th power of the phase integral overflows at s=5\n"),
 ], ids=["seed-weyl", "seed-vaughan", "seed-sieve", "samples-weyl", "samples-weyl-1e11",
         "samples-sieve", "samples-sieve-1e11", "alphas", "alphas-1e11", "vaughan-1e400",
-        "vaughan-5e20", "moments-4300-digits", "count-4300-digits", "integer-window-k65"])
+        "vaughan-5e20", "moments-4300-digits", "count-4300-digits", "integer-window-k65",
+        "convolution-scale-1e100", "quadrature-power-1e200"])
 def test_inputs_past_the_contract_exit_quickly(argv, status, start):
     proc = run_kglab(argv, seconds=1.0)
     assert proc.returncode == status
@@ -774,23 +789,15 @@ def test_convolution_overflow_exits_1(argv):
                            "use fourier-quadrature\n")
 
 
-def readme_commands():
-    """The README's quick-start commands, each as an argv without `kglab`."""
-    block = README.read_text().split("## Quick start", 1)[1].split("```")[1]
-    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("kglab ")]
-
-
 def test_readme_quick_start_parses():
     parser = build_parser()
     seen = {parser.parse_args(argv).subcommand for argv in readme_commands()}
-    assert seen == set(_RUNNERS)
+    assert seen == set(subparsers())
 
 
 def registered_dests(name: str) -> set:
     """The dests that subcommand ``name`` registers in `build_parser`."""
-    subparsers = next(action for action in build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    return {action.dest for action in subparsers.choices[name]._actions}
+    return {action.dest for action in subparsers()[name]._actions}
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
@@ -808,3 +815,10 @@ def test_a_count_report_echoes_its_window_alone(tmp_path):
                            tmp_path)
     assert status == 0
     assert sorted(json.loads(text)["config"]) == ["fmt", "k", "n", "s", "subcommand", "theta"]
+
+
+def test_a_moments_report_echoes_its_integer_window_alone(tmp_path):
+    status, text = run_cli(["moments", "--lo", "11", "--hi", "20", "--k", "2", "--t", "2"],
+                           tmp_path)
+    assert status == 0
+    assert sorted(json.loads(text)["config"]) == ["fmt", "hi", "k", "lo", "subcommand", "t"]

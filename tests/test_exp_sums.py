@@ -215,6 +215,13 @@ class TestMoments:
         assert moment_nyquist(interval, 2) == 190
         assert moment_enumeration(interval, 2, unit_weight(interval)) == 190.0
 
+    def test_unit_enumeration_is_the_exact_integer(self):
+        # 31 slots on {5, 6}: the collisions number sum_j C(31, j)^2 =
+        # C(62, 31), about 4.7e17, past the 2^53 a float holds exactly.
+        interval = ShortInterval.from_integer_window(5, 6, 2)
+        got = moment_enumeration(interval, 31, unit_weight(interval))
+        assert type(got) is int and got == math.comb(62, 31)
+
     def test_t1_is_window_count(self):
         for k, lo, hi in [(2, 11, 20), (3, 5, 10), (2, 1, 50)]:
             interval = ShortInterval.from_integer_window(lo, hi, k)
