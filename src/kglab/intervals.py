@@ -69,18 +69,14 @@ class ShortInterval:
 
         Used by moment oracles and tests that fix the integers directly;
         k takes the range 2..64 of `build_interval`.
-        The reals are placed so that x - y = lo - 1/2 and x + y = hi + 1/4,
-        which keeps 0 < y < x for every lo >= 1.
+        The reals x = (4 lo + 4 hi - 1)/8 and y = (4 (hi - lo) + 3)/8, each
+        rounded once, put x - y at lo - 1/2 and x + y at hi + 1/4: 0 < y < x.
         """
         if lo < 1 or hi < lo:
             raise ValidationError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
         if not 2 <= k <= 64:
             raise ValidationError(f"need 2 <= k <= 64, got k={k}")
-        left = lo - 0.5
-        right = hi + 0.25
-        x = (left + right) / 2.0
-        y = (right - left) / 2.0
-        return cls(x=x, y=y, k=k, lo=lo, hi=hi)
+        return cls(x=(4 * lo + 4 * hi - 1) / 8, y=(4 * (hi - lo) + 3) / 8, k=k, lo=lo, hi=hi)
 
 
 def _iroot(m: int, k: int) -> int:

@@ -34,7 +34,9 @@ from .weights import WeightFunction, check_window, prime_indicator
 
 PRIME_COUNT_CAP = 50_000
 TABLE_CAP = 100_000_000    # states of one combine step, here and in the moments
-PROBE_BLOCK = 1 << 18      # entries of one (targets, half-sums) probe block
+# (target, base sum) pairs of a probe block: 2^18 took count_exact(40000012, 2, 4, 1.0) to 22
+# bytes per half-sum state (tracemalloc), 2^16 to its table's own 17.5.
+PROBE_BLOCK = 1 << 16
 RUN_CHUNK = 1 << 22        # neighbouring sorted sums _run_starts compares at a time
 # The pointwise sieve scan's draws and products, at about 170 bytes per
 # sample (900,000 more samples raised peak RSS by 138 MB): 1,647,058.
@@ -167,21 +169,20 @@ def _count_mitm(ns, k: int, s: int, primes) -> np.ndarray:
     ascending (the int64 array of `_window_primes`).
 
     The (s//2)-fold power sums sit in one table, which `_meet` probes with
-    the (s - s//2 - 1)-fold sums (the same table when s is odd; their
-    weights add up to len(primes)^(s - s//2 - 1)) plus each prime power.
-    Those len(primes)^(s - s//2) tuples are checked before any table.
+    itself (weights adding up to len(primes)^(s//2)) plus each prime
+    power when s is odd, or the zero power when s is even.  Those
+    len(primes)^(s - s//2) tuples are checked before any table.
     """
     if not len(primes):
         return np.zeros(len(ns), dtype=np.int64)
     span = (s * int(primes[0]) ** k, s * int(primes[-1]) ** k)
     check_cap("largest power sum in int64", span[1], 2**62 - 1)
-    hash_fold = s // 2
-    tuples = _tuple_count(len(primes), s - hash_fold)
+    tuples = _tuple_count(len(primes), s - s // 2)
     powers = np.asarray(primes, dtype=np.int64) ** k
-    table = _merged(_power_table((powers, 1), hash_fold))
-    base = table if s % 2 else _merged(_power_table((powers, 1), hash_fold - 1))
+    table = _merged(_power_table((powers, 1), s // 2))
     _check_int64(table[1], tuples)
-    return _meet(ns, span, table, base, powers, np.ones_like(powers))
+    last = powers if s % 2 else np.zeros(1, dtype=np.int64)
+    return _meet(ns, span, table, table, last, np.ones_like(last))
 
 
 def _meet(ns, span, table, base, last, weights) -> np.ndarray:
@@ -192,21 +193,24 @@ def _meet(ns, span, table, base, last, weights) -> np.ndarray:
     ``span``, the least and largest s-fold sum over the whole window, has
     none; moved just outside it, it fits in int64.  Base sums are probed
     descending, so each row of probes ascends (numpy's searchsorted is
-    fastest on ascending keys), a block of targets at a time.
+    fastest on ascending keys), PROBE_BLOCK (target, base sum) pairs at
+    most a block: targets by every base sum, or one target by base columns.
     """
     check_cap("sum table states", len(base[0]) * len(last), TABLE_CAP)
     targets = np.array([min(max(n, span[0] - 1), span[1] + 1) for n in ns], dtype=np.int64)
     uniq, mult = table
     sums, sum_weights = (a[::-1] for a in base)
-    top = len(uniq) - 1
     counts = np.zeros(len(targets), dtype=np.result_type(mult, sum_weights, weights))
-    step = max(1, PROBE_BLOCK // len(sums))
-    for start in range(0, len(targets), step):
-        rest = targets[start:start + step, None] - sums[None, :]
-        for power, weight in zip(last, weights):
-            want = rest - power
-            idx = np.minimum(np.searchsorted(uniq, want), top)
-            counts[start:start + step] += np.where(uniq[idx] == want, mult[idx], 0) @ sum_weights * weight
+    cols = min(len(sums), PROBE_BLOCK)
+    rows = PROBE_BLOCK // cols
+    for start in range(0, len(targets), rows):
+        for col in range(0, len(sums), cols):
+            rest = targets[start:start + rows, None] - sums[None, col:col + cols]
+            for power, weight in zip(last, weights):
+                want = rest - power
+                idx = np.minimum(np.searchsorted(uniq, want), len(uniq) - 1)
+                hits = np.where(uniq[idx] == want, mult[idx], 0)
+                counts[start:start + rows] += hits @ sum_weights[col:col + cols] * weight
     return counts
 
 

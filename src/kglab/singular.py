@@ -549,7 +549,7 @@ def _integral_by_quadrature(n: int, interval: ShortInterval, s: int) -> float:
             break
         if prev_mag is not None and prev_mag > 0 and mag < prev_mag:
             ratio = mag / prev_mag
-            tail = mag * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+            tail = mag * ratio / (1.0 - ratio)
             if tail < QUAD_TAIL_TARGET * max(abs(total), 1e-300) and blocks_done >= 8:
                 break
         prev_mag = mag

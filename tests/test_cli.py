@@ -162,6 +162,28 @@ class TestSubcommands:
         assert result["enumeration"] == 190
         assert result["agree"] is True
 
+    def test_moments_of_a_window_past_2_53(self, tmp_path):
+        # It exited 2 with "need 0 < y <= x, got x=9007199254740992.0, y=0.0".
+        status, text = run_cli(["moments", "--lo", str(2**53 + 1), "--hi", str(2**53 + 1),
+                                "--k", "2", "--t", "1"], tmp_path)
+        assert status == 0
+        result = json.loads(text)["result"]
+        assert (result["nyquist"], result["enumeration"], result["agree"]) == (1, 1, True)
+
+    def test_a_window_without_primes_counts_zero(self, tmp_path):
+        # The window of n = 3380 and of n = 3365 at theta = 0.2 is 25..27,
+        # with no prime: R is 0, and the compare row stays admissible.
+        status, text = run_cli(["count", "--n", "3380", "--k", "2", "--s", "5",
+                                "--theta", "0.2"], tmp_path)
+        assert status == 0
+        result = json.loads(text)["result"]
+        assert (result["R"], result["prime_count"]) == (0, 0)
+        status, text = run_cli(["compare", "--range", "3365:3366", "--k", "2", "--s", "5",
+                                "--theta", "0.2", "--qmax", "100", "--format", "json"], tmp_path)
+        assert status == 0
+        [row] = json.loads(text)["result"]
+        assert (row["n"], row["R"], row["admissible"]) == (3365, 0, True)
+
     def test_moments_whose_routes_disagree_exit_1(self, monkeypatch, capsys):
         exact = cli.moment_enumeration
         monkeypatch.setattr(cli, "moment_enumeration", lambda *args: exact(*args) + 1)

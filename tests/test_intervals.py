@@ -293,6 +293,19 @@ class TestBuildInterval:
         assert list(interval) == list(range(11, 21))
         assert 0 < interval.y <= interval.x
 
+    @pytest.mark.parametrize("lo,hi", [(11, 20), (1, 1), (1000, 1400), (2**40, 2**40 + 5)])
+    def test_integer_window_reals_where_floats_are_exact(self, lo, hi):
+        # Where lo - 1/2 and hi + 1/4 are exact floats, x and y are the
+        # midpoint and half-width of those two.
+        interval = ShortInterval.from_integer_window(lo, hi, 2)
+        assert (interval.x, interval.y) == ((lo - 0.5 + hi + 0.25) / 2, (hi - lo + 0.75) / 2)
+
+    def test_integer_window_past_2_53(self):
+        # lo - 1/2 and hi + 1/4 both rounded to 2^53 as floats, so y was 0.0.
+        interval = ShortInterval.from_integer_window(2**53 + 1, 2**53 + 1, 2)
+        assert list(interval) == [2**53 + 1]
+        assert (interval.x, interval.y) == (2.0**53, 0.375)
+
 
 class TestPrimesInInterval:
     def test_tiny(self):

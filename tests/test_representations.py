@@ -300,6 +300,54 @@ def test_weighted_counts_do_not_move_under_a_merging_cap(monkeypatch):
         monkeypatch.undo()
 
 
+def test_each_count_builds_one_table_of_half_its_slots(monkeypatch):
+    # An even count meets its (s/2)-fold table with itself and the zero
+    # power, where it built an (s/2 - 1)-fold base as well.  The squares
+    # 9, 25 and 49 differ by multiples of 8, so the targets alternate
+    # between sums and non-sums, with one clamped on each side.
+    primes = primes_in_interval(ShortInterval.from_integer_window(3, 8, 2))
+    assert primes == (3, 5, 7)
+    folds = []
+    real = representations._power_table
+    monkeypatch.setattr(representations, "_power_table",
+                        lambda slot, fold: folds.append(fold) or real(slot, fold))
+    for s in range(1, 9):
+        ns = list(range(s * 9 - 4, s * 49 + 5, 4))
+        folds.clear()
+        got = _count_mitm(ns, 2, s, np.array(primes)).tolist()
+        assert folds == [s // 2], s
+        assert got == [_count_recursive(n, 2, s, primes) for n in ns], s
+
+
+def test_probe_blocks_hold_at_most_probe_block_pairs(monkeypatch):
+    # At 48 pairs a block, the 1-fold bases of the six primes 5..19 take
+    # eight targets a block, and their 4-fold base (51 sums) and the
+    # weighted bases of the window 1..189 are split into column blocks.
+    primes = np.array(primes_in_interval(build_interval(845, 2, 5, 0.85)))
+    targets = {s: list(range(s * 25 - 24, s * 361 + 25, 12)) for s in range(1, 9)}
+
+    def counts():
+        unit = {s: _count_mitm(ns, 2, s, primes).tolist() for s, ns in targets.items()}
+        return unit, [count_weighted(n, 2, s, theta, lam, lam_plus)
+                      for n, s, theta, lam, lam_plus in _weighted_cases()]
+
+    want = counts()
+    blocks = []
+    searchsorted = np.searchsorted
+
+    def probe(table, keys, *args, **kwargs):
+        blocks.append(np.shape(keys))
+        return searchsorted(table, keys, *args, **kwargs)
+
+    monkeypatch.setattr(representations, "PROBE_BLOCK", 48)
+    monkeypatch.setattr(np, "searchsorted", probe)
+    assert counts() == want
+    blocks = [shape for shape in blocks if len(shape) == 2]
+    assert max(rows * cols for rows, cols in blocks) <= 48
+    assert any(rows > 1 for rows, _ in blocks)
+    assert any(cols == 48 for _, cols in blocks)
+
+
 def test_counts_that_could_wrap_int64_are_refused(monkeypatch):
     bound = r"^bits of the count bound: \d+ exceeds the cap 63$"
     # Synthetic weights: 2^40 times 2^23 - 1 tuples fits, 2^23 does not.
