@@ -71,12 +71,19 @@ class ShortInterval:
         k takes the range 2..64 of `build_interval`.
         The reals x = (4 lo + 4 hi - 1)/8 and y = (4 (hi - lo) + 3)/8, each
         rounded once, put x - y at lo - 1/2 and x + y at hi + 1/4: 0 < y < x.
+        A window whose x is past the double range raises OverflowError,
+        naming its hi.
         """
         if lo < 1 or hi < lo:
             raise ValidationError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
         if not 2 <= k <= 64:
             raise ValidationError(f"need 2 <= k <= 64, got k={k}")
-        return cls(x=(4 * lo + 4 * hi - 1) / 8, y=(4 * (hi - lo) + 3) / 8, k=k, lo=lo, hi=hi)
+        try:
+            x = (4 * lo + 4 * hi - 1) / 8
+        except OverflowError:
+            raise OverflowError(f"integer window: x = (4 lo + 4 hi - 1)/8 exceeds the double "
+                                f"range at hi={int_text(hi)}") from None
+        return cls(x=x, y=(4 * (hi - lo) + 3) / 8, k=k, lo=lo, hi=hi)
 
 
 def _iroot(m: int, k: int) -> int:

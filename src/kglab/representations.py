@@ -2,11 +2,14 @@
 
 Counts are over ordered tuples: the number of (p_1, ..., p_s), all
 primes of the window, with p_1^k + ... + p_s^k = n.  The production
-path meets the two halves of the tuple in the middle; a plain recursive
-enumeration is kept as the cross-check at small scale.  Weighted counts
-(what the sieve combination consumes) and the moments' collision counts
-share its sum tables (sums, weight): one weight shared by every entry,
-repeats kept unsorted, or one weight per distinct sum, ascending.
+path meets the two halves of the tuple in the middle: the (s//2)-fold
+sums against the (s - s//2)-fold ones, from a second table when that fits
+the memory budget, else from the first plus each power of the last slot.
+A plain recursive enumeration is kept as the cross-check at small scale.
+Weighted counts (what the sieve combination consumes) and the moments'
+collision counts share its sum tables (sums, weight): one weight shared
+by every entry, repeats kept unsorted, or one weight per distinct sum,
+ascending.
 `_combine` adds two tables; `_merged` turns a shared table's runs into
 weights, within `_combine` only once a step would pass TABLE_CAP states.
 """
@@ -38,6 +41,11 @@ TABLE_CAP = 100_000_000    # states of one combine step, here and in the moments
 # bytes per half-sum state (tracemalloc), 2^16 to its table's own 17.5.
 PROBE_BLOCK = 1 << 16
 RUN_CHUNK = 1 << 22        # neighbouring sorted sums _run_starts compares at a time
+# States of the step that builds an odd count's second table (half-table
+# sums times primes, the half-table's own entries counted too), at 40 bytes
+# each: its peak RSS took 37.1 bytes per state at criterion 10's 8,032,750
+# (k = 3) and 33 at 1.4 and 8.3 million (k = 2).  7,000,000.
+SECOND_TABLE_STATES = MEMORY_BUDGET // 40
 # The pointwise sieve scan's draws and products, at about 170 bytes per
 # sample (900,000 more samples raised peak RSS by 138 MB): 1,647,058.
 SIEVE_SAMPLE_CAP = MEMORY_BUDGET // 170
@@ -168,10 +176,13 @@ def _count_mitm(ns, k: int, s: int, primes) -> np.ndarray:
     """Counts for every target in ``ns`` whose window holds ``primes``,
     ascending (the int64 array of `_window_primes`).
 
-    The (s//2)-fold power sums sit in one table, which `_meet` probes with
-    itself (weights adding up to len(primes)^(s//2)) plus each prime
-    power when s is odd, or the zero power when s is even.  Those
-    len(primes)^(s - s//2) tuples are checked before any table.
+    The (s//2)-fold power sums sit in one half-table, weights adding up to
+    len(primes)^(s//2).  `_meet` probes, with the zero power, the half-table
+    with itself when s is even, and when s is odd the (s//2 + 1)-fold table
+    of the half-table plus one prime power with the half-table, one probe
+    per half-sum, if `_second_table_fits`; else the half-table with itself
+    plus each prime power.  Those len(primes)^(s - s//2) tuples are checked
+    before any table.
     """
     if not len(primes):
         return np.zeros(len(ns), dtype=np.int64)
@@ -179,10 +190,20 @@ def _count_mitm(ns, k: int, s: int, primes) -> np.ndarray:
     check_cap("largest power sum in int64", span[1], 2**62 - 1)
     tuples = _tuple_count(len(primes), s - s // 2)
     powers = np.asarray(primes, dtype=np.int64) ** k
-    table = _merged(_power_table((powers, 1), s // 2))
-    _check_int64(table[1], tuples)
-    last = powers if s % 2 else np.zeros(1, dtype=np.int64)
-    return _meet(ns, span, table, table, last, np.ones_like(last))
+    half = _merged(_power_table((powers, 1), s // 2))
+    _check_int64(half[1], tuples)
+    zero = np.zeros(1, dtype=np.int64)
+    table, last = half, powers if s % 2 else zero
+    if s % 2 and _second_table_fits(len(half[0]), len(powers)):
+        table, last = _combine(half, (powers, 1)), zero
+    return _meet(ns, span, table, half, last, np.ones_like(last))
+
+
+def _second_table_fits(half: int, primes: int) -> bool:
+    """Whether an odd count builds its second table: the ``half`` * ``primes``
+    states of its step and the ``half`` entries of the half-table it keeps
+    beside it within SECOND_TABLE_STATES."""
+    return half * (primes + 1) <= SECOND_TABLE_STATES
 
 
 def _meet(ns, span, table, base, last, weights) -> np.ndarray:

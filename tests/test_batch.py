@@ -132,6 +132,27 @@ def test_each_shared_window_is_counted_once(monkeypatch):
     assert sorted(calls) == sorted(set(window.values()))
 
 
+def test_sweep_rows_do_not_move_with_the_odd_count_meet(monkeypatch):
+    # A slice of the sweep workload's range (k = 2, s = 5, theta = 0.9):
+    # every window's count builds its second table, and forced onto the
+    # last-slot probe (no states allowed) the rows are the same.
+    ns = admissible_in_range(100013, 102413, 2, 5)
+    fits, chosen = representations._second_table_fits, []
+
+    def recorded(*sizes):
+        fit = fits(*sizes)
+        chosen.append(fit)
+        return fit
+
+    monkeypatch.setattr(representations, "_second_table_fits", recorded)
+    rows = sweep(ns, 2, 5, 0.9, 1000)
+    assert len(ns) == 100 and len(chosen) >= 3 and all(chosen)
+    chosen.clear()
+    monkeypatch.setattr(representations, "SECOND_TABLE_STATES", 0)
+    assert sweep(ns, 2, 5, 0.9, 1000) == rows
+    assert len(chosen) >= 3 and not any(chosen)
+
+
 @pytest.mark.parametrize("argv", [
     ["--range", "1:200:3", "--k", "2", "--s", "5", "--qmax", "1000"],
     ["--range", "100:400:7", "--k", "2", "--s", "2", "--qmax", "1000"],

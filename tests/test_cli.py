@@ -734,6 +734,10 @@ WINDOW = ["--n", "500000000", "--theta", "0.85"]
     (["moments", "--lo", "2", "--hi", str(10**300), "--k", "64", "--t", "1"], 1,
      "computation error: moment sample points: a 63782-bit integer exceeds the cap "
      f"{MOMENT_SAMPLE_CAP}\n"),
+    # Past the double range the integer window itself is refused, by its hi.
+    (["moments", "--lo", "2", "--hi", str(10**400), "--k", "64", "--t", "1"], 1,
+     "computation error: integer window: x = (4 lo + 4 hi - 1)/8 exceeds the double range "
+     f"at hi={10**400}\n"),
     (["count", "--n", "5", "--k", "64", "--s", "9" * 4300], 2,
      "invalid config: need n >= s * 2^k = a 14349-bit integer, got n=5\n"),
     # An integer window takes the k range of every other window.
@@ -750,7 +754,7 @@ WINDOW = ["--n", "500000000", "--theta", "0.85"]
      "computation error: the quadrature's s-th power of the phase integral overflows at s=5\n"),
 ], ids=["seed-weyl", "seed-vaughan", "seed-sieve", "samples-weyl", "samples-weyl-1e11",
         "samples-sieve", "samples-sieve-1e11", "alphas", "alphas-1e11", "vaughan-1e400",
-        "vaughan-5e20", "moments-4300-digits", "count-4300-digits", "integer-window-k65",
+        "vaughan-5e20", "moments-4300-digits", "moments-hi-1e400", "count-4300-digits", "integer-window-k65",
         "convolution-scale-1e100", "quadrature-power-1e200"])
 def test_inputs_past_the_contract_exit_quickly(argv, status, start):
     proc = run_kglab(argv, seconds=1.0)

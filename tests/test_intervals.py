@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 
 import mpmath as mp
@@ -305,6 +306,15 @@ class TestBuildInterval:
         interval = ShortInterval.from_integer_window(2**53 + 1, 2**53 + 1, 2)
         assert list(interval) == [2**53 + 1]
         assert (interval.x, interval.y) == (2.0**53, 0.375)
+
+    def test_integer_window_past_the_double_range_names_hi(self):
+        # At lo = hi = the largest double, x = hi - 1/8 rounds to hi; at
+        # twice that it cannot be a double, and the refusal names hi.
+        top = int(sys.float_info.max)
+        assert ShortInterval.from_integer_window(top, top, 2).x == sys.float_info.max
+        with pytest.raises(OverflowError, match=r"^integer window: x = \(4 lo \+ 4 hi - 1\)/8 "
+                           rf"exceeds the double range at hi={2 * top}$"):
+            ShortInterval.from_integer_window(2 * top, 2 * top, 2)
 
 
 class TestPrimesInInterval:

@@ -219,6 +219,24 @@ def test_fold_sum_tables_peak_bytes_per_state():
     assert count_peak <= 21 * primes**2
 
 
+def test_second_table_step_fits_its_bytes_per_state():
+    # The step that builds an odd count's second table: the 9,161 merged
+    # 2-fold sums of the 154 primes near sqrt(200000) (k = 2, s = 5) plus
+    # one prime power, 1,410,794 states, within the figure of the choice.
+    primes = np.array(primes_in_interval(build_interval(1000000, 2, 5, 1.0)))
+    powers = primes**2
+    half = representations._merged(representations._power_table((powers, 1), 2))
+    assert (len(primes), len(half[0])) == (154, 9161)
+    tracemalloc.start()
+    try:
+        representations._combine(half, (powers, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_state = representations.MEMORY_BUDGET // representations.SECOND_TABLE_STATES
+    assert peak <= per_state * len(half[0]) * len(primes)
+
+
 def _dp_count(n, k, s, primes):
     """Ordered count of n as s k-th powers of ``primes``, by an integer DP
     over the offsets p^k - lo^k, lo the least prime."""
@@ -301,22 +319,85 @@ def test_weighted_counts_do_not_move_under_a_merging_cap(monkeypatch):
 
 
 def test_each_count_builds_one_table_of_half_its_slots(monkeypatch):
-    # An even count meets its (s/2)-fold table with itself and the zero
-    # power, where it built an (s/2 - 1)-fold base as well.  The squares
-    # 9, 25 and 49 differ by multiples of 8, so the targets alternate
-    # between sums and non-sums, with one clamped on each side.
+    # Every count builds the (s//2)-fold half-table by `_power_table` and
+    # meets it, as the base, with an (s - s//2)-fold table and the zero
+    # power: the half-table itself for an even s, the half-table plus one
+    # prime power for an odd s (so the fold sizes read off the weights,
+    # 3^fold for three primes).  The squares 9, 25 and 49 differ by
+    # multiples of 8, so the targets alternate between sums and non-sums,
+    # with one clamped on each side.
     primes = primes_in_interval(ShortInterval.from_integer_window(3, 8, 2))
     assert primes == (3, 5, 7)
-    folds = []
-    real = representations._power_table
+    folds, meets = [], []
+    real, meet = representations._power_table, representations._meet
     monkeypatch.setattr(representations, "_power_table",
                         lambda slot, fold: folds.append(fold) or real(slot, fold))
+
+    def recorded(ns, span, table, base, last, weights):
+        meets.append((int(table[1].sum()), int(base[1].sum()), last.tolist()))
+        return meet(ns, span, table, base, last, weights)
+
+    monkeypatch.setattr(representations, "_meet", recorded)
     for s in range(1, 9):
         ns = list(range(s * 9 - 4, s * 49 + 5, 4))
         folds.clear()
+        meets.clear()
         got = _count_mitm(ns, 2, s, np.array(primes)).tolist()
         assert folds == [s // 2], s
+        assert meets == [(3 ** (s - s // 2), 3 ** (s // 2), [0])], s
         assert got == [_count_recursive(n, 2, s, primes) for n in ns], s
+
+
+def test_odd_counts_match_the_oracle_on_both_meets(case_grid, monkeypatch):
+    # Each odd count of the grid fits its second table, and forced onto the
+    # last-slot probe (no states allowed) it probes each prime power instead.
+    lasts = []
+    meet = representations._meet
+
+    def recorded(ns, span, table, base, last, weights):
+        lasts.append(len(last))
+        return meet(ns, span, table, base, last, weights)
+
+    monkeypatch.setattr(representations, "_meet", recorded)
+    odd = [case for case in case_grid if case[2] % 2]
+    assert len(odd) >= 25
+    for states in (representations.SECOND_TABLE_STATES, 0):
+        monkeypatch.setattr(representations, "SECOND_TABLE_STATES", states)
+        for n, k, s, theta in odd:
+            primes = primes_in_interval(build_interval(n, k, s, theta))
+            lasts.clear()
+            assert count_exact(n, k, s, theta).count == _count_recursive(n, k, s, primes), (n, s)
+            assert lasts == [1 if states else len(primes)], (n, s, states)
+
+
+def test_an_odd_count_probes_each_half_sum_once_when_its_second_table_fits(monkeypatch):
+    # The six primes 5..19 at s = 5: 19 distinct 2-fold half-sums, each
+    # probed once per target into the 3-fold table, or once per target and
+    # prime power when the second table is refused.
+    primes = np.array(primes_in_interval(build_interval(845, 2, 5, 0.85)))
+    half = len({int(p * p + q * q) for p in primes for q in primes})
+    assert (len(primes), half) == (6, 19)
+    ns = list(range(101, 1806, 12))
+    keys = []
+    searchsorted = np.searchsorted
+
+    def probe(table, want, *args, **kwargs):
+        keys.append(np.size(want))
+        return searchsorted(table, want, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", probe)
+    two_tables = _count_mitm(ns, 2, 5, primes).tolist()
+    assert sum(keys) == len(ns) * half
+    monkeypatch.setattr(representations, "SECOND_TABLE_STATES", 0)
+    keys.clear()
+    assert _count_mitm(ns, 2, 5, primes).tolist() == two_tables
+    assert sum(keys) == len(primes) * len(ns) * half
+    # Criterion 10's step, 349,250 six-fold sums of 23 primes, at 40 bytes a
+    # state is over the budget; the sweep's largest, 580 two-fold sums of 36
+    # primes, is not.
+    monkeypatch.undo()
+    assert not representations._second_table_fits(349_250, 23)
+    assert representations._second_table_fits(580, 36)
 
 
 def test_probe_blocks_hold_at_most_probe_block_pairs(monkeypatch):
