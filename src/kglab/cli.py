@@ -8,8 +8,11 @@ config.  Reports are JSON (schema 1, floats at 15 significant digits) or
 CSV ('.' decimal, no locale), embed that config (the subcommand, the
 format and the subcommand's options, defaults filled in) and the library
 version, and are byte-identical across runs for the same config and seed
-(the timestamp field aside).  Exit status: 0 on success, 1 on a
-computation error, 2 on an invalid config (one line each).
+(the timestamp field aside).  A command imports only the modules it runs:
+each runner imports its own kglab modules, on the calling thread, and
+this module loads only `errors` and `intervals` of the package.  Exit
+status: 0 on success, 1 on a computation error, 2 on an invalid config
+(one line each).
 """
 
 from __future__ import annotations
@@ -22,30 +25,13 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 from . import __version__
-from .arcs import build_dissection, default_delta
-from .batch import sweep
 from .errors import ConsistencyError, KglabError, ValidationError, check_cap
-from .exp_sums import (
-    coefficient_diagnostic,
-    default_bilinear_cut,
-    evaluate_components,
-    moment_enumeration,
-    moment_nyquist,
-    vaughan_decompose,
-    weighted_exp_sum,
-    weyl_scan,
-)
 from .intervals import MEMORY_BUDGET, ShortInterval, build_interval
-from .local_conditions import is_admissible
-from .representations import count_exact, vector_sieve_pointwise_scan
-from .singular import predict_main_term, singular_series
-from .weights import prime_indicator, unit_weight, von_mangoldt_weight
 
 # Compare's rows, at about 2,330 bytes per target of a JSON report, the
 # heavier form (100,000 rows raised peak RSS by 222 MiB): 120,171 targets
@@ -106,6 +92,8 @@ def _emit_csv(config: argparse.Namespace, rows) -> str:
 
 
 def _delta_from_config(config: argparse.Namespace) -> float:
+    from .arcs import default_delta
+
     if config.delta is not None:
         return config.delta
     return default_delta(config.k, config.theta)
@@ -119,12 +107,16 @@ def _series_payload(est) -> dict:
 
 
 def _run_count(config: argparse.Namespace):
+    from .representations import count_exact
+
     result = _plain(count_exact(config.n, config.k, config.s, config.theta))
     result["R"] = result.pop("count")
     return result
 
 
 def _run_predict(config: argparse.Namespace):
+    from .singular import predict_main_term
+
     rep = predict_main_term(
         config.n, config.k, config.s, config.theta,
         qmax=config.qmax, integral_method=config.integral_method,
@@ -151,6 +143,9 @@ def _parse_range(spec: str):
 
 
 def _run_compare(config: argparse.Namespace):
+    from .batch import sweep
+    from .local_conditions import is_admissible
+
     start, stop, step = _parse_range(config.range_spec)
     size = (stop - start - 1) // step + 1  # len(range(...)), which overflows past 2^63
     check_cap("compare range targets", size, COMPARE_RANGE_CAP)
@@ -176,6 +171,8 @@ def _run_compare(config: argparse.Namespace):
 
 
 def _run_dissect(config: argparse.Namespace):
+    from .arcs import build_dissection
+
     interval = build_interval(config.n, config.k, config.s, config.theta)
     dissection = build_dissection(interval, _delta_from_config(config), slim=config.slim)
     if config.fmt == "csv":
@@ -184,17 +181,22 @@ def _run_dissect(config: argparse.Namespace):
     return _plain(dissection)
 
 
+# --weight: each name's builder in `weights`
 _WEIGHTS = {
-    "unit": unit_weight,
-    "prime-indicator": prime_indicator,
-    "von-mangoldt": von_mangoldt_weight,
+    "unit": "unit_weight",
+    "prime-indicator": "prime_indicator",
+    "von-mangoldt": "von_mangoldt_weight",
 }
 
 
 def _run_weyl_scan(config: argparse.Namespace):
+    from . import weights
+    from .arcs import build_dissection
+    from .exp_sums import weyl_scan
+
     interval = build_interval(config.n, config.k, config.s, config.theta)
     dissection = build_dissection(interval, _delta_from_config(config))
-    weight = _WEIGHTS[config.weight](interval)
+    weight = getattr(weights, _WEIGHTS[config.weight])(interval)
     report = weyl_scan(interval, dissection, config.samples, weight, seed=config.seed)
     if config.fmt == "csv":
         return [("alpha", "class", "q", "a", "abs_f", "ratio"),
@@ -207,6 +209,9 @@ def _run_weyl_scan(config: argparse.Namespace):
 
 
 def _run_moments(config: argparse.Namespace):
+    from .exp_sums import moment_enumeration, moment_nyquist
+    from .weights import unit_weight
+
     interval = ShortInterval.from_integer_window(config.lo, config.hi, config.k)
     # The weight is built after the Nyquist route has checked its sample
     # cap; a window far past that cap would need hundreds of MB of weight.
@@ -225,14 +230,22 @@ def _run_moments(config: argparse.Namespace):
 
 
 def _run_singular_series(config: argparse.Namespace):
+    from .singular import singular_series
+
     return _series_payload(singular_series(config.n, config.k, config.s, config.qmax))
 
 
 def _run_sieve_check(config: argparse.Namespace):
+    from .representations import vector_sieve_pointwise_scan
+
     return _plain(vector_sieve_pointwise_scan(config.samples, config.seed))
 
 
 def _run_vaughan_check(config: argparse.Namespace):
+    from .exp_sums import (coefficient_diagnostic, default_bilinear_cut, evaluate_components,
+                           vaughan_decompose, weighted_exp_sum)
+    from .weights import von_mangoldt_weight
+
     check_cap("vaughan-check frequencies", config.alphas, ALPHA_CAP)
     interval = build_interval(config.n, config.k, config.s, config.theta)
     cut = default_bilinear_cut(interval)
@@ -345,6 +358,8 @@ def _write_report(path: str, text: str):
     untouched.  A symlink is followed, so the link survives; an existing
     target that is not a regular file (a FIFO, a device) is written in
     place."""
+    import tempfile  # here, so that a report to stdout does not load it
+
     path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as handle:

@@ -13,8 +13,7 @@ _BLOCK_TERMS, skips terms of zero weight, and takes each chunk once for a
 block of frequencies.  e(P / 2^64) comes from the uint64 phase P itself:
 two table reads for its top 32 bits and 1 + i eps for the rest, within
 about 5e-16 of the exact value.  Each row adds a chunk by numpy's pairwise
-summation and the chunks in order.  The complete sums S(q, a) share the
-same exact modular arithmetic, one table per modulus.
+summation and the chunks in order.
 
 Moments of |f|^(2t) are integers (solution counts) and are computed two
 independent ways: averaging |f|^(2t) = |f^t|^2 over any N >= t spread + 1
@@ -44,9 +43,7 @@ from .intervals import (
     _smooth_length,
     divisor_counts,
     pow_mod,
-    units,
 )
-from .local_conditions import unit_power_counts
 from .representations import _check_int64, _power_table, _sorted_runs, _tuple_count
 from .weights import WeightFunction, check_window
 
@@ -70,7 +67,6 @@ _MOMENT_BLOCK = 1 << 16
 # in 37 ms and the decomposition in 50 ms, against 39/67 ms at 2^13, 48/61
 # ms at 2^15 and 45/73 ms at 2^12.
 _BLOCK_TERMS = 1 << 14
-COMPLETE_SUM_CAP = 1_000_000
 # weyl-scan's samples, at about 2,400 bytes each in a JSON report, the
 # heavier form (200,000 samples raised peak RSS by 457 MB): 116,666.
 SCAN_SAMPLE_CAP = MEMORY_BUDGET // 2_400
@@ -216,35 +212,6 @@ def weighted_exp_sum(alpha, weight: WeightFunction, interval: ShortInterval):
     sums = _phase_sums(_window_chunks(weight.values, interval.lo, bool(freqs[1])),
                        interval.k, freqs)
     return _as_given(alpha, sums)
-
-
-# ---------------------------------------------------------------------------
-# complete rational sums
-
-
-def complete_exp_sums(q: int, k: int) -> tuple:
-    """(units mod q, S(q, a) for every residue a mod q), where S(q, a) is
-    the sum over units h mod q of e(a h^k / q).
-
-    All a are evaluated at once through the DFT of the k-th power residue
-    counts of `unit_power_counts`.
-    """
-    counts = unit_power_counts(q, k).astype(np.float64)
-    return units(q), np.conj(np.fft.fft(counts))
-
-
-def complete_exp_sum(q: int, a: int, k: int) -> complex:
-    """S(q, a): the sum over units h mod q of e(a h^k / q).
-
-    gcd(a, q) = 1 is expected but not enforced; the sum is well defined
-    either way.
-    """
-    if q < 1:
-        raise ValidationError(f"need q >= 1, got {q}")
-    if not (1 <= a <= q):
-        raise ValidationError(f"need 1 <= a <= q, got a={a}")
-    check_cap("complete sum modulus q", q, COMPLETE_SUM_CAP)
-    return complex(complete_exp_sums(q, k)[1][a % q])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .errors import PrecisionError, ValidationError, check_cap, int_text
@@ -113,6 +112,8 @@ def _window_boundaries(n: int, k: int, s: int, theta: float) -> tuple:
     precision, and exact ties are settled in rationals when x and y are
     rational (`_rational_window`).
     """
+    import mpmath as mp  # here, so that commands that build no window do not load it
+
     floors = {}
     for dps in _DPS_LADDER:
         with mp.workdps(dps):
@@ -177,6 +178,8 @@ def build_interval(n: int, k: int, s: int, theta: float) -> ShortInterval:
 
     if theta == 1.0:
         # The window is (0, 2x]: hi is the largest M with M^k * s <= 2^k * n.
+        import mpmath as mp
+
         with mp.workdps(_DPS_LADDER[0]):
             x = y = float(mp.root(mp.mpf(n) / s, k))
         lo, hi = 1, _iroot(2**k * n // s, k)
@@ -279,6 +282,8 @@ def _power_bits(base: int, exp: int) -> int:
     digits of exp and more, as exp log2(base) may lie 1/exp from an integer."""
     if base & (base - 1) == 0:
         return exp * (base.bit_length() - 1) + 1
+    import mpmath as mp
+
     with mp.workdps(2 * len(str(exp)) + len(str(base)) + 10):
         return int(exp * mp.log(base, 2)) + 1
 

@@ -3,7 +3,9 @@
 A target n is locally admissible when n is congruent to s modulo the
 modulus built from the primes p with (p - 1) | k.  The exponent carried
 by each such prime is one more than the multiplicity of p in k, with an
-extra factor of 2 when p = 2 divides k.
+extra factor of 2 when p = 2 divides k.  The complete sums S(q, a) are
+the discrete Fourier transform of the k-th power residue counts of the
+units mod q, all residues a at once.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_cap
 from .intervals import _binary_power, _power_exceeds, pow_mod, sieve_upto, units
 
 K_MAX = 64  # keeps the local modulus comfortably inside integer range
+COMPLETE_SUM_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,31 @@ def unit_power_counts(q: int, k: int) -> np.ndarray:
     if q < 1:
         raise ValidationError(f"need q >= 1, got {q}")
     return np.bincount(pow_mod(units(q), k, q), minlength=q)
+
+
+def complete_exp_sums(q: int, k: int) -> tuple:
+    """(units mod q, S(q, a) for every residue a mod q), where S(q, a) is
+    the sum over units h mod q of e(a h^k / q).
+
+    All a are evaluated at once through the DFT of the k-th power residue
+    counts of `unit_power_counts`.
+    """
+    counts = unit_power_counts(q, k).astype(np.float64)
+    return units(q), np.conj(np.fft.fft(counts))
+
+
+def complete_exp_sum(q: int, a: int, k: int) -> complex:
+    """S(q, a): the sum over units h mod q of e(a h^k / q).
+
+    gcd(a, q) = 1 is expected but not enforced; the sum is well defined
+    either way.
+    """
+    if q < 1:
+        raise ValidationError(f"need q >= 1, got {q}")
+    if not (1 <= a <= q):
+        raise ValidationError(f"need 1 <= a <= q, got a={a}")
+    check_cap("complete sum modulus q", q, COMPLETE_SUM_CAP)
+    return complex(complete_exp_sums(q, k)[1][a % q])
 
 
 def unit_solution_counts(q: int, k: int, s: int) -> np.ndarray:

@@ -4,7 +4,8 @@ Counts are over ordered tuples: the number of (p_1, ..., p_s), all
 primes of the window, with p_1^k + ... + p_s^k = n.  The production
 path meets the two halves of the tuple in the middle: the (s//2)-fold
 sums against the (s - s//2)-fold ones, from a second table when that fits
-the memory budget, else from the first plus each power of the last slot.
+the memory budget and costs less work, else from the first plus each power
+of the last slot.
 A plain recursive enumeration is kept as the cross-check at small scale.
 Weighted counts (what the sieve combination consumes) and the moments'
 collision counts share its sum tables (sums, weight): one weight shared
@@ -46,6 +47,12 @@ RUN_CHUNK = 1 << 22        # neighbouring sorted sums _run_starts compares at a 
 # each: its peak RSS took 37.1 bytes per state at criterion 10's 8,032,750
 # (k = 3) and 33 at 1.4 and 8.3 million (k = 2).  7,000,000.
 SECOND_TABLE_STATES = MEMORY_BUDGET // 40
+# The work of an odd count's two plans in probe keys (a `searchsorted` key
+# of `_meet`, 20 to 30 ns): a state of the second table's step costs 3
+# (55 to 71 ns) and each pass over a power of the last slot 400 more than
+# its keys (7 to 9 us), best of 7 on a 2-core Xeon.
+SECOND_TABLE_STATE_KEYS = 3
+PROBE_PASS_KEYS = 400
 # The pointwise sieve scan's draws and products, at about 170 bytes per
 # sample (900,000 more samples raised peak RSS by 138 MB): 1,647,058.
 SIEVE_SAMPLE_CAP = MEMORY_BUDGET // 170
@@ -180,9 +187,9 @@ def _count_mitm(ns, k: int, s: int, primes) -> np.ndarray:
     len(primes)^(s//2).  `_meet` probes, with the zero power, the half-table
     with itself when s is even, and when s is odd the (s//2 + 1)-fold table
     of the half-table plus one prime power with the half-table, one probe
-    per half-sum, if `_second_table_fits`; else the half-table with itself
-    plus each prime power.  Those len(primes)^(s - s//2) tuples are checked
-    before any table.
+    per half-sum, if `_second_table_fits` and `_second_table_pays`; else
+    the half-table with itself plus each prime power.  Those
+    len(primes)^(s - s//2) tuples are checked before any table.
     """
     if not len(primes):
         return np.zeros(len(ns), dtype=np.int64)
@@ -194,7 +201,8 @@ def _count_mitm(ns, k: int, s: int, primes) -> np.ndarray:
     _check_int64(half[1], tuples)
     zero = np.zeros(1, dtype=np.int64)
     table, last = half, powers if s % 2 else zero
-    if s % 2 and _second_table_fits(len(half[0]), len(powers)):
+    if (s % 2 and _second_table_fits(len(half[0]), len(powers))
+            and _second_table_pays(len(ns), len(half[0]), len(powers))):
         table, last = _combine(half, (powers, 1)), zero
     return _meet(ns, span, table, half, last, np.ones_like(last))
 
@@ -204,6 +212,18 @@ def _second_table_fits(half: int, primes: int) -> bool:
     states of its step and the ``half`` entries of the half-table it keeps
     beside it within SECOND_TABLE_STATES."""
     return half * (primes + 1) <= SECOND_TABLE_STATES
+
+
+def _second_table_pays(targets: int, half: int, primes: int) -> bool:
+    """Whether an odd count's second table costs less work than probing each
+    prime power of the last slot: its ``half`` * ``primes`` states built and
+    one pass of ``targets`` * ``half`` keys, against ``primes`` such passes.
+    A lone target takes the probe unless each pass's fixed cost outweighs
+    its keys (a window of a few primes, or a half-table of single primes);
+    each target shared by a window adds to the probe's side primes times
+    what it adds to the table's."""
+    one_pass = targets * half + PROBE_PASS_KEYS
+    return SECOND_TABLE_STATE_KEYS * half * primes + one_pass < primes * one_pass
 
 
 def _meet(ns, span, table, base, last, weights) -> np.ndarray:

@@ -27,7 +27,6 @@ from .errors import (
     ValidationError,
     check_cap,
 )
-from .exp_sums import complete_exp_sum, complete_exp_sums
 from .intervals import (
     MEMORY_BUDGET,
     ShortInterval,
@@ -38,8 +37,9 @@ from .intervals import (
     euler_phi,
     factorize,
 )
-from .local_conditions import (_convolution_power, is_admissible, local_profile, prime_exponents,
-                               unit_power_counts, unit_solution_counts)
+from .local_conditions import (_convolution_power, complete_exp_sum, complete_exp_sums,
+                               is_admissible, local_profile, prime_exponents, unit_power_counts,
+                               unit_solution_counts)
 
 QMAX_CAP = 100_000          # the largest modulus the series reads
 DEFAULT_QMAX = 10_000
@@ -376,11 +376,16 @@ def local_count_identity_check(q: int, n: int, k: int, s: int) -> bool:
 # archimedean side
 
 
-_GL_NODES = np.polynomial.legendre.leggauss(12)
-_GL_NODES_COARSE = np.polynomial.legendre.leggauss(16)
 # The nodes, weights and phases of one phase integral, at 600 bytes per
 # panel (tracemalloc at 5e4, 2e5 and 1e6 panels, k = 2 and 3): 466,666.
 PANEL_CAP = MEMORY_BUDGET // 600
+
+
+@functools.cache
+def _gauss_legendre(nodes: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], built on first use:
+    12 per panel of a phase integral, 16 per block of the quadrature."""
+    return np.polynomial.legendre.leggauss(nodes)
 
 
 def _centered_phase_integral(beta: float, interval: ShortInterval) -> complex:
@@ -396,7 +401,7 @@ def _centered_phase_integral(beta: float, interval: ShortInterval) -> complex:
         raise CapExceeded("phase swing overflows double precision")
     panels = int(math.ceil(8.0 * (1.0 + swing)))
     check_cap("quadrature panels", panels, PANEL_CAP)
-    nodes, weights = _GL_NODES
+    nodes, weights = _gauss_legendre(12)
     edges = np.linspace(-y, y, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -521,7 +526,7 @@ def _integral_by_quadrature(n: int, interval: ShortInterval, s: int) -> float:
     freq_center = float(s * Fraction(x) ** k - n)  # exact up to final rounding
     beta_scale = 1.0 / (y * x ** (k - 1))
     block = 0.5 * beta_scale
-    nodes, weights = _GL_NODES_COARSE
+    nodes, weights = _gauss_legendre(16)
 
     total = 0.0
     prev_mag = None

@@ -2,6 +2,8 @@
 and warning filters."""
 
 import ast
+import importlib
+import json
 import math
 import subprocess
 import sys
@@ -57,11 +59,9 @@ def test_every_cap_goes_through_check_cap():
 
 
 def test_no_module_imports_a_name_it_does_not_use():
-    # __init__.py imports to re-export, so it is skipped.
+    # Function-local imports count too, and so does __init__.py.
     unused = []
     for path in sorted(Path(kglab.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
@@ -69,6 +69,55 @@ def test_no_module_imports_a_name_it_does_not_use():
                 unused += [(path.name, alias.asname or alias.name.split(".")[0]) for alias in node.names
                            if (alias.asname or alias.name.split(".")[0]) not in used]
     assert unused == []
+
+
+def test_every_exported_name_resolves_to_its_module():
+    table = kglab._MODULE_OF
+    assert len(table) == 68 and sorted(kglab.__all__) == sorted(table)
+    for name, module in table.items():
+        assert getattr(kglab, name) is getattr(importlib.import_module(f"kglab.{module}"), name)
+    assert set(table) <= set(dir(kglab))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        kglab.no_such_name
+
+
+# Modules a fresh process must not hold after `import kglab.cli`, and after
+# each command (argv) it then runs.
+NOT_LOADED = {
+    (): ("kglab.arcs", "kglab.exp_sums", "kglab.local_conditions", "kglab.representations",
+         "kglab.singular", "kglab.weights", "kglab.batch", "mpmath", "numpy.polynomial",
+         "tempfile"),
+    ("count", "--n", "845", "--k", "2", "--s", "5", "--theta", "0.85"):
+        ("kglab.singular", "kglab.exp_sums"),
+    ("sieve-check", "--samples", "1000", "--seed", "7"): ("kglab.singular", "kglab.exp_sums"),
+    ("moments", "--lo", "11", "--hi", "20", "--k", "2", "--t", "2"): ("kglab.singular",),
+    ("singular-series", "--n", "29", "--k", "2", "--s", "5", "--qmax", "100"):
+        ("kglab.exp_sums",),
+}
+
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+sys.path[:0] = json.loads(sys.argv[1])
+import kglab.cli
+if sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert kglab.cli.main(sys.argv[2:]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv", list(NOT_LOADED), ids=lambda argv: argv[0] if argv else "import")
+def test_a_fresh_process_loads_only_what_it_runs(argv):
+    # -S: no site hook (a .pth file) loads a module before kglab can; the
+    # child finds its modules on this process's path.  -W error as in
+    # `conftest.run_kglab`.
+    proc = subprocess.run([sys.executable, "-S", "-W", "error", "-c", _LOADED_AFTER,
+                           json.dumps(sys.path), *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert {"kglab.cli", "kglab.intervals", "numpy"} <= loaded
+    assert sorted(loaded & set(NOT_LOADED[argv])) == []
 
 
 def test_window_memory_cap(monkeypatch):
@@ -109,12 +158,14 @@ def test_quadrature_panel_cap():
 def test_panel_cap_fits_the_memory_budget():
     # The bytes one phase integral takes per panel, to the byte, at about
     # 5e4 panels (a fixed part of a few KB is under half a byte per panel).
+    # The quadrature's nodes are built once per process, on first use.
     from kglab.intervals import MEMORY_BUDGET
-    from kglab.singular import PANEL_CAP
+    from kglab.singular import PANEL_CAP, _gauss_legendre
 
     interval = build_interval(5 * 10**8, 2, 5, 0.85)
     scale = interval.y * interval.x
     beta = (50_000 / 8 - 1) / scale
+    _gauss_legendre(12)
     tracemalloc.start()
     try:
         phase_integral(beta, interval)

@@ -23,7 +23,7 @@ from kglab import (
 )
 from kglab.arcs import ARC_COUNT_CAP
 from kglab.batch import SweepRow
-from kglab import cli
+from kglab import cli, exp_sums
 from kglab.cli import ALPHA_CAP, COMPARE_RANGE_CAP, build_parser, main
 from kglab.exp_sums import MOMENT_SAMPLE_CAP, SCAN_SAMPLE_CAP
 from kglab.intervals import SIEVE_LIMIT_CAP, euler_phi
@@ -185,8 +185,8 @@ class TestSubcommands:
         assert (row["n"], row["R"], row["admissible"]) == (3365, 0, True)
 
     def test_moments_whose_routes_disagree_exit_1(self, monkeypatch, capsys):
-        exact = cli.moment_enumeration
-        monkeypatch.setattr(cli, "moment_enumeration", lambda *args: exact(*args) + 1)
+        exact = exp_sums.moment_enumeration
+        monkeypatch.setattr(exp_sums, "moment_enumeration", lambda *args: exact(*args) + 1)
         assert main(["moments", "--lo", "11", "--hi", "20", "--k", "2", "--t", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -333,7 +333,7 @@ class TestContracts:
                              COMPARE_RANGE_CAP, str(stop - 100000))
 
         # The cap counts every target the range walks, admissible or not.
-        monkeypatch.setattr("kglab.cli.sweep",
+        monkeypatch.setattr("kglab.batch.sweep",
                             lambda ns, *args: [SweepRow(n=n, error="skipped") for n in ns])
         step = 7
         stop = 1 + step * COMPARE_RANGE_CAP

@@ -400,6 +400,45 @@ def test_an_odd_count_probes_each_half_sum_once_when_its_second_table_fits(monke
     assert representations._second_table_fits(580, 36)
 
 
+def test_an_odd_count_weighs_both_plans_before_building_its_second_table(monkeypatch):
+    # A lone target on the 154 primes of n = 10^6 at theta = 1 probes each
+    # prime power: the 9,161 x 154 states of the second table cost more
+    # than the probe passes they save.  The 500 targets of the sweep
+    # workload (k = 2, s = 5, theta = 0.9) share 17 windows, 3 to 40 targets
+    # each, and each window keeps the second table.  Every step fits the
+    # memory budget, and both plans count the same.
+    lasts = []
+    meet = representations._meet
+
+    def recorded(ns, span, table, base, last, weights):
+        lasts.append(len(last))
+        return meet(ns, span, table, base, last, weights)
+
+    monkeypatch.setattr(representations, "_meet", recorded)
+    primes = np.array(primes_in_interval(build_interval(1000005, 2, 5, 1.0)))
+    assert len(primes) == 154 and representations._second_table_fits(9161, 154)
+    lone = _count_mitm([1000005], 2, 5, primes).tolist()
+    assert lasts == [154]
+    windows = {}
+    for n in range(100013, 112013, 24):
+        interval = build_interval(n, 2, 5, 0.9)
+        windows.setdefault((interval.lo, interval.hi), []).append(n)
+    assert len(windows) == 17 and min(map(len, windows.values())) == 3
+    lasts.clear()
+    for shared in windows.values():
+        primes = np.array(primes_in_interval(build_interval(shared[0], 2, 5, 0.9)))
+        counts = _count_mitm(shared, 2, 5, primes).tolist()
+    assert lasts == [1] * 17
+    assert not representations._second_table_pays(1, 9161, 154)
+    assert representations._second_table_pays(29, 489, 33)
+    # Forced onto the other plan, the lone count and the last window's are the same.
+    monkeypatch.setattr(representations, "_second_table_pays", lambda *sizes: True)
+    assert _count_mitm([1000005], 2, 5, np.array(primes_in_interval(
+        build_interval(1000005, 2, 5, 1.0)))).tolist() == lone
+    monkeypatch.setattr(representations, "_second_table_pays", lambda *sizes: False)
+    assert _count_mitm(shared, 2, 5, primes).tolist() == counts
+
+
 def test_probe_blocks_hold_at_most_probe_block_pairs(monkeypatch):
     # At 48 pairs a block, the 1-fold bases of the six primes 5..19 take
     # eight targets a block, and their 4-fold base (51 sums) and the

@@ -69,7 +69,7 @@ class TestSeriesTerm:
     def test_fft_and_direct_paths_agree(self):
         # complete_exp_sums takes the DFT of the power residue counts; it
         # must match an inline exact-index sum at prime and composite q.
-        from kglab.exp_sums import complete_exp_sums
+        from kglab.local_conditions import complete_exp_sums
 
         for q in (509, 510, 513, 600):
             for k in (2, 3):
@@ -86,7 +86,7 @@ def oracle_terms(q, ns, k, svals, phases=None):
     """The complete-sum term at q for each n and each s in ``svals``: the
     (S/phi)^s table over the units times e(-a n / q), summed over the
     units a.  ``phases`` may hold the e(-a n / q) matrix."""
-    from kglab.exp_sums import complete_exp_sums
+    from kglab.local_conditions import complete_exp_sums
 
     units, sums = complete_exp_sums(q, k)
     if phases is None:
