@@ -415,9 +415,9 @@ def test_an_odd_count_weighs_both_plans_before_building_its_second_table(monkeyp
         return meet(ns, span, table, base, last, weights)
 
     monkeypatch.setattr(representations, "_meet", recorded)
-    primes = np.array(primes_in_interval(build_interval(1000005, 2, 5, 1.0)))
-    assert len(primes) == 154 and representations._second_table_fits(9161, 154)
-    lone = _count_mitm([1000005], 2, 5, primes).tolist()
+    wide = np.array(primes_in_interval(build_interval(1000005, 2, 5, 1.0)))
+    assert len(wide) == 154 and representations._second_table_fits(9161, 154)
+    lone = _count_mitm([1000005], 2, 5, wide).tolist()
     assert lasts == [154]
     windows = {}
     for n in range(100013, 112013, 24):
@@ -433,8 +433,7 @@ def test_an_odd_count_weighs_both_plans_before_building_its_second_table(monkeyp
     assert representations._second_table_pays(29, 489, 33)
     # Forced onto the other plan, the lone count and the last window's are the same.
     monkeypatch.setattr(representations, "_second_table_pays", lambda *sizes: True)
-    assert _count_mitm([1000005], 2, 5, np.array(primes_in_interval(
-        build_interval(1000005, 2, 5, 1.0)))).tolist() == lone
+    assert _count_mitm([1000005], 2, 5, wide).tolist() == lone
     monkeypatch.setattr(representations, "_second_table_pays", lambda *sizes: False)
     assert _count_mitm(shared, 2, 5, primes).tolist() == counts
 
