@@ -3,16 +3,17 @@
 Counts are over ordered tuples: the number of (p_1, ..., p_s), all
 primes of the window, with p_1^k + ... + p_s^k = n.  The production
 path meets the two halves of the tuple in the middle: the (s//2)-fold
-sums against the (s - s//2)-fold ones, from a second table when that fits
-the memory budget and costs less work, else from the first plus each power
-of the last slot.
+sums against the (s - s//2)-fold ones, which for an odd s come from a second
+table or from the first plus each power of the last slot, as `_count_plan`
+picks from the sizes alone.
 A plain recursive enumeration is kept as the cross-check at small scale.
 Weighted counts (what the sieve combination consumes) and the moments'
 collision counts share its sum tables (sums, weight): one weight shared
 by every entry, repeats kept unsorted, or one weight per distinct sum,
 ascending.
 `_combine` adds two tables; `_merged` turns a shared table's runs into
-weights, within `_combine` only once a step would pass TABLE_CAP states.
+weights: a count's half-table, and both sides of a `_combine` step that
+would pass TABLE_CAP states.
 """
 
 from __future__ import annotations
@@ -47,12 +48,13 @@ RUN_CHUNK = 1 << 22        # neighbouring sorted sums _run_starts compares at a 
 # each: its peak RSS took 37.1 bytes per state at criterion 10's 8,032,750
 # (k = 3) and 33 at 1.4 and 8.3 million (k = 2).  7,000,000.
 SECOND_TABLE_STATES = MEMORY_BUDGET // 40
-# The work of an odd count's two plans in probe keys (a `searchsorted` key
-# of `_meet`, 20 to 30 ns): a state of the second table's step costs 3
-# (55 to 71 ns) and each pass over a power of the last slot 400 more than
-# its keys (7 to 9 us), best of 7 on a 2-core Xeon.
-SECOND_TABLE_STATE_KEYS = 3
-PROBE_PASS_KEYS = 400
+# An odd count's two plans priced in probe keys (a `searchsorted` key of
+# `_meet`, about 22 ns): a state of that step costs log2(states) /
+# STATE_BITS_PER_KEY keys (its stable sort, 3.8 to 5.2 ns a bit) and a pass
+# over the last slot's powers PASS_KEYS more than its keys (about 8 us),
+# best of 7 on a 2-core Xeon.
+STATE_BITS_PER_KEY = 5
+PASS_KEYS = 400
 # The pointwise sieve scan's draws and products, at about 170 bytes per
 # sample (900,000 more samples raised peak RSS by 138 MB): 1,647,058.
 SIEVE_SAMPLE_CAP = MEMORY_BUDGET // 170
@@ -185,10 +187,10 @@ def _count_mitm(ns, k: int, s: int, primes) -> np.ndarray:
 
     The (s//2)-fold power sums sit in one half-table, weights adding up to
     len(primes)^(s//2).  `_meet` probes, with the zero power, the half-table
-    with itself when s is even, and when s is odd the (s//2 + 1)-fold table
-    of the half-table plus one prime power with the half-table, one probe
-    per half-sum, if `_second_table_fits` and `_second_table_pays`; else
-    the half-table with itself plus each prime power.  Those
+    with itself when s is even; when s is odd, the plan `_count_plan` picks
+    from the sizes: the (s//2 + 1)-fold table of the half-table plus one
+    prime power with the half-table, one probe per half-sum, or the
+    half-table with itself plus each prime power.  Those
     len(primes)^(s - s//2) tuples are checked before any table.
     """
     if not len(primes):
@@ -201,29 +203,22 @@ def _count_mitm(ns, k: int, s: int, primes) -> np.ndarray:
     _check_int64(half[1], tuples)
     zero = np.zeros(1, dtype=np.int64)
     table, last = half, powers if s % 2 else zero
-    if (s % 2 and _second_table_fits(len(half[0]), len(powers))
-            and _second_table_pays(len(ns), len(half[0]), len(powers))):
+    if s % 2 and _count_plan(len(ns), len(powers), len(half[0])) == "table":
         table, last = _combine(half, (powers, 1)), zero
     return _meet(ns, span, table, half, last, np.ones_like(last))
 
 
-def _second_table_fits(half: int, primes: int) -> bool:
-    """Whether an odd count builds its second table: the ``half`` * ``primes``
-    states of its step and the ``half`` entries of the half-table it keeps
-    beside it within SECOND_TABLE_STATES."""
-    return half * (primes + 1) <= SECOND_TABLE_STATES
-
-
-def _second_table_pays(targets: int, half: int, primes: int) -> bool:
-    """Whether an odd count's second table costs less work than probing each
-    prime power of the last slot: its ``half`` * ``primes`` states built and
-    one pass of ``targets`` * ``half`` keys, against ``primes`` such passes.
-    A lone target takes the probe unless each pass's fixed cost outweighs
-    its keys (a window of a few primes, or a half-table of single primes);
-    each target shared by a window adds to the probe's side primes times
-    what it adds to the table's."""
-    one_pass = targets * half + PROBE_PASS_KEYS
-    return SECOND_TABLE_STATE_KEYS * half * primes + one_pass < primes * one_pass
+def _count_plan(targets: int, primes: int, half: int) -> str:
+    """The meet of an odd count of ``targets`` on ``primes`` whose half-table
+    holds ``half`` sums: "table" builds the second table when its step's
+    ``half`` * ``primes`` states, with the half-table beside them, fit in
+    SECOND_TABLE_STATES and cost fewer probe keys, with its one pass of
+    ``targets`` * ``half`` keys, than "probe", one such pass a prime power."""
+    states = half * primes
+    one_pass = targets * half + PASS_KEYS
+    fits = states + half <= SECOND_TABLE_STATES
+    pays = states * math.log2(states) / STATE_BITS_PER_KEY + one_pass < primes * one_pass
+    return "table" if fits and pays else "probe"
 
 
 def _meet(ns, span, table, base, last, weights) -> np.ndarray:

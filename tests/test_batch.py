@@ -135,22 +135,17 @@ def test_each_shared_window_is_counted_once(monkeypatch):
 def test_sweep_rows_do_not_move_with_the_odd_count_meet(monkeypatch):
     # A slice of the sweep workload's range (k = 2, s = 5, theta = 0.9):
     # every window's count builds its second table, and forced onto the
-    # last-slot probe (no states allowed) the rows are the same.
+    # last-slot probe the rows are the same.
     ns = admissible_in_range(100013, 102413, 2, 5)
-    fits, chosen = representations._second_table_fits, []
-
-    def recorded(*sizes):
-        fit = fits(*sizes)
-        chosen.append(fit)
-        return fit
-
-    monkeypatch.setattr(representations, "_second_table_fits", recorded)
+    plan, chosen = representations._count_plan, []
+    monkeypatch.setattr(representations, "_count_plan",
+                        lambda *sizes: chosen.append(plan(*sizes)) or chosen[-1])
     rows = sweep(ns, 2, 5, 0.9, 1000)
-    assert len(ns) == 100 and len(chosen) >= 3 and all(chosen)
+    assert len(ns) == 100 and len(chosen) >= 3 and set(chosen) == {"table"}
     chosen.clear()
-    monkeypatch.setattr(representations, "SECOND_TABLE_STATES", 0)
+    monkeypatch.setattr(representations, "_count_plan", lambda *sizes: chosen.append("probe") or "probe")
     assert sweep(ns, 2, 5, 0.9, 1000) == rows
-    assert len(chosen) >= 3 and not any(chosen)
+    assert len(chosen) >= 3
 
 
 @pytest.mark.parametrize("argv", [

@@ -222,7 +222,7 @@ def test_fold_sum_tables_peak_bytes_per_state():
 def test_second_table_step_fits_its_bytes_per_state():
     # The step that builds an odd count's second table: the 9,161 merged
     # 2-fold sums of the 154 primes near sqrt(200000) (k = 2, s = 5) plus
-    # one prime power, 1,410,794 states, within the figure of the choice.
+    # one prime power, 1,410,794 states, within the figure of the plan.
     primes = np.array(primes_in_interval(build_interval(1000000, 2, 5, 1.0)))
     powers = primes**2
     half = representations._merged(representations._power_table((powers, 1), 2))
@@ -235,6 +235,12 @@ def test_second_table_step_fits_its_bytes_per_state():
         tracemalloc.stop()
     per_state = representations.MEMORY_BUDGET // representations.SECOND_TABLE_STATES
     assert peak <= per_state * len(half[0]) * len(primes)
+    # Enough targets take that step; one half-sum more than the states
+    # allow, with the half-table beside them, and they probe instead.
+    plan, states = representations._count_plan, representations.SECOND_TABLE_STATES
+    assert plan(10**6, 154, 9161) == "table"
+    assert plan(10**6, 154, states // 155) == "table"
+    assert plan(10**6, 154, states // 155 + 1) == "probe"
 
 
 def _dp_count(n, k, s, primes):
@@ -319,85 +325,79 @@ def test_weighted_counts_do_not_move_under_a_merging_cap(monkeypatch):
 
 
 def test_each_count_builds_one_table_of_half_its_slots(monkeypatch):
-    # Every count builds the (s//2)-fold half-table by `_power_table` and
-    # meets it, as the base, with an (s - s//2)-fold table and the zero
-    # power: the half-table itself for an even s, the half-table plus one
-    # prime power for an odd s (so the fold sizes read off the weights,
-    # 3^fold for three primes).  The squares 9, 25 and 49 differ by
+    # Every count builds the (s//2)-fold half-table by `_power_table`, its
+    # weights adding up to 3^(s//2) for three primes, and meets it with the
+    # rest of its slots: an even count with itself, an odd count asking
+    # `_count_plan` once with its targets, primes and merged half-sums, and
+    # counting the same on either plan.  The squares 9, 25 and 49 differ by
     # multiples of 8, so the targets alternate between sums and non-sums,
     # with one clamped on each side.
     primes = primes_in_interval(ShortInterval.from_integer_window(3, 8, 2))
     assert primes == (3, 5, 7)
-    folds, meets = [], []
-    real, meet = representations._power_table, representations._meet
-    monkeypatch.setattr(representations, "_power_table",
-                        lambda slot, fold: folds.append(fold) or real(slot, fold))
+    tables, asked = [], []
+    real, plan = representations._power_table, representations._count_plan
 
-    def recorded(ns, span, table, base, last, weights):
-        meets.append((int(table[1].sum()), int(base[1].sum()), last.tolist()))
-        return meet(ns, span, table, base, last, weights)
+    def recorded(slot, fold):
+        tables.append((fold, real(slot, fold)))
+        return tables[-1][1]
 
-    monkeypatch.setattr(representations, "_meet", recorded)
+    monkeypatch.setattr(representations, "_power_table", recorded)
     for s in range(1, 9):
         ns = list(range(s * 9 - 4, s * 49 + 5, 4))
-        folds.clear()
-        meets.clear()
-        got = _count_mitm(ns, 2, s, np.array(primes)).tolist()
-        assert folds == [s // 2], s
-        assert meets == [(3 ** (s - s // 2), 3 ** (s // 2), [0])], s
-        assert got == [_count_recursive(n, 2, s, primes) for n in ns], s
+        want = [_count_recursive(n, 2, s, primes) for n in ns]
+        for forced in ("table", "probe"):
+            monkeypatch.setattr(representations, "_count_plan",
+                                lambda *sizes, forced=forced: asked.append(sizes) or forced)
+            tables.clear()
+            asked.clear()
+            assert _count_mitm(ns, 2, s, np.array(primes)).tolist() == want, (s, forced)
+            [(fold, (sums, weight))] = tables
+            assert fold == s // 2 and np.broadcast_to(weight, len(sums)).sum() == 3**fold, s
+            assert asked == ([(len(ns), 3, len(set(sums.tolist())))] if s % 2 else []), s
+        if s % 2:
+            assert plan(*asked[0]) == "table", s
 
 
 def test_odd_counts_match_the_oracle_on_both_meets(case_grid, monkeypatch):
-    # Each odd count of the grid fits its second table, and forced onto the
-    # last-slot probe (no states allowed) it probes each prime power instead.
-    lasts = []
-    meet = representations._meet
-
-    def recorded(ns, span, table, base, last, weights):
-        lasts.append(len(last))
-        return meet(ns, span, table, base, last, weights)
-
-    monkeypatch.setattr(representations, "_meet", recorded)
+    # Each odd count of the grid takes the second table, and forced onto
+    # either plan it counts the same; it asks for its plan once, with one
+    # target and its window's primes.
     odd = [case for case in case_grid if case[2] % 2]
     assert len(odd) >= 25
-    for states in (representations.SECOND_TABLE_STATES, 0):
-        monkeypatch.setattr(representations, "SECOND_TABLE_STATES", states)
+    plan, asked = representations._count_plan, []
+    for forced in ("table", "probe"):
+        monkeypatch.setattr(representations, "_count_plan",
+                            lambda *sizes, forced=forced: asked.append(sizes) or forced)
         for n, k, s, theta in odd:
             primes = primes_in_interval(build_interval(n, k, s, theta))
-            lasts.clear()
+            asked.clear()
             assert count_exact(n, k, s, theta).count == _count_recursive(n, k, s, primes), (n, s)
-            assert lasts == [1 if states else len(primes)], (n, s, states)
+            [(targets, count, half)] = asked
+            assert (targets, count) == (1, len(primes)), (n, s)
+            assert plan(targets, count, half) == "table", (n, s)
 
 
 def test_an_odd_count_probes_each_half_sum_once_when_its_second_table_fits(monkeypatch):
-    # The six primes 5..19 at s = 5: 19 distinct 2-fold half-sums, each
-    # probed once per target into the 3-fold table, or once per target and
-    # prime power when the second table is refused.
+    # The six primes 5..19 at s = 5: the count asks for its plan with its
+    # 19 distinct 2-fold half-sums, so the second table it picks is probed
+    # once per target and half-sum; forced onto the last-slot probe, it
+    # counts the same.
     primes = np.array(primes_in_interval(build_interval(845, 2, 5, 0.85)))
     half = len({int(p * p + q * q) for p in primes for q in primes})
     assert (len(primes), half) == (6, 19)
     ns = list(range(101, 1806, 12))
-    keys = []
-    searchsorted = np.searchsorted
-
-    def probe(table, want, *args, **kwargs):
-        keys.append(np.size(want))
-        return searchsorted(table, want, *args, **kwargs)
-
-    monkeypatch.setattr(np, "searchsorted", probe)
+    plan, asked = representations._count_plan, []
+    monkeypatch.setattr(representations, "_count_plan",
+                        lambda *sizes: asked.append(sizes) or plan(*sizes))
     two_tables = _count_mitm(ns, 2, 5, primes).tolist()
-    assert sum(keys) == len(ns) * half
-    monkeypatch.setattr(representations, "SECOND_TABLE_STATES", 0)
-    keys.clear()
+    assert asked == [(len(ns), 6, half)] and plan(len(ns), 6, half) == "table"
+    monkeypatch.setattr(representations, "_count_plan", lambda *sizes: "probe")
     assert _count_mitm(ns, 2, 5, primes).tolist() == two_tables
-    assert sum(keys) == len(primes) * len(ns) * half
     # Criterion 10's step, 349,250 six-fold sums of 23 primes, at 40 bytes a
-    # state is over the budget; the sweep's largest, 580 two-fold sums of 36
-    # primes, is not.
-    monkeypatch.undo()
-    assert not representations._second_table_fits(349_250, 23)
-    assert representations._second_table_fits(580, 36)
+    # state is over the budget, however many targets would share it; the
+    # sweep's largest, 580 two-fold sums of 36 primes, is not.
+    assert plan(10**6, 23, 349_250) == "probe"
+    assert plan(3, 36, 580) == "table"
 
 
 def test_an_odd_count_weighs_both_plans_before_building_its_second_table(monkeypatch):
@@ -407,35 +407,45 @@ def test_an_odd_count_weighs_both_plans_before_building_its_second_table(monkeyp
     # workload (k = 2, s = 5, theta = 0.9) share 17 windows, 3 to 40 targets
     # each, and each window keeps the second table.  Every step fits the
     # memory budget, and both plans count the same.
-    lasts = []
-    meet = representations._meet
-
-    def recorded(ns, span, table, base, last, weights):
-        lasts.append(len(last))
-        return meet(ns, span, table, base, last, weights)
-
-    monkeypatch.setattr(representations, "_meet", recorded)
+    plan, asked = representations._count_plan, []
+    monkeypatch.setattr(representations, "_count_plan",
+                        lambda *sizes: asked.append(sizes) or plan(*sizes))
     wide = np.array(primes_in_interval(build_interval(1000005, 2, 5, 1.0)))
-    assert len(wide) == 154 and representations._second_table_fits(9161, 154)
     lone = _count_mitm([1000005], 2, 5, wide).tolist()
-    assert lasts == [154]
+    assert asked == [(1, 154, 9161)] and plan(*asked[0]) == "probe"
+    assert plan(10**6, 154, 9161) == "table"
     windows = {}
     for n in range(100013, 112013, 24):
         interval = build_interval(n, 2, 5, 0.9)
         windows.setdefault((interval.lo, interval.hi), []).append(n)
     assert len(windows) == 17 and min(map(len, windows.values())) == 3
-    lasts.clear()
+    asked.clear()
     for shared in windows.values():
         primes = np.array(primes_in_interval(build_interval(shared[0], 2, 5, 0.9)))
         counts = _count_mitm(shared, 2, 5, primes).tolist()
-    assert lasts == [1] * 17
-    assert not representations._second_table_pays(1, 9161, 154)
-    assert representations._second_table_pays(29, 489, 33)
+    assert len(asked) == 17 and all(plan(*sizes) == "table" for sizes in asked)
     # Forced onto the other plan, the lone count and the last window's are the same.
-    monkeypatch.setattr(representations, "_second_table_pays", lambda *sizes: True)
+    monkeypatch.setattr(representations, "_count_plan", lambda *sizes: "table")
     assert _count_mitm([1000005], 2, 5, wide).tolist() == lone
-    monkeypatch.setattr(representations, "_second_table_pays", lambda *sizes: False)
+    monkeypatch.setattr(representations, "_count_plan", lambda *sizes: "probe")
     assert _count_mitm(shared, 2, 5, primes).tolist() == counts
+
+
+@pytest.mark.parametrize("sizes, faster", [
+    ((3, 853, 853), "probe"),       # n = 1000000003, s = 3, theta = 0.85: 57 against 77 ms
+    ((1, 154, 9161), "probe"),      # n = 1000005, theta = 1: 39 against 113 ms
+    ((3, 35, 549), "table"),        # the sweep's fewest targets in a window: 1.5 against 1.9 ms
+    ((40, 35, 549), "table"),       # its most: 2.5 against 21 ms
+    ((5, 33, 489), "table"),        # the fewest in a 33-prime window of the sweep's four ranges
+    ((15, 33, 489), "table"),       # the quick-start `compare` windows
+    ((27, 33, 489), "table"),
+    ((1, 6, 19), "table"),          # the quick-start `count`: 0.05 against 0.06 ms
+    ((10, 23, 349_250), "probe"),   # criterion 10: the step is over the budget
+])
+def test_count_plan_picks_the_faster_plan(sizes, faster):
+    # (targets, primes, merged half-sums) of odd counts timed both ways,
+    # best of 7 on a 2-core Xeon; the plan reads nothing but these sizes.
+    assert representations._count_plan(*sizes) == faster
 
 
 def test_probe_blocks_hold_at_most_probe_block_pairs(monkeypatch):
