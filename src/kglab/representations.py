@@ -50,9 +50,13 @@ RUN_CHUNK = 1 << 22        # neighbouring sorted sums _run_starts compares at a 
 SECOND_TABLE_STATES = MEMORY_BUDGET // 40
 # An odd count's two plans priced in probe keys (a `searchsorted` key of
 # `_meet`, about 22 ns): a state of that step costs log2(states) /
-# STATE_BITS_PER_KEY keys (its stable sort, 3.8 to 5.2 ns a bit) and a pass
-# over the last slot's powers PASS_KEYS more than its keys (about 8 us),
-# best of 7 on a 2-core Xeon.
+# STATE_BITS_PER_KEY keys (its stable sort) and a pass over the last slot's
+# powers PASS_KEYS more than its keys.  Both plans timed on 85 (window,
+# targets) cells, best of 7 on a 2-core Xeon, fit 3.8 ns a state per bit
+# (about 6 bits a key) and 8.1 us a pass (365 keys).  5 bits is chosen over
+# that 6 because the 853-prime step sorts at 5.2 ns a bit and 6 leaves its
+# 3-target cell on the slower table: 5 picks the faster plan in 77 and 80
+# of the cells on two runs, 6 in 75 and 76; 400 and 365 keys pick alike.
 STATE_BITS_PER_KEY = 5
 PASS_KEYS = 400
 # The pointwise sieve scan's draws and products, at about 170 bytes per
@@ -203,22 +207,22 @@ def _count_mitm(ns, k: int, s: int, primes) -> np.ndarray:
     _check_int64(half[1], tuples)
     zero = np.zeros(1, dtype=np.int64)
     table, last = half, powers if s % 2 else zero
-    if s % 2 and _count_plan(len(ns), len(powers), len(half[0])) == "table":
+    if s % 2 and _count_plan(len(ns), len(powers), len(half[0])):
         table, last = _combine(half, (powers, 1)), zero
     return _meet(ns, span, table, half, last, np.ones_like(last))
 
 
-def _count_plan(targets: int, primes: int, half: int) -> str:
-    """The meet of an odd count of ``targets`` on ``primes`` whose half-table
-    holds ``half`` sums: "table" builds the second table when its step's
-    ``half`` * ``primes`` states, with the half-table beside them, fit in
+def _count_plan(targets: int, primes: int, half: int) -> bool:
+    """Whether an odd count of ``targets`` on ``primes`` whose half-table
+    holds ``half`` sums builds its second table: its step's ``half`` *
+    ``primes`` states, with the half-table beside them, fit in
     SECOND_TABLE_STATES and cost fewer probe keys, with its one pass of
-    ``targets`` * ``half`` keys, than "probe", one such pass a prime power."""
+    ``targets`` * ``half`` keys, than the last-slot probe, one such pass a
+    prime power."""
     states = half * primes
     one_pass = targets * half + PASS_KEYS
     fits = states + half <= SECOND_TABLE_STATES
-    pays = states * math.log2(states) / STATE_BITS_PER_KEY + one_pass < primes * one_pass
-    return "table" if fits and pays else "probe"
+    return fits and states * math.log2(states) / STATE_BITS_PER_KEY + one_pass < primes * one_pass
 
 
 def _meet(ns, span, table, base, last, weights) -> np.ndarray:

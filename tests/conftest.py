@@ -1,4 +1,5 @@
-"""Shared grids for the counting and moment tests, and the CLI runner."""
+"""Shared grids for the counting and moment tests, a recorder of a count's
+combine steps, and the CLI runner."""
 
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import kglab.representations as representations
 from kglab.intervals import build_interval, primes_in_interval
 from kglab.representations import _count_recursive
 
@@ -76,6 +78,16 @@ def build_case_grid(max_cases: int = 50):
 def count_exhaustive(n: int, k: int, s: int, theta: float) -> int:
     """The count of `count_exact` by the plain recursive enumeration."""
     return _count_recursive(n, k, s, primes_in_interval(build_interval(n, k, s, theta)))
+
+
+def record_combine_steps(monkeypatch):
+    """The (left, right) sizes of each `_combine` step, in order: a count's
+    half-table steps, then, when it builds its second table, one of its
+    merged half-sums by its primes."""
+    steps, real = [], representations._combine
+    monkeypatch.setattr(representations, "_combine",
+                        lambda a, b: steps.append((len(a[0]), len(b[0]))) or real(a, b))
+    return steps
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 import json
 import math
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ import kglab.batch as batch
 import kglab.representations as representations
 from kglab.cli import main
 from kglab.singular import _series_values
-from conftest import count_exhaustive
+from conftest import count_exhaustive, record_combine_steps
 
 
 def per_n_row(n, k, s, theta, qmax):
@@ -134,18 +135,21 @@ def test_each_shared_window_is_counted_once(monkeypatch):
 
 def test_sweep_rows_do_not_move_with_the_odd_count_meet(monkeypatch):
     # A slice of the sweep workload's range (k = 2, s = 5, theta = 0.9):
-    # every window's count builds its second table, and forced onto the
-    # last-slot probe the rows are the same.
+    # every window's count builds its second table, one step of its
+    # half-sums by its primes, and on the last-slot probe, without those
+    # steps, the rows are the same.
     ns = admissible_in_range(100013, 102413, 2, 5)
-    plan, chosen = representations._count_plan, []
+    plan, asked = representations._count_plan, []
+    steps = record_combine_steps(monkeypatch)
     monkeypatch.setattr(representations, "_count_plan",
-                        lambda *sizes: chosen.append(plan(*sizes)) or chosen[-1])
+                        lambda *sizes: asked.append(sizes) or plan(*sizes))
     rows = sweep(ns, 2, 5, 0.9, 1000)
-    assert len(ns) == 100 and len(chosen) >= 3 and set(chosen) == {"table"}
-    chosen.clear()
-    monkeypatch.setattr(representations, "_count_plan", lambda *sizes: chosen.append("probe") or "probe")
+    assert len(ns) == 100 and len(asked) >= 3
+    built, windows = Counter(steps), Counter((half, primes) for _, primes, half in asked)
+    steps.clear()
+    monkeypatch.setattr(representations, "_count_plan", lambda *sizes: False)
     assert sweep(ns, 2, 5, 0.9, 1000) == rows
-    assert len(chosen) >= 3
+    assert built - Counter(steps) == windows
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MOMENT_GRID, count_exhaustive
+from conftest import MOMENT_GRID, count_exhaustive, record_combine_steps
 from kglab import (
     CapExceeded,
     DominationError,
@@ -238,9 +238,9 @@ def test_second_table_step_fits_its_bytes_per_state():
     # Enough targets take that step; one half-sum more than the states
     # allow, with the half-table beside them, and they probe instead.
     plan, states = representations._count_plan, representations.SECOND_TABLE_STATES
-    assert plan(10**6, 154, 9161) == "table"
-    assert plan(10**6, 154, states // 155) == "table"
-    assert plan(10**6, 154, states // 155 + 1) == "probe"
+    assert plan(10**6, 154, 9161)
+    assert plan(10**6, 154, states // 155)
+    assert not plan(10**6, 154, states // 155 + 1)
 
 
 def _dp_count(n, k, s, primes):
@@ -324,14 +324,22 @@ def test_weighted_counts_do_not_move_under_a_merging_cap(monkeypatch):
         monkeypatch.undo()
 
 
+def _forced(monkeypatch, second_table, asked):
+    # Every count takes the given plan, and the sizes it asks with are recorded.
+    monkeypatch.setattr(representations, "_count_plan",
+                        lambda *sizes: asked.append(sizes) or second_table)
+
+
 def test_each_count_builds_one_table_of_half_its_slots(monkeypatch):
     # Every count builds the (s//2)-fold half-table by `_power_table`, its
     # weights adding up to 3^(s//2) for three primes, and meets it with the
     # rest of its slots: an even count with itself, an odd count asking
-    # `_count_plan` once with its targets, primes and merged half-sums, and
-    # counting the same on either plan.  The squares 9, 25 and 49 differ by
-    # multiples of 8, so the targets alternate between sums and non-sums,
-    # with one clamped on each side.
+    # `_count_plan` once with its targets, primes and merged half-sums.
+    # Told to build the second table, an odd count takes one step more than
+    # on the last-slot probe, of its half-sums by its primes; both count the
+    # same.  The squares 9, 25 and 49 differ by multiples of 8, so the
+    # targets alternate between sums and non-sums, with one clamped on each
+    # side.
     primes = primes_in_interval(ShortInterval.from_integer_window(3, 8, 2))
     assert primes == (3, 5, 7)
     tables, asked = [], []
@@ -342,46 +350,57 @@ def test_each_count_builds_one_table_of_half_its_slots(monkeypatch):
         return tables[-1][1]
 
     monkeypatch.setattr(representations, "_power_table", recorded)
+    steps = record_combine_steps(monkeypatch)
     for s in range(1, 9):
         ns = list(range(s * 9 - 4, s * 49 + 5, 4))
         want = [_count_recursive(n, 2, s, primes) for n in ns]
-        for forced in ("table", "probe"):
-            monkeypatch.setattr(representations, "_count_plan",
-                                lambda *sizes, forced=forced: asked.append(sizes) or forced)
+        taken = {}
+        for second_table in (True, False):
+            _forced(monkeypatch, second_table, asked)
             tables.clear()
             asked.clear()
-            assert _count_mitm(ns, 2, s, np.array(primes)).tolist() == want, (s, forced)
+            steps.clear()
+            assert _count_mitm(ns, 2, s, np.array(primes)).tolist() == want, (s, second_table)
             [(fold, (sums, weight))] = tables
             assert fold == s // 2 and np.broadcast_to(weight, len(sums)).sum() == 3**fold, s
-            assert asked == ([(len(ns), 3, len(set(sums.tolist())))] if s % 2 else []), s
+            half = len(set(sums.tolist()))
+            assert asked == ([(len(ns), 3, half)] if s % 2 else []), s
+            taken[second_table] = list(steps)
+        assert taken[True] == taken[False] + ([(half, 3)] if s % 2 else []), s
         if s % 2:
-            assert plan(*asked[0]) == "table", s
+            assert plan(*asked[0]), s
 
 
 def test_odd_counts_match_the_oracle_on_both_meets(case_grid, monkeypatch):
-    # Each odd count of the grid takes the second table, and forced onto
-    # either plan it counts the same; it asks for its plan once, with one
-    # target and its window's primes.
+    # Each odd count of the grid asks for its plan once, with one target and
+    # its window's primes, and takes the second table; told to build it, it
+    # takes one step more than on the last-slot probe, of its half-sums by
+    # its primes, and on either plan it counts the same.
     odd = [case for case in case_grid if case[2] % 2]
     assert len(odd) >= 25
-    plan, asked = representations._count_plan, []
-    for forced in ("table", "probe"):
-        monkeypatch.setattr(representations, "_count_plan",
-                            lambda *sizes, forced=forced: asked.append(sizes) or forced)
+    plan, asked, taken = representations._count_plan, [], {}
+    steps = record_combine_steps(monkeypatch)
+    for second_table in (True, False):
+        _forced(monkeypatch, second_table, asked)
         for n, k, s, theta in odd:
             primes = primes_in_interval(build_interval(n, k, s, theta))
             asked.clear()
+            steps.clear()
             assert count_exact(n, k, s, theta).count == _count_recursive(n, k, s, primes), (n, s)
             [(targets, count, half)] = asked
             assert (targets, count) == (1, len(primes)), (n, s)
-            assert plan(targets, count, half) == "table", (n, s)
+            assert plan(targets, count, half), (n, s)
+            taken[n, k, s, theta, second_table] = list(steps), (half, count)
+    for case in odd:
+        (built, step), (probed, _) = taken[(*case, True)], taken[(*case, False)]
+        assert built == probed + [step], case
 
 
 def test_an_odd_count_probes_each_half_sum_once_when_its_second_table_fits(monkeypatch):
     # The six primes 5..19 at s = 5: the count asks for its plan with its
-    # 19 distinct 2-fold half-sums, so the second table it picks is probed
-    # once per target and half-sum; forced onto the last-slot probe, it
-    # counts the same.
+    # 19 distinct 2-fold half-sums and builds the second table from them
+    # and its 6 primes, which it probes once per target and half-sum; on the
+    # last-slot probe it takes no such step and counts the same.
     primes = np.array(primes_in_interval(build_interval(845, 2, 5, 0.85)))
     half = len({int(p * p + q * q) for p in primes for q in primes})
     assert (len(primes), half) == (6, 19)
@@ -389,63 +408,70 @@ def test_an_odd_count_probes_each_half_sum_once_when_its_second_table_fits(monke
     plan, asked = representations._count_plan, []
     monkeypatch.setattr(representations, "_count_plan",
                         lambda *sizes: asked.append(sizes) or plan(*sizes))
+    steps = record_combine_steps(monkeypatch)
     two_tables = _count_mitm(ns, 2, 5, primes).tolist()
-    assert asked == [(len(ns), 6, half)] and plan(len(ns), 6, half) == "table"
-    monkeypatch.setattr(representations, "_count_plan", lambda *sizes: "probe")
+    assert asked == [(len(ns), 6, half)]
+    built = list(steps)
+    _forced(monkeypatch, False, asked)
+    steps.clear()
     assert _count_mitm(ns, 2, 5, primes).tolist() == two_tables
-    # Criterion 10's step, 349,250 six-fold sums of 23 primes, at 40 bytes a
-    # state is over the budget, however many targets would share it; the
-    # sweep's largest, 580 two-fold sums of 36 primes, is not.
-    assert plan(10**6, 23, 349_250) == "probe"
-    assert plan(3, 36, 580) == "table"
+    assert built == steps + [(half, 6)]
 
 
 def test_an_odd_count_weighs_both_plans_before_building_its_second_table(monkeypatch):
     # A lone target on the 154 primes of n = 10^6 at theta = 1 probes each
     # prime power: the 9,161 x 154 states of the second table cost more
-    # than the probe passes they save.  The 500 targets of the sweep
-    # workload (k = 2, s = 5, theta = 0.9) share 17 windows, 3 to 40 targets
-    # each, and each window keeps the second table.  Every step fits the
-    # memory budget, and both plans count the same.
+    # than the probe passes they save, so it takes one step fewer than
+    # when told to build that table.  The 500 targets of the sweep workload
+    # (k = 2, s = 5, theta = 0.9) share 17 windows, 3 to 40 targets each,
+    # and each window builds its second table.  Both plans count the same.
     plan, asked = representations._count_plan, []
     monkeypatch.setattr(representations, "_count_plan",
                         lambda *sizes: asked.append(sizes) or plan(*sizes))
+    steps = record_combine_steps(monkeypatch)
     wide = np.array(primes_in_interval(build_interval(1000005, 2, 5, 1.0)))
     lone = _count_mitm([1000005], 2, 5, wide).tolist()
-    assert asked == [(1, 154, 9161)] and plan(*asked[0]) == "probe"
-    assert plan(10**6, 154, 9161) == "table"
+    assert asked == [(1, 154, 9161)]
+    probed = list(steps)
     windows = {}
     for n in range(100013, 112013, 24):
         interval = build_interval(n, 2, 5, 0.9)
         windows.setdefault((interval.lo, interval.hi), []).append(n)
     assert len(windows) == 17 and min(map(len, windows.values())) == 3
-    asked.clear()
     for shared in windows.values():
         primes = np.array(primes_in_interval(build_interval(shared[0], 2, 5, 0.9)))
+        asked.clear()
+        steps.clear()
         counts = _count_mitm(shared, 2, 5, primes).tolist()
-    assert len(asked) == 17 and all(plan(*sizes) == "table" for sizes in asked)
-    # Forced onto the other plan, the lone count and the last window's are the same.
-    monkeypatch.setattr(representations, "_count_plan", lambda *sizes: "table")
+        [(targets, count, half)] = asked
+        assert (targets, count) == (len(shared), len(primes)) and steps[-1] == (half, count)
+    # Told to take the other plan, the lone count builds the table and the
+    # last window's probes, and both count the same.
+    _forced(monkeypatch, True, asked)
+    steps.clear()
     assert _count_mitm([1000005], 2, 5, wide).tolist() == lone
-    monkeypatch.setattr(representations, "_count_plan", lambda *sizes: "probe")
+    assert steps == probed + [(9161, 154)]
+    _forced(monkeypatch, False, asked)
     assert _count_mitm(shared, 2, 5, primes).tolist() == counts
 
 
-@pytest.mark.parametrize("sizes, faster", [
-    ((3, 853, 853), "probe"),       # n = 1000000003, s = 3, theta = 0.85: 57 against 77 ms
-    ((1, 154, 9161), "probe"),      # n = 1000005, theta = 1: 39 against 113 ms
-    ((3, 35, 549), "table"),        # the sweep's fewest targets in a window: 1.5 against 1.9 ms
-    ((40, 35, 549), "table"),       # its most: 2.5 against 21 ms
-    ((5, 33, 489), "table"),        # the fewest in a 33-prime window of the sweep's four ranges
-    ((15, 33, 489), "table"),       # the quick-start `compare` windows
-    ((27, 33, 489), "table"),
-    ((1, 6, 19), "table"),          # the quick-start `count`: 0.05 against 0.06 ms
-    ((10, 23, 349_250), "probe"),   # criterion 10: the step is over the budget
+@pytest.mark.parametrize("sizes, second_table", [
+    ((3, 853, 853), False),         # n = 1000000003, s = 3, theta = 0.85: 57 against 77 ms
+    ((1, 154, 9161), False),        # n = 1000005, theta = 1: 39 against 113 ms
+    ((3, 35, 549), True),           # the sweep's fewest targets in a window: 1.5 against 1.9 ms
+    ((40, 35, 549), True),          # its most: 2.5 against 21 ms
+    ((3, 36, 580), True),           # its largest step
+    ((5, 33, 489), True),           # the fewest in a 33-prime window of the sweep's four ranges
+    ((15, 33, 489), True),          # the quick-start `compare` windows
+    ((27, 33, 489), True),
+    ((1, 6, 19), True),             # the quick-start `count`: 0.05 against 0.06 ms
+    ((10, 23, 349_250), False),     # criterion 10: the step is over the budget,
+    ((10**6, 23, 349_250), False),  # however many targets would share it
 ])
-def test_count_plan_picks_the_faster_plan(sizes, faster):
+def test_count_plan_picks_the_faster_plan(sizes, second_table):
     # (targets, primes, merged half-sums) of odd counts timed both ways,
     # best of 7 on a 2-core Xeon; the plan reads nothing but these sizes.
-    assert representations._count_plan(*sizes) == faster
+    assert representations._count_plan(*sizes) is second_table
 
 
 def test_probe_blocks_hold_at_most_probe_block_pairs(monkeypatch):
