@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -101,41 +102,48 @@ def _iroot(m: int, k: int) -> int:
 
 
 def _window_boundaries(n: int, k: int, s: int, theta: float) -> tuple:
-    """(floor(x - y), floor(x + y), x, y) for theta < 1, escalating
-    precision near ties.
+    """(floor(x - y), floor(x + y), x, y), escalating precision near ties.
 
-    Each rung of the precision ladder evaluates x and y once and settles
-    every floor still open; x and y are taken from the first rung.  A rung
-    of dps digits carries an absolute error of about x * 10^-dps, so it
-    settles a floor only when x +/- y lies more than (1 + x) * 10^(12 - dps)
-    from an integer; near-ties are resolved by raising the working
-    precision, and exact ties are settled in rationals when x and y are
-    rational (`_rational_window`).
+    Each rung of the precision ladder evaluates x and y once, in decimal,
+    and settles every floor still open; x and y are taken from the first
+    rung.  x is floor(x 10^e) / 10^e, an integer root of at most dps digits
+    (e from bit lengths), and y = exp(theta ln x).  A rung of dps digits
+    carries an absolute error of about x * 10^(2 - dps), so it settles a
+    floor only when x +/- y lies more than (1 + x) * 10^(12 - dps) from an
+    integer; near-ties are resolved by raising the working precision, and
+    exact ties are settled in rationals when x and y are rational
+    (`_rational_window`).  A theta = 1 window is (0, 2x], whose top is the
+    largest M with M^k * s <= 2^k * n.
     """
-    import mpmath as mp  # here, so that commands that build no window do not load it
-
     floors = {}
-    for dps in _DPS_LADDER:
-        with mp.workdps(dps):
-            xv = mp.root(mp.mpf(n) / s, k)
-            yv = xv ** mp.mpf(theta)
+    bits = -(-(n.bit_length() - s.bit_length() + 1) // k)   # x < 2^bits
+    with localcontext() as ctx:
+        ctx.Emax, ctx.Emin = MAX_EMAX, MIN_EMIN
+        for dps in _DPS_LADDER:
+            ctx.prec = dps
+            e = dps - 1 - bits * 30103 // 100000   # x 10^e < 10^dps, as log10(2) < 0.30103
+            m = n * 10 ** (k * e) // s if e >= 0 else n // (s * 10 ** (-k * e))
+            xv = Decimal(_iroot(m, k)).scaleb(-e)
+            yv = xv if theta == 1.0 else (Decimal(theta) * xv.ln()).exp()
             if dps == _DPS_LADDER[0]:
                 x, y = float(xv), float(yv)
-            eps = (1 + xv) * mp.mpf(10) ** (12 - dps)
+                if theta == 1.0:
+                    return 0, _iroot(2**k * n // s, k), x, y
+            eps = (1 + xv).scaleb(12 - dps)
             for upper in (False, True):
                 if upper in floors:
                     continue
                 v = xv + yv if upper else xv - yv
-                f = mp.floor(v)
+                f = v.to_integral_value(ROUND_FLOOR)
                 if v - f > eps and (f + 1) - v > eps:
                     floors[upper] = int(f)
-        if len(floors) == 2:
-            return floors[False], floors[True], x, y
+            if len(floors) == 2:
+                return floors[False], floors[True], x, y
     exact = _rational_window(n, k, s, theta)
     if exact is not None:
         return math.floor(exact[0] - exact[1]), math.floor(exact[0] + exact[1]), x, y
     raise PrecisionError(
-        f"cannot resolve window boundary for n={n}, k={k}, s={s}, theta={theta}"
+        f"cannot resolve window boundary for n={int_text(n)}, k={k}, s={s}, theta={theta}"
     )
 
 
@@ -176,19 +184,10 @@ def build_interval(n: int, k: int, s: int, theta: float) -> ShortInterval:
     if not (0.0 < theta <= 1.0):
         raise ValidationError(f"need 0 < theta <= 1, got theta={theta}")
 
-    if theta == 1.0:
-        # The window is (0, 2x]: hi is the largest M with M^k * s <= 2^k * n.
-        import mpmath as mp
-
-        with mp.workdps(_DPS_LADDER[0]):
-            x = y = float(mp.root(mp.mpf(n) / s, k))
-        lo, hi = 1, _iroot(2**k * n // s, k)
-    else:
-        below, hi, x, y = _window_boundaries(n, k, s, theta)
-        lo = below + 1
-    if hi < lo:
-        raise ValidationError(f"empty window for n={n}, k={k}, s={s}, theta={theta}")
-    return ShortInterval(x=x, y=y, k=k, lo=lo, hi=hi)
+    below, hi, x, y = _window_boundaries(n, k, s, theta)
+    if hi <= below:
+        raise ValidationError(f"empty window for n={int_text(n)}, k={k}, s={s}, theta={theta}")
+    return ShortInterval(x=x, y=y, k=k, lo=below + 1, hi=hi)
 
 
 def sieve_upto(limit: int) -> list:
@@ -282,10 +281,9 @@ def _power_bits(base: int, exp: int) -> int:
     digits of exp and more, as exp log2(base) may lie 1/exp from an integer."""
     if base & (base - 1) == 0:
         return exp * (base.bit_length() - 1) + 1
-    import mpmath as mp
-
-    with mp.workdps(2 * len(str(exp)) + len(str(base)) + 10):
-        return int(exp * mp.log(base, 2)) + 1
+    with localcontext() as ctx:
+        ctx.prec = 2 * len(str(exp)) + len(str(base)) + 10
+        return int(exp * Decimal(base).ln() / Decimal(2).ln()) + 1
 
 
 def _smooth_length(m: int) -> int:

@@ -5,6 +5,7 @@ import ast
 import importlib
 import json
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -69,6 +70,22 @@ def test_no_module_imports_a_name_it_does_not_use():
                 unused += [(path.name, alias.asname or alias.name.split(".")[0]) for alias in node.names
                            if (alias.asname or alias.name.split(".")[0]) not in used]
     assert unused == []
+
+
+def test_the_package_imports_exactly_its_declared_dependencies():
+    # Function-local imports count too; relative imports are the package's own.
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(kglab.__file__).parent
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+    declared = {re.match(r"[\w.-]+", dep)[0] for dep in pyproject["project"]["dependencies"]}
+    imported = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == declared
 
 
 def test_every_exported_name_resolves_to_its_module():

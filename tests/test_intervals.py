@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from kglab import (
     ShortInterval,
     ValidationError,
+    admissible_in_range,
     build_interval,
     divisor_count,
     euler_phi,
@@ -98,53 +99,38 @@ class TestBuildInterval:
             assert (interval.lo, interval.hi) == (1, largest(n, k, s)), (n, k)
 
     def test_window_matches_per_side_resolution(self):
-        # Oracle: each boundary resolved on its own precision ladder, and x
-        # and y evaluated once more at 50 digits, as windows used to be built.
-        from fractions import Fraction
-
+        # Oracle: each boundary of a theta < 1 window resolved on its own
+        # mpmath precision ladder, a theta = 1 top from 2x at n's digits
+        # checked in integers, and x and y evaluated once more at 50 digits.
         from kglab.errors import PrecisionError
-
-        def integer_root(m, k):
-            with mp.workdps(len(str(m)) + 10):  # root to well under 1/2
-                r = int(mp.nint(mp.root(m, k)))
-            return r if r**k == m else None
-
-        def exact_kth_root(num, den, k):
-            # The Fraction r with r^k = num/den, or None if irrational.
-            g = math.gcd(num, den)
-            rn, rd = integer_root(num // g, k), integer_root(den // g, k)
-            return None if rn is None or rd is None else Fraction(rn, rd)
 
         def floor_boundary(n, k, s, theta, upper):
             for dps in (50, 200, 800):
                 with mp.workdps(dps):
                     xv = mp.root(mp.mpf(n) / s, k)
-                    yv = xv if theta == 1.0 else xv ** mp.mpf(theta)
+                    yv = xv ** mp.mpf(theta)
                     v = xv + yv if upper else xv - yv
                     f = mp.floor(v)
                     eps = mp.mpf(10) ** (-(dps - 12))
                     if v - f > eps and (f + 1) - v > eps:
                         return int(f)
-                    cand = int(mp.nint(v))
-                    if theta == 1.0 and upper:
-                        return cand if (2**k) * n >= cand**k * s else cand - 1
-                    if not upper and theta == 1.0:
-                        return 0
             raise PrecisionError(
                 f"cannot resolve window boundary for n={n}, k={k}, s={s}, theta={theta}"
             )
 
         def old_window(n, k, s, theta):
-            root = exact_kth_root(n, s, k)
-            if theta == 1.0 and root is not None:
-                x = float(root)
-                return 1, math.floor(2 * root), x, x
-            lo = floor_boundary(n, k, s, theta, upper=False) + 1
-            hi = floor_boundary(n, k, s, theta, upper=True)
             with mp.workdps(50):
                 xv = mp.root(mp.mpf(n) / s, k)
-                yv = xv if theta == 1.0 else xv ** mp.mpf(theta)
-                return lo, hi, float(xv), float(yv)
+                x, y = float(xv), float(xv if theta == 1.0 else xv ** mp.mpf(theta))
+            if theta < 1.0:
+                lo = floor_boundary(n, k, s, theta, upper=False) + 1
+                return lo, floor_boundary(n, k, s, theta, upper=True), x, y
+            # The largest M with M^k * s <= 2^k * n: 2x is off by far less
+            # than 1 at n's digits, and the integers settle the last step.
+            with mp.workdps(len(str(n)) + 10):
+                hi = int(mp.floor(2 * mp.root(mp.mpf(n) / s, k)))
+            hi += (hi + 1) ** k * s <= 2**k * n
+            return 1, hi - (hi**k * s > 2**k * n), x, y
 
         def outcome(build, n, k, s, theta):
             try:
@@ -164,7 +150,6 @@ class TestBuildInterval:
             (5 * big**2 // 4 - 1, 2, 5, 1.0),
             (5 * (2**80 + 3) ** 2, 2, 5, 0.85), (5 * (2**80 + 3) ** 2 + 1, 2, 5, 1.0),
             (7 * (2**30 + 1) ** 3 - 1, 3, 7, 0.9), (2 * (3**20 + 5) ** 5 + 1, 5, 2, 0.75),
-            (5 * big**4, 2, 5, 0.5),            # x +/- y integers: a tie
             (5 * big**4 + 1, 2, 5, 0.5),        # needs the 200-digit rung
         ]
         for k in (2, 3, 5):
@@ -172,14 +157,35 @@ class TestBuildInterval:
                 for delta in (-1, 0, 1):
                     for theta in (0.55, 0.85, 0.9, 1.0):
                         grid.append((5 * r**k + delta, k, 5, theta))
-        for n, k, s, theta in grid:
+        # The sweep's targets at every benchmark seed, and criterion 10's
+        # near 10^8 and 10^9.
+        sweep = {n for start in range(100000, 100481, 120)
+                 for n in admissible_in_range(start, start + 12000, 2, 5)}
+        grid += [(n, 2, 5, 0.9) for n in sorted(sweep)]
+        grid += [(n, 3, 13, 0.776) for lo in (100000001, 1000000001)
+                 for n in admissible_in_range(lo, lo + 20, 3, 13)]
+        # Ties n = s m^(4k): x - y and x + y are integers, which no precision
+        # settles; the rationals do: the window is (m^4 - y, m^4 + y], y = m^(4 theta).
+        ties = {(5 * big**4, 2, 5, 0.5):
+                (big**2 - big + 1, big**2 + big, float(big**2), float(big))}
+        for k, s, m in ((2, 5, 3), (3, 13, 7), (4, 1, 1000)):
+            for theta in (0.25, 0.5, 0.75):
+                y = m ** round(4 * theta)
+                ties[s * m ** (4 * k), k, s, theta] = m**4 - y + 1, m**4 + y, float(m**4), float(y)
+        rng = random.Random(32)
+        for _ in range(40):
+            k, s = rng.choice((2, 3, 4, 12, 64)), rng.randrange(1, 20)
+            grid.append((s * 2**k + rng.randrange(10 ** rng.randrange(1, 700)), k, s,
+                         rng.choice((1.0, 0.5, 0.85, rng.random()))))
+        for n, k, s, theta in grid + list(ties):
             want = outcome(old_window, n, k, s, theta)
-            if n == 5 * big**4:
-                # No precision settles the tie x = big^2, y = big; the
-                # rationals do: the window is (big^2 - big, big^2 + big].
+            if (n, k, s, theta) in ties:
                 assert isinstance(want, str)
-                want = big**2 - big + 1, big**2 + big, float(big**2), float(big)
+                want = ties[n, k, s, theta]
             assert outcome(new_window, n, k, s, theta) == want, (n, k, s, theta)
+        # Past the digits Python prints, the refusal names n by its bits.
+        with pytest.raises(PrecisionError, match=r"n=a 16610-bit integer, k=2, s=5"):
+            build_interval(10**5000 + 5, 2, 5, 0.85)
 
     @pytest.mark.parametrize(
         "n,k,s,theta",
